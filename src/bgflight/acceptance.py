@@ -261,19 +261,6 @@ def _draw_chain(rng, k, lam=0.1):
     return momenta, tv
 
 
-def _k3_path_data(n_max):
-    """Edge exponent matrix, visit counts and order of all closed surjective
-    three-vertex paths up to length n_max, for the vectorised evaluator."""
-    rows = []
-    for n in range(2, n_max + 1):
-        for edges, sizes in kn._comb_terms("diag", 3, n):
-            cnt = np.zeros((3, 3), dtype=int)
-            for a, b in edges:
-                cnt[a, b] += 1
-            rows.append((n, cnt, sizes))
-    return rows
-
-
 @_timed
 def check_07_density_identities_positivity(seed=707, swaps=200,
                                            bulk=10**4, n_max=12):
@@ -301,14 +288,13 @@ def check_07_density_identities_positivity(seed=707, swaps=200,
     cosang = rng.uniform(-1, 1, bulk)
     what = lam * np.exp(-2 * math.pi * SPEED ** 2 * (1 - cosang))
     w01 = -2j * math.pi * what
-    g00, g01, g10, g11 = kn._k2_entries(u1, u2, w01, w01)
+    g00, g01, g10, g11 = gm._k2_entries(u1, u2, w01, w01)
     vals2 = np.abs(np.stack([g00, g01, g10, g11])) ** 2 \
         * np.exp(-(u1 + u2) * 0.2)
     ok2 = bool(np.all(np.isfinite(vals2)) and np.all(vals2 >= 0))
-    # bulk positivity, k = 3 via the vectorised path sum; consistency of the
-    # evaluator itself is pinned by check 8 and a contour spot check here
+    # bulk positivity, k = 3 via the batched partition sum; consistency of
+    # the evaluator itself is pinned by check 8 and a contour spot check here
     lam = 0.05  # keeps the n_max truncation tail far below the spot check
-    paths = _k3_path_data(n_max)
     dirs = rng.normal(size=(bulk, 3, DIM))
     dirs /= np.linalg.norm(dirs, axis=2)[..., None]
     pot = sc.GaussianPotential()
@@ -319,25 +305,7 @@ def check_07_density_identities_positivity(seed=707, swaps=200,
                 diff = dirs[:, i] - dirs[:, j]
                 wmat[:, i, j] = -2j * math.pi * lam * pot.w_hat(SPEED * diff)
     u3 = rng.uniform(0.0, 1.5, (bulk, 3))
-    wpow = np.ones((bulk, 3, 3, n_max + 1), dtype=complex)
-    upow = np.ones((bulk, 3, n_max + 2))
-    for p in range(1, n_max + 1):
-        wpow[..., p] = wpow[..., p - 1] * wmat
-    for p in range(1, n_max + 2):
-        upow[..., p] = upow[..., p - 1] * u3
-    amp = np.zeros(bulk, dtype=complex)
-    amp_last = np.zeros(bulk, dtype=complex)
-    for n, cnt, sizes in paths:
-        term = np.ones(bulk, dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                if cnt[i, j]:
-                    term = term * wpow[:, i, j, cnt[i, j]]
-            term = term * upow[:, i, sizes[i] - 1] \
-                / math.factorial(sizes[i] - 1)
-        amp += term
-        if n == n_max:
-            amp_last += term
+    amp, amp_last = kn._comb_amplitudes("diag", u3, wmat, n_max)
     vals3 = np.abs(amp) ** 2 * np.exp(-np.sum(u3, axis=1) * 0.2)
     ok3 = bool(np.all(np.isfinite(vals3)) and np.all(vals3 >= 0))
     # evaluator spot checks against the series and contour routes, inside

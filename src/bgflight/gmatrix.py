@@ -29,39 +29,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import special
 
-from .errors import InvalidInputError, NumericsError, SingularContourError
+from .errors import InvalidInputError, SingularContourError
 from .paths import WeightedCollisionGraph
-
-BESSEL_ARG_CAP = 30.0
-
-
-def bessel_j(n: int, z: complex, tol: float = 1e-17,
-             zmax: float = BESSEL_ARG_CAP) -> complex:
-    """J_n(z) for complex z by partial sums of the ascending series
-    (z/2)^n sum_m (-z^2/4)^m / (m! (m+n)!).
-
-    The modulus cap guards against catastrophic cancellation of the
-    alternating series in double precision.
-    """
-    if n < 0:
-        raise InvalidInputError("order must be non-negative")
-    z = complex(z)
-    if abs(z) > zmax:
-        raise InvalidInputError(
-            f"|z| = {abs(z):.3g} beyond series cap {zmax} "
-            "(cancellation guard)")
-    if z == 0:
-        return 1.0 + 0j if n == 0 else 0.0 + 0j
-    term = (z / 2) ** n / math.factorial(n)
-    total = term
-    q = -(z * z) / 4
-    for m in range(1, 400):
-        term *= q / (m * (m + n))
-        total += term
-        if abs(term) <= tol * max(abs(total), 1e-300):
-            break
-    return total
 
 
 def bessel_j_quadrature(n: int, z: complex, nodes: int = 512) -> complex:
@@ -355,35 +326,39 @@ def g_contour(graph: WeightedCollisionGraph, spec: ContourSpec | None = None,
 # k = 2 closed form
 # ---------------------------------------------------------------------------
 
-def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
-    """Bessel closed form for k = 2 (0-based entries).
+def _k2_entries(u1, u2, w01, w10):
+    """The four k = 2 entries (g_00, g_01, g_10, g_11), broadcast over arrays
+    of times and weights.
 
-    Degenerate times use the series limits: g_00(u1, 0) = u1 w12 w21 and
-    g_11(0, u2) = u2 w12 w21; at u = 0 the off-diagonal reduces to the edge
-    weights themselves.
+    The diagonal is written as u_i w01 w10 (J_0 + J_2)(z), which equals the
+    -sqrt(u_i/u_j) chi J_1(z) of the module docstring because
+    J_0 + J_2 = 2 J_1(z)/z; the form is even in z and finite at z = 0, so
+    degenerate times need no special case.
     """
+    prod = w01 * w10
+    z = 2.0 * np.sqrt(-prod * u1 * u2 + 0j)
+    j0 = special.jv(0, z)
+    ratio = j0 + special.jv(2, z)
+    return u1 * prod * ratio, w01 * j0, w10 * j0, u2 * prod * ratio
+
+
+def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
+    """Bessel closed form for k = 2 (0-based entries); at u = 0 the diagonal
+    vanishes and the off-diagonal reduces to the edge weights themselves."""
     if u1 < 0 or u2 < 0:
         raise InvalidInputError("times must be non-negative")
-    chi = np.sqrt(complex(-w12 * w21))
-    z = 2.0 * math.sqrt(u1 * u2) * chi
-    j0 = bessel_j(0, z)
-    entries = np.empty((2, 2), dtype=complex)
-    entries[0, 1] = w12 * j0
-    entries[1, 0] = w21 * j0
-    if u1 > 0 and u2 > 0:
-        j1 = bessel_j(1, z)
-        entries[0, 0] = -math.sqrt(u1 / u2) * chi * j1
-        entries[1, 1] = -math.sqrt(u2 / u1) * chi * j1
-    else:
-        entries[0, 0] = u1 * w12 * w21
-        entries[1, 1] = u2 * w12 * w21
-    return GMatrix(entries, "bessel_k2")
+    g00, g01, g10, g11 = _k2_entries(u1, u2, w12, w21)
+    return GMatrix(np.array([[g00, g01], [g10, g11]], dtype=complex),
+                   "bessel_k2")
 
 
 def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
+           max_order: int = 80, spec: ContourSpec | None = None,
            **kwargs) -> GMatrix:
     """Dispatch: Bessel closed form for k = 2, contour otherwise, unless a
-    method is forced."""
+    method is forced.  ``max_order`` reaches the series route and ``spec``
+    the contour route only when that route is the one taken; ``kwargs`` go
+    to the chosen route."""
     method = prefer or ("bessel_k2" if graph.k == 2 else "contour")
     if method == "bessel_k2":
         if graph.k != 2:
@@ -391,7 +366,7 @@ def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
         w = graph.weights
         return g_bessel_k2(graph.times[0], graph.times[1], w[0, 1], w[1, 0])
     if method == "series":
-        return g_series(graph, **kwargs)
+        return g_series(graph, max_order=max_order, **kwargs)
     if method == "contour":
-        return g_contour(graph, **kwargs)
+        return g_contour(graph, spec, **kwargs)
     raise InvalidInputError(f"unknown method {method!r}")

@@ -27,13 +27,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError
 from . import partitions as pa
-from .gmatrix import g_auto, ContourSpec
+from .gmatrix import _k2_entries, g_auto
 from .paths import WeightedCollisionGraph, partition_to_path
 from .scattering import ScatteringModel
 
@@ -184,42 +186,6 @@ def rho_lb(u, momenta, model: ScatteringModel) -> DensityValue:
     return DensityValue(damping * kernel * shell, kernel, damping, shell)
 
 
-def _k2_entries(u1, u2, w01, w10):
-    """All four generating-matrix entries for k = 2, vectorised over arrays
-    of times and weights; degenerate times fall back to the series limits."""
-    u1 = np.asarray(u1, dtype=float)
-    u2 = np.asarray(u2, dtype=float)
-    chi = np.sqrt(-(w01 * w10) + 0j)
-    z = 2.0 * np.sqrt(u1 * u2 + 0j) * chi
-    j0, j1 = _j01(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sqrt(u1 / u2 + 0j)
-        g00 = np.where(u2 > 0, -ratio * chi * j1, u1 * w01 * w10)
-        g11 = np.where(u1 > 0, -chi * j1 / np.where(ratio == 0, 1.0, ratio),
-                       u2 * w01 * w10)
-    return g00, w01 * j0, w10 * j0, g11
-
-
-def _j01(z, max_terms=90):
-    """J_0 and J_1 on complex arrays via the ascending series."""
-    z = np.asarray(z, dtype=complex)
-    if z.size and float(np.max(np.abs(z))) > 30.0:
-        raise InvalidInputError("Bessel argument beyond series cap")
-    q = -(z * z) / 4.0
-    t0 = np.ones_like(z)
-    t1 = np.full_like(z, 0.5) * z
-    j0 = t0.copy()
-    j1 = t1.copy()
-    for m in range(1, max_terms):
-        t0 = t0 * q / (m * m)
-        t1 = t1 * q / (m * (m + 1))
-        j0 += t0
-        j1 += t1
-        if max(float(np.max(np.abs(t0))), float(np.max(np.abs(t1)))) < 1e-17:
-            break
-    return j0, j1
-
-
 def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed, d,
                         method=None, **g_kwargs) -> DensityValue:
     """Limit-process density from precomputed on-shell T values.
@@ -265,23 +231,64 @@ def rho_new(ell, m, u, momenta, model: ScatteringModel, method=None,
 # combinatorial route
 # ---------------------------------------------------------------------------
 
-_COMB_CACHE: dict = {}
-
-
-def _comb_terms(kind, k, n):
-    """Per-partition data for the order-n term: list of (edge step list,
-    block sizes) derived from the non-consecutive ordered partitions."""
-    key = (kind, k, n)
-    if key not in _COMB_CACHE:
-        family = "circ_nc" if kind == "diag" else "baro_nc"
-        terms = []
+@lru_cache(maxsize=16)
+def _comb_table(kind, k, n_max):
+    """The order k-1..n_max partition sum as arrays of distinct terms: order
+    (terms,), block sizes (terms, k), edge counts (terms, k, k) of the path
+    and multiplicity (terms,), derived from the non-consecutive ordered
+    partitions.  Partitions with equal order, block sizes and edge counts
+    give equal terms and share one row."""
+    family = "circ_nc" if kind == "diag" else "baro_nc"
+    mult = Counter()
+    for n in range(k - 1, n_max + 1):
         for op in pa.enumerate_partitions(n, k, family=family, ordered=True):
             path = partition_to_path(op)
-            edges = list(zip(path[:-1], path[1:]))
-            sizes = [len(b) for b in op.blocks]
-            terms.append((edges, sizes))
-        _COMB_CACHE[key] = terms
-    return _COMB_CACHE[key]
+            cnt = np.zeros((k, k), dtype=int)
+            for i, j in zip(path[:-1], path[1:]):
+                cnt[i, j] += 1
+            sizes = tuple(len(blk) for blk in op.blocks)
+            mult[(n, sizes, tuple(cnt.ravel()))] += 1
+    keys = sorted(mult)
+    return (np.array([key[0] for key in keys], dtype=int),
+            np.array([key[1] for key in keys], dtype=int).reshape(-1, k),
+            np.array([key[2] for key in keys], dtype=int).reshape(-1, k, k),
+            np.array([mult[key] for key in keys], dtype=complex))
+
+
+def _comb_amplitudes(kind, u, w, n_max, chunk_elems=1 << 16):
+    """Partition-sum amplitudes for a batch of draws.
+
+    ``u`` holds the times (draws, k) and ``w`` the edge weights
+    (draws, k, k).  Returns the amplitude summed over orders k-1..n_max and
+    the order-n_max contribution, both complex per draw.  Each term is
+    prod w_ij^(edge count) prod u_i^(s_i - 1)/(s_i - 1)!; draws are taken in
+    chunks of at most ``chunk_elems`` (draw, distinct term) pairs.
+    """
+    u = np.asarray(u, dtype=float)
+    w = np.asarray(w, dtype=complex)
+    draws, k = u.shape
+    orders, sizes, counts, mult = _comb_table(kind, k, n_max)
+    last = orders == n_max
+    edges = [(i, j) for i in range(k) for j in range(k)
+             if np.any(counts[:, i, j])]
+    amp = np.empty(draws, dtype=complex)
+    tail = np.empty(draws, dtype=complex)
+    step = max(1, chunk_elems // max(1, len(orders)))
+    for lo in range(0, draws, step):
+        sl = slice(lo, min(lo + step, draws))
+        wpow = np.ones(w[sl].shape + (n_max + 1,), dtype=complex)
+        upow = np.ones(u[sl].shape + (n_max + 1,))
+        for p in range(1, n_max + 1):
+            wpow[..., p] = wpow[..., p - 1] * w[sl]
+            upow[..., p] = upow[..., p - 1] * u[sl] / p
+        term = np.tile(mult, (sl.stop - sl.start, 1))
+        for i, j in edges:
+            term *= wpow[:, i, j, counts[:, i, j]]
+        for i in range(k):
+            term *= upow[:, i, sizes[:, i] - 1]
+        amp[sl] = term.sum(axis=1)
+        tail[sl] = term[:, last].sum(axis=1)
+    return amp, tail
 
 
 def rho_combinatorial(kind, u, tvals, sigma_tots, speed, d, n_max=20,
@@ -301,25 +308,14 @@ def rho_combinatorial(kind, u, tvals, sigma_tots, speed, d, n_max=20,
     if kind == "off" and k < 2:
         raise InvalidInputError("off-diagonal densities need k >= 2")
     w = -2j * math.pi * np.asarray(tvals, dtype=complex)
-    amp_sum = 0j
-    last = 0.0
-    for n in range(k - 1, n_max + 1):
-        order_sum = 0j
-        for edges, sizes in _comb_terms(kind, k, n):
-            term = 1 + 0j
-            for a, b in edges:
-                term *= w[a, b]
-            for i, s in enumerate(sizes):
-                term *= u[i] ** (s - 1) / math.factorial(s - 1)
-            order_sum += term
-        amp_sum += order_sum
-        last = abs(order_sum)
+    amp_sum, tail = _comb_amplitudes(kind, u[None], w[None], n_max)
+    last = abs(tail[0])
     if last > tail_tol:
         warnings.warn(f"combinatorial tail {last:.2e} above {tail_tol:.0e} "
                       f"at n_max = {n_max}", stacklevel=2)
     damping = math.exp(-float(np.dot(u, np.asarray(sigma_tots, dtype=float))))
     shell = speed ** ((d - 2) * (k - 1))
-    amp = abs(amp_sum) ** 2
+    amp = abs(amp_sum[0]) ** 2
     return DensityValue(amp * damping * shell, amp, damping, shell,
                         tail_estimate=last)
 
@@ -376,38 +372,50 @@ def f_term(series, k, t, x, y, a: GaussianSymbol, model: ScatteringModel,
                      * math.exp(-t * model.sigma_tot(speed)))
     if k != 2 or model.dim != 3:
         raise InvalidInputError("pointwise terms implemented for k <= 2, d = 3")
-    sig = model.sigma_tot(speed)
-    dirs, dw = _sphere_grid(*sphere)
+    return _k2_term(series, t, y, model,
+                    lambda shift, y_a: a.value(x - shift, y_a),
+                    _sphere_grid(*sphere),
+                    np.polynomial.legendre.leggauss(u_nodes))
+
+
+def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
+             time_rule) -> float:
+    """Two-leg term ending at momentum y (d = 3): integral over the partner
+    momentum p on the shell sphere of |y| (``sphere_rule`` = directions and
+    weights) and over the first flight time u1 in [0, t] (``time_rule`` =
+    Gauss-Legendre nodes and weights on [-1, 1]; the second flight is
+    t - u1), weighting ``observable(shift, y_a)``.  ``shift`` =
+    u1 y + u2 p is the free-flight displacement and ``y_a`` the momentum the
+    observable is read at, both vectorised over (u1 node, partner).
+    """
+    dirs, dw = sphere_rule
+    un, uw = time_rule
+    speed = float(np.linalg.norm(y))
     partners = speed * dirs @ _rotate_from_axis(y).T
-    tv = np.array([model.t_matrix(y, p) for p in partners])
-    tv_rev = np.array([model.t_matrix(p, y) for p in partners])
-    un, uw = np.polynomial.legendre.leggauss(u_nodes)
-    u1 = 0.5 * t * (un + 1.0)
-    uws = 0.5 * t * uw
+    if model.born_order == 1:
+        tv = tv_rev = model.coupling * model.potential.w_hat(
+            y[None, :] - partners)
+    else:
+        tv = np.array([model.t_matrix(y, p) for p in partners])
+        tv_rev = np.array([model.t_matrix(p, y) for p in partners])
+    u1 = 0.5 * t * (un[:, None] + 1.0)
     u2 = t - u1
+    shift = u1[..., None] * y + u2[..., None] * partners
     shell = speed ** (model.dim - 2)
-    damping = np.exp(-t * sig)  # equal speeds: survival depends on t only
-    total = 0.0
     if series == "lb":
-        kern = 4 * math.pi ** 2 * np.abs(tv) ** 2 * shell
-        for ui, uwi, u2i in zip(u1, uws, u2):
-            shiftpts = x - ui * y - u2i * partners
-            vals = a.value(shiftpts, partners)
-            total += uwi * float(np.sum(dw * kern * damping * vals))
-        return total
-    # the (ell = 1) pairings relabel onto the (ell = 0) ones under the
-    # time swap (g_11(u1,u2; p,y) = g_00(u2,u1; y,p) and likewise 10 <-> 01),
-    # cancelling the 1/2! factor: two terms remain
-    w01 = -2j * math.pi * tv
-    w10 = -2j * math.pi * tv_rev
-    for ui, uwi, u2i in zip(u1, uws, u2):
-        shiftpts = x - ui * y - u2i * partners
-        g00, g01, _, _ = _k2_entries(ui, u2i, w01, w10)
-        a_at_y = a.value(shiftpts, np.broadcast_to(y, partners.shape))
-        a_at_p = a.value(shiftpts, partners)
-        inner = np.abs(g00) ** 2 * a_at_y + np.abs(g01) ** 2 * a_at_p
-        total += uwi * float(np.sum(dw * inner * damping * shell))
-    return total
+        dens = 4 * math.pi ** 2 * np.abs(tv) ** 2 * shell
+        inner = dens * observable(shift, partners)
+    else:
+        # the (ell = 1) pairings relabel onto the (ell = 0) ones under the
+        # time swap (g_11(u1,u2; p,y) = g_00(u2,u1; y,p) and likewise
+        # 10 <-> 01), cancelling the 1/2! factor: two terms remain
+        g00, g01, _, _ = _k2_entries(u1, u2, -2j * math.pi * tv,
+                                     -2j * math.pi * tv_rev)
+        inner = (np.abs(g00) ** 2 * observable(shift, y)
+                 + np.abs(g01) ** 2 * observable(shift, partners)) * shell
+    # equal speeds: survival depends on t only
+    damping = math.exp(-t * model.sigma_tot(speed))
+    return float(damping * (0.5 * t * uw) @ inner @ dw)
 
 
 # ---------------------------------------------------------------------------
@@ -685,56 +693,18 @@ def pair_quadrature(series, a: GaussianSymbol, b: GaussianSymbol, t,
         return float(total)
     if k != 2:
         raise InvalidInputError("deterministic pairing supports k <= 2")
-    dirs, dw = _sphere_grid(*sphere)
-    un, uw = np.polynomial.legendre.leggauss(u_nodes)
-    u1 = 0.5 * t * (un + 1.0)
-    uws = 0.5 * t * uw
-    u2 = t - u1
+    sphere_rule = _sphere_grid(*sphere)
+    time_rule = np.polynomial.legendre.leggauss(u_nodes)
     for i0, y0 in enumerate(axes[0]):
         for i1, y1 in enumerate(axes[1]):
             wy01 = wts[0][i0] * wts[1][i1]
             for i2, y2 in enumerate(axes[2]):
                 y = np.array([y0, y1, y2])
                 wy = wy01 * wts[2][i2]
-                speed = float(np.linalg.norm(y))
-                if speed < 1e-9:
+                if float(np.linalg.norm(y)) < 1e-9:
                     continue
-                total += wy * _pair_k2_at_y(series, a, b, t, model, y,
-                                            speed, dirs, dw, u1, u2, uws)
+                total += wy * _k2_term(
+                    series, t, y, model,
+                    lambda shift, y_a: pair_overlap(b, a, shift, y, y_a),
+                    sphere_rule, time_rule)
     return float(total)
-
-
-def _pair_k2_at_y(series, a, b, t, model, y, speed, dirs, dw, u1, u2, uws):
-    partners = speed * dirs @ _rotate_from_axis(y).T
-    sig = model.sigma_tot(speed)
-    damping = math.exp(-t * sig)
-    shell = speed ** (model.dim - 2)
-    tv = model.coupling * model.potential.w_hat(y[None, :] - partners)
-    if model.born_order > 1:
-        tv = np.array([model.t_matrix(y, p) for p in partners])
-        tv_rev = np.array([model.t_matrix(p, y) for p in partners])
-    else:
-        tv_rev = tv
-    acc = 0.0
-    if series == "lb":
-        kern = 4 * math.pi ** 2 * np.abs(tv) ** 2 * shell
-        for ui, u2i, uwi in zip(u1, u2, uws):
-            shiftpts = ui * y + u2i * partners
-            ov = pair_overlap(b, a, shiftpts, np.broadcast_to(y, partners.shape),
-                              partners)
-            acc += uwi * float(np.sum(dw * kern * damping * ov))
-        return acc
-    # same pairing collapse as in f_term: the (ell = 1) terms duplicate the
-    # (ell = 0) ones after the time swap, absorbing the 1/2! factor
-    w01 = -2j * math.pi * tv
-    w10 = -2j * math.pi * tv_rev
-    for ui, u2i, uwi in zip(u1, u2, uws):
-        shiftpts = ui * y + u2i * partners
-        ov_yp = pair_overlap(b, a, shiftpts, np.broadcast_to(y, partners.shape),
-                             partners)
-        ov_yy = pair_overlap(b, a, shiftpts, np.broadcast_to(y, partners.shape),
-                             np.broadcast_to(y, partners.shape))
-        g00, g01, _, _ = _k2_entries(ui, u2i, w01, w10)
-        inner = np.abs(g00) ** 2 * ov_yy + np.abs(g01) ** 2 * ov_yp
-        acc += uwi * float(np.sum(dw * inner * damping * shell))
-    return acc

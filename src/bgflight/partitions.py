@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
 
 from .errors import CapacityError, InvalidInputError
 
@@ -509,15 +508,3 @@ def weight_bound_pair(n: int, k: int):
         lhs += w
     rhs = k ** (n + 1) / math.factorial(n + 1)
     return lhs, rhs
-
-
-def count_partitions(n: int, k: int, family: str = "all") -> int:
-    """Count without storing (still subject to no cap)."""
-    circ, nc = _FAMILY_FLAGS[family]
-    if family.startswith("baro") and k < 2:
-        return 0
-    return sum(1 for _ in _rgs_partitions(n, k, circ=circ, nc=nc))
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -304,9 +304,6 @@ class ScatteringModel:
             self._sigma_cache[key] = out
         return out
 
-    def mean_free_time(self, y) -> float:
-        return 1.0 / self.sigma_tot(y)
-
     # -- optical theorem ----------------------------------------------------
 
     def optical_residual(self, y, include_third_order=False) -> float:

@@ -1,9 +1,11 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from bgflight.cli import main
+from bgflight.gmatrix import bessel_j_quadrature
 
 warnings.filterwarnings("ignore", category=UserWarning)
 
@@ -95,6 +97,33 @@ def test_gmatrix_eval(tmp_path):
         for j in range(2):
             assert other["entries_re"][i][j] == pytest.approx(
                 payload["entries_re"][i][j], abs=1e-9)
+
+
+def test_gmatrix_k2_beyond_former_series_cap(tmp_path):
+    # |z| = 2 sqrt(u1 u2 (-w01 w10)) = 40
+    cfg = write(tmp_path / "c.json", {
+        "k": 2, "u": [20, 20], "w_re": [[0, 1], [-1, 0]]})
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "gmatrix.json").read_text())
+    g = np.asarray(payload["entries_re"]) + 1j * np.asarray(
+        payload["entries_im"])
+    assert g[0, 1] == pytest.approx(bessel_j_quadrature(0, 40.0), abs=1e-13)
+    assert g[0, 0] == pytest.approx(-bessel_j_quadrature(1, 40.0), abs=1e-13)
+
+
+def test_gmatrix_unconverged_series_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {
+        "k": 3, "u": [1.0, 1.0, 1.0],
+        "w_re": [[0, 0.5, -0.3], [0.2, 0, 0.6], [-0.4, 0.1, 0]],
+        "method": "series", "max_order": 4})
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 3
+    assert "not converged" in capsys.readouterr().err
+    payload = json.loads((out / "gmatrix.json").read_text())
+    assert payload["converged"] is False
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checks"] == {"converged": False}
 
 
 def test_scatter_ops(tmp_path):

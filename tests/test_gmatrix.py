@@ -18,37 +18,6 @@ def rand_graph(k, umax=1.0, seed=1, wscale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Bessel series
-# ---------------------------------------------------------------------------
-
-def test_bessel_at_zero():
-    assert gm.bessel_j(0, 0.0) == 1.0
-    assert gm.bessel_j(1, 0.0) == 0.0
-    assert gm.bessel_j(5, 0.0) == 0.0
-
-
-def test_bessel_first_zero_of_j0():
-    assert abs(gm.bessel_j(0, 2.405)) < 1e-3
-    # bracket the zero
-    assert (gm.bessel_j(0, 2.40).real > 0) and (gm.bessel_j(0, 2.41).real < 0)
-
-
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
-@pytest.mark.parametrize("z", [0.3, 2.0, 7.5, 1.5 + 1.0j, -3.0 + 0.5j, 4j])
-def test_bessel_matches_integral_representation(n, z):
-    series = gm.bessel_j(n, z)
-    quad = gm.bessel_j_quadrature(n, z)
-    assert abs(series - quad) <= 1e-10 * max(1.0, abs(series))
-
-
-def test_bessel_domain_cap():
-    with pytest.raises(InvalidInputError):
-        gm.bessel_j(0, 31.0)
-    with pytest.raises(InvalidInputError):
-        gm.bessel_j(-1, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # series route
 # ---------------------------------------------------------------------------
 
@@ -193,8 +162,43 @@ def test_bessel_k2_branch_independence():
     a = gm.g_bessel_k2(u1, u2, w12, w21)
     chi = np.sqrt(complex(-w12 * w21))
     z = 2 * math.sqrt(u1 * u2) * chi
-    g11_flip = -math.sqrt(u1 / u2) * (-chi) * gm.bessel_j(1, -z)
+    g11_flip = -math.sqrt(u1 / u2) * (-chi) * gm.bessel_j_quadrature(1, -z)
     assert a.entries[0, 0] == pytest.approx(g11_flip, rel=1e-14)
+
+
+def k2_graph_at(z, u1=0.5, u2=2.0, w12=0.8):
+    """Times and weights whose closed-form argument 2 sqrt(u1 u2 (-w12 w21))
+    is z (up to a sign, which the entries do not see)."""
+    return u1, u2, w12, -(z / (2 * math.sqrt(u1 * u2))) ** 2 / w12
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3, 2.0, 7.5, 1.5 + 1.0j, -3.0 + 0.5j,
+                               4j, 24.0 - 5.0j, 31.0, 20.0 + 20.0j, 40.0,
+                               40j])
+def test_bessel_k2_matches_integral_representation(z):
+    # beyond |z| = 30, too, where an ascending series would lose digits
+    u1, u2, w12, w21 = k2_graph_at(z)
+    j0 = gm.bessel_j_quadrature(0, z)
+    j1 = gm.bessel_j_quadrature(1, z)
+    expected = np.array([[-z / (2 * u2) * j1, w12 * j0],
+                         [w21 * j0, -z / (2 * u1) * j1]])
+    got = gm.g_bessel_k2(u1, u2, w12, w21).entries
+    assert np.max(np.abs(got - expected)) <= 1e-10 * max(
+        1.0, np.max(np.abs(expected)))
+
+
+def test_bessel_first_zero_of_j0():
+    def g01(z):
+        return gm.g_bessel_k2(*k2_graph_at(z, w12=1.0)).entries[0, 1]
+
+    assert abs(g01(2.405)) < 1e-3
+    # bracket the zero
+    assert (g01(2.40).real > 0) and (g01(2.41).real < 0)
+
+
+def test_bessel_k2_rejects_negative_times():
+    with pytest.raises(InvalidInputError):
+        gm.g_bessel_k2(-0.1, 1.0, 0.5, 0.5)
 
 
 # ---------------------------------------------------------------------------

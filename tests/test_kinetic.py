@@ -94,8 +94,8 @@ def test_rho_new_bessel_identities():
     t01 = MODEL.t_matrix(Y1, Y2)
     t10 = MODEL.t_matrix(Y2, Y1)
     zeta = 4 * math.pi * np.sqrt(u[0] * u[1] * t01 * t10 + 0j)
-    j0 = gm.bessel_j(0, zeta)
-    j1 = gm.bessel_j(1, zeta)
+    j0 = gm.bessel_j_quadrature(0, zeta)
+    j1 = gm.bessel_j_quadrature(1, zeta)
     r01 = kn.rho_new(0, 1, u, [Y1, Y2], MODEL)
     assert r01.value == pytest.approx(lb * abs(j0) ** 2, rel=1e-12)
     r00 = kn.rho_new(0, 0, u, [Y1, Y2], MODEL)
@@ -360,9 +360,12 @@ def test_mass_estimate_runs():
     assert np.isfinite(est.value) and est.value > 0
 
 
-def test_j0_j1_vectorised_against_scalar():
-    z = np.array([0.3 + 0.1j, 2.0, 4.5 - 1.0j, 0.0])
-    j0, j1 = kn._j01(z)
-    for i, zi in enumerate(z):
-        assert j0[i] == pytest.approx(gm.bessel_j(0, zi), rel=1e-13, abs=1e-13)
-        assert j1[i] == pytest.approx(gm.bessel_j(1, zi), rel=1e-13, abs=1e-13)
+def test_k2_closed_form_vectorised_against_scalar():
+    u1 = np.array([0.3, 2.0, 0.0, 1.1, 0.0])
+    u2 = np.array([0.7, 0.0, 1.5, 4.0, 0.0])
+    w01 = np.array([0.3 + 0.1j, -0.5, 0.2j, 1.0, 0.4 - 0.4j])
+    w10 = np.array([-0.6j, 0.25 + 0.5j, 0.7, -0.8, 0.1])
+    vec = np.stack(gm._k2_entries(u1, u2, w01, w10), axis=-1)
+    for i in range(len(u1)):
+        one = gm.g_bessel_k2(u1[i], u2[i], w01[i], w10[i]).entries
+        assert vec[i] == pytest.approx(one.ravel(), rel=1e-13, abs=1e-13)
