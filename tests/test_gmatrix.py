@@ -172,17 +172,28 @@ def k2_graph_at(z, u1=0.5, u2=2.0, w12=0.8):
     return u1, u2, w12, -(z / (2 * math.sqrt(u1 * u2))) ** 2 / w12
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
 @pytest.mark.parametrize("z", [0.0, 0.3, 2.0, 7.5, 1.5 + 1.0j, -3.0 + 0.5j,
                                4j, 24.0 - 5.0j, 31.0, 20.0 + 20.0j, 40.0,
                                40j])
-def test_bessel_k2_matches_integral_representation(z):
-    # beyond |z| = 30, too, where an ascending series would lose digits
+def test_bessel_matches_integral_representation(z, n):
+    # J_n as the k = 2 entries carry it: J_0 off the diagonal, J_1 on it, and
+    # J_2 through the diagonal's (J_0 + J_2) form; beyond |z| = 30, too,
+    # where an ascending series would lose digits
     u1, u2, w12, w21 = k2_graph_at(z)
-    j0 = gm.bessel_j_quadrature(0, z)
-    j1 = gm.bessel_j_quadrature(1, z)
-    expected = np.array([[-z / (2 * u2) * j1, w12 * j0],
-                         [w21 * j0, -z / (2 * u1) * j1]])
     got = gm.g_bessel_k2(u1, u2, w12, w21).entries
+    j0 = gm.bessel_j_quadrature(0, z)
+    if n == 0:
+        got = np.array([got[0, 1], got[1, 0]])
+        expected = np.array([w12, w21]) * j0
+    elif n == 1:
+        got = np.diag(got)
+        expected = -z / 2 * np.array([1 / u2, 1 / u1]) \
+            * gm.bessel_j_quadrature(1, z)
+    else:
+        got = np.diag(got)
+        expected = w12 * w21 * np.array([u1, u2]) \
+            * (j0 + gm.bessel_j_quadrature(2, z))
     assert np.max(np.abs(got - expected)) <= 1e-10 * max(
         1.0, np.max(np.abs(expected)))
 
