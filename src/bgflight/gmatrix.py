@@ -34,6 +34,10 @@ from scipy import special
 from .errors import InvalidInputError, SingularContourError
 from .paths import WeightedCollisionGraph
 
+# g_series fails when the rounding error of its largest layer exceeds this
+# fraction of max(1, max |G|)
+SERIES_ROUNDING_RTOL = 1e-10
+
 
 def bessel_j_quadrature(n: int, z: complex, nodes: int = 512) -> complex:
     """Independent oracle: trapezoid of the periodic integral representation
@@ -138,7 +142,11 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
 
     Stops once two consecutive layer contributions fall below ``tol``
     relative to the running value (two, because parity can zero alternate
-    layers); ``converged`` is cleared when max_order runs out first.
+    layers); ``converged`` is cleared when max_order runs out first.  It is
+    also cleared when the largest layer is so much bigger than the result
+    that its rounding error (machine epsilon times that layer) exceeds
+    SERIES_ROUNDING_RTOL of the result's scale: cancellation has then eaten
+    the digits, and the tail estimate reports that rounding error.
     """
     k, w, u = graph.k, graph.weights, graph.times
     monos1, idx1 = _monomials(k, 1)
@@ -148,6 +156,7 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
         layer[i, i, idx1[e]] = 1.0
     total = np.zeros((k, k), dtype=complex)
     last_two = [np.inf, np.inf]
+    peak, scale = 0.0, 1.0
     order_reached = 0
     converged = False
     for degree in range(1, max_order + 2):
@@ -156,6 +165,7 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
         total += value
         order_reached = degree - 1
         vmax = float(np.max(np.abs(value)))
+        peak = max(peak, vmax)
         last_two = [last_two[1], vmax]
         scale = max(1.0, float(np.max(np.abs(total))))
         # layers below total degree k vanish identically (every exponent
@@ -174,8 +184,12 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
             gathered = layer[:, :, src[i, valid]]
             new[i][:, valid] = np.tensordot(w[i], gathered, axes=(0, 0))
         layer = new
+    rounding = np.finfo(float).eps * peak
+    if rounding > SERIES_ROUNDING_RTOL * scale:
+        converged = False
     return GMatrix(total, "series", order=order_reached,
-                   tail_estimate=max(last_two), converged=converged)
+                   tail_estimate=max(max(last_two), rounding),
+                   converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -217,14 +217,23 @@ def rho_new(ell, m, u, momenta, model: ScatteringModel, method=None,
     """Limit-process density rho_{ell m} on a sampled chain configuration."""
     speed = _check_on_shell(momenta)
     k = len(momenta)
-    tvals = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                tvals[i, j] = model.t_matrix(momenta[i], momenta[j])
     sig = model.sigma_tot(speed)
-    return rho_new_from_values(ell, m, u, tvals, [sig] * k, speed,
-                               model.dim, method=method, **g_kwargs)
+    return rho_new_from_values(ell, m, u, _t_table(model, momenta),
+                               [sig] * k, speed, model.dim, method=method,
+                               **g_kwargs)
+
+
+def _t_table(model: ScatteringModel, momenta):
+    """k x k matrix T(y_i, y_j) on shell: one batch per row over the later
+    legs, the lower triangle by reciprocity T(y_j, y_i) = T(y_i, y_j), and a
+    zero diagonal (rho_new_from_values ignores it)."""
+    legs = np.asarray(momenta, dtype=float)
+    k = len(legs)
+    tvals = np.zeros((k, k), dtype=complex)
+    for i in range(k - 1):
+        tvals[i, i + 1:] = tvals[i + 1:, i] = model.t_matrix_batch(
+            legs[i], legs[i + 1:])
+    return tvals
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +401,7 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
     un, uw = time_rule
     speed = float(np.linalg.norm(y))
     partners = speed * dirs @ _rotate_from_axis(y).T
-    if model.born_order == 1:
-        tv = tv_rev = model.coupling * model.potential.w_hat(
-            y[None, :] - partners)
-    else:
-        tv = np.array([model.t_matrix(y, p) for p in partners])
-        tv_rev = np.array([model.t_matrix(p, y) for p in partners])
+    tv = model.t_matrix_batch(y, partners)
     u1 = 0.5 * t * (un[:, None] + 1.0)
     u2 = t - u1
     shift = u1[..., None] * y + u2[..., None] * partners
@@ -408,9 +412,10 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
     else:
         # the (ell = 1) pairings relabel onto the (ell = 0) ones under the
         # time swap (g_11(u1,u2; p,y) = g_00(u2,u1; y,p) and likewise
-        # 10 <-> 01), cancelling the 1/2! factor: two terms remain
-        g00, g01, _, _ = _k2_entries(u1, u2, -2j * math.pi * tv,
-                                     -2j * math.pi * tv_rev)
+        # 10 <-> 01), cancelling the 1/2! factor: two terms remain.  On
+        # shell T(p, y) = T(y, p), so one batch gives both edge weights.
+        w = -2j * math.pi * tv
+        g00, g01, _, _ = _k2_entries(u1, u2, w, w)
         inner = (np.abs(g00) ** 2 * observable(shift, y)
                  + np.abs(g01) ** 2 * observable(shift, partners)) * shell
     # equal speeds: survival depends on t only
@@ -423,27 +428,17 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
 # ---------------------------------------------------------------------------
 
 def _direction_bound(model: ScatteringModel, speed: float) -> float:
+    """Rejection bound on |T|^2 over the shell directions at ``speed``."""
     if model.born_order == 1:
         # radially decreasing transform peaks in the forward direction
         pot = model.potential
         return (model.coupling * pot.amplitude * pot.width ** pot.dim) ** 2
-    cache = getattr(model, "_dir_bound_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(model, "_dir_bound_cache", cache)
-    key = round(speed, 12)
-    if key not in cache:
-        c = np.linspace(-1, 1, 513)
-        axis = np.zeros(model.dim)
-        axis[0] = speed
-        vals = []
-        for ci in c:
-            w = np.zeros(model.dim)
-            w[0] = ci
-            w[1] = math.sqrt(max(0.0, 1 - ci * ci))
-            vals.append(abs(model.t_matrix(axis, speed * w)) ** 2)
-        cache[key] = 1.05 * max(vals)
-    return cache[key]
+    # heuristic above Born order 1: a 513-point polar scan with a 5% margin,
+    # checked against every accepted proposal by sample_lb_chain
+    return model._speed_cached(
+        model._dir_bound_cache, speed,
+        lambda v: 1.05 * float(np.max(
+            model.polar_abs2(v, np.linspace(-1, 1, 513)))))
 
 
 def sample_lb_chain(t, y0, model: ScatteringModel, rng,
@@ -454,7 +449,9 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
 
     Chains reaching ``max_legs`` before exhausting the time budget come back
     flagged truncated.  A warning fires when the rejection efficiency drops
-    below 1 percent.
+    below 1 percent, and one when an accepted proposal's |T|^2 exceeds the
+    rejection bound: it was accepted with probability 1 instead of
+    |T|^2/bound, so the sampled directions do not follow the kernel.
     """
     y0 = np.asarray(y0, dtype=float)
     speed = float(np.linalg.norm(y0))
@@ -467,6 +464,7 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
     elapsed = 0.0
     proposals = 0
     accepts = 0
+    worst = 0.0
     for _ in range(max_legs):
         dt = rng.exponential(1.0 / sig)
         if elapsed + dt >= t:
@@ -481,13 +479,13 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
             props = rng.normal(size=(batch, model.dim))
             props /= np.linalg.norm(props, axis=1)[:, None]
             uacc = rng.uniform(size=batch)
-            dens = np.array([
-                abs(model.t_matrix(cur, speed * p)) ** 2 for p in props]) \
-                if model.born_order > 1 else \
-                model.coupling ** 2 * model.potential.w_hat(
-                    cur[None, :] - speed * props) ** 2
-            hits = np.nonzero(uacc < dens / bound)[0]
+            ratio = np.abs(model.t_matrix_batch(cur, speed * props)) ** 2 \
+                / bound
+            hits = np.nonzero(uacc < ratio)[0]
             if hits.size:
+                # proposals before the accepted one have ratio < uacc < 1,
+                # so only an accepted proposal can exceed the bound
+                worst = max(worst, float(ratio[hits[0]]))
                 new_dir = props[hits[0]]
                 proposals += int(hits[0]) + 1
                 accepts += 1
@@ -499,6 +497,9 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
     if accepts and proposals / accepts > 100:
         warnings.warn("direction rejection efficiency below 1 percent",
                       stacklevel=2)
+    if worst > 1.0:
+        warnings.warn(f"direction rejection bound exceeded: worst "
+                      f"|T|^2 / bound = {worst:.4g}", stacklevel=2)
     return chain
 
 
@@ -556,6 +557,9 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
         raise InvalidInputError("series must be 'lb' or 'new'")
     if k_max < 1 or k_max > 4:
         raise InvalidInputError("k_max must be in 1..4")
+    if n_samples < 2:
+        raise InvalidInputError("n_samples must be at least 2 (the standard "
+                                "error needs two chains)")
     d = model.dim
     mu_q, sd_q = _proposal(a, b) if b is not None else (a.y_center,
                                                         a.y_width + 0.25)
@@ -634,11 +638,7 @@ def _new_weight(b, a, shift, chain: CollisionChain, model, q, g_method,
     dens_lb = float(rho_lb(u, legs, model).value)
     if dens_lb == 0.0:
         return 0.0
-    tvals = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                tvals[i, j] = model.t_matrix(legs[i], legs[j])
+    tvals = _t_table(model, legs)
     total = 0.0
     fact = math.factorial(k)
     for ell in range(k):

@@ -126,6 +126,15 @@ def test_gmatrix_unconverged_series_exits_3(tmp_path, capsys):
     assert manifest["checks"] == {"converged": False}
 
 
+def test_gmatrix_series_cancellation_exits_3(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {
+        "k": 2, "u": [20, 20], "w_re": [[0, 1], [-1, 0]],
+        "method": "series", "max_order": 200})
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 3
+    assert "not converged" in capsys.readouterr().err
+
+
 def test_scatter_ops(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "t.json", {
@@ -173,6 +182,14 @@ def test_simulate_thread_invariance(tmp_path, monkeypatch):
     assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
     assert (out1 / "simulate.csv").read_bytes() == \
         (out2 / "simulate.csv").read_bytes()
+
+
+def test_simulate_single_sample_exits_2(tmp_path):
+    cfg = write(tmp_path / "c.json", {
+        "series": "lb", "coupling": 0.4, "t": 0.6, "n_samples": 1,
+        "a": {"x_center": [0, 0, 0], "y_center": [1, 0, 0]}})
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_lattice_outputs(tmp_path):

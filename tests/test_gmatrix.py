@@ -54,6 +54,19 @@ def test_series_matches_brute_force_paths():
     assert np.max(np.abs(out.entries - brute)) < 1e-11
 
 
+def test_series_cancellation_flag():
+    # |z| = 40: layers reach ~2e15 while G stays below 1, so rounding
+    # leaves no correct digit
+    g = WeightedCollisionGraph(np.array([[0, 1], [-1, 0]], dtype=complex),
+                               [20.0, 20.0])
+    out = gm.g_series(g, max_order=200)
+    assert not out.converged
+    exact = gm.g_bessel_k2(20.0, 20.0, 1.0, -1.0).entries
+    # the reported error has the size of the true one
+    err = np.max(np.abs(out.entries - exact))
+    assert 0.1 * err < out.tail_estimate < 10 * err
+
+
 def test_series_nonconvergence_flag():
     g = rand_graph(2, umax=2.0, seed=3, wscale=3.0)
     out = gm.g_series(g, max_order=3)

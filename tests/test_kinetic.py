@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +314,20 @@ def test_chain_truncation_flag():
     assert truncated > 0
 
 
+def test_chain_warns_when_rejection_bound_fails(monkeypatch):
+    model = sc.ScatteringModel(POT, coupling=0.5, born_order=2)
+    t = 20.0 / model.sigma_tot(1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kn.sample_lb_chain(t, Y1, model, kn._chain_rng(6, 0), max_legs=16)
+    assert not [w for w in caught if "bound exceeded" in str(w.message)]
+    true_bound = kn._direction_bound
+    monkeypatch.setattr(kn, "_direction_bound",
+                        lambda m, v: 0.5 * true_bound(m, v))
+    with pytest.warns(UserWarning, match=r"bound exceeded: worst .* = 1\.\d"):
+        kn.sample_lb_chain(t, Y1, model, kn._chain_rng(6, 0), max_legs=16)
+
+
 # ---------------------------------------------------------------------------
 # pairing estimators
 # ---------------------------------------------------------------------------
@@ -322,6 +337,12 @@ def test_pair_estimate_deterministic_in_seed():
     r1 = kn.pair_estimate("new", A_SYM, B_SYM, 0.8, 2, 500, model, seed=42)
     r2 = kn.pair_estimate("new", A_SYM, B_SYM, 0.8, 2, 500, model, seed=42)
     assert r1.value == r2.value and r1.stderr == r2.stderr
+
+
+def test_pair_estimate_rejects_fewer_than_two_samples():
+    for n in (0, 1):
+        with pytest.raises(InvalidInputError):
+            kn.pair_estimate("lb", A_SYM, B_SYM, 0.5, 2, n, MODEL)
 
 
 def test_pair_estimate_free_limit():

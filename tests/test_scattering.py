@@ -130,6 +130,57 @@ def test_t3_unitarity_cross_term():
     assert t3.imag == pytest.approx(expected, rel=1e-9)
 
 
+def _on_shell(rng, speed, n):
+    p = rng.normal(size=(n, 3))
+    return speed * p / np.linalg.norm(p, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_t_matrix_batch_matches_rows_and_reciprocity(order, gamma):
+    # more partners than one T_2 block holds (BATCH_ELEMS // nodes), and not
+    # a multiple of it
+    rng = np.random.default_rng(10 * order + int(10 * gamma))
+    m = sc.ScatteringModel(POT, coupling=0.3, born_order=order, gamma=gamma)
+    speed = 0.9
+    y = _on_shell(rng, speed, 1)[0]
+    n = 61 if order < 3 else 13
+    partners = _on_shell(rng, speed, n)
+    batch = m.t_matrix_batch(y, partners)
+    rows = np.array([m.t_matrix(y, p) for p in partners])
+    reverse = np.array([m.t_matrix(p, y) for p in partners])
+    np.testing.assert_allclose(batch, rows, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(reverse, rows, rtol=1e-13, atol=0)
+
+
+def test_born_terms_scalar_partner_returns_complex():
+    yp = np.array([0.0, 0.6, 0.8])
+    m = sc.ScatteringModel(POT, coupling=0.3, born_order=3)
+    for value in (sc.born_term_2(POT, EY, yp), sc.born_term_3(POT, EY, yp),
+                  m.born_term(1, EY, yp), m.t_matrix(EY, yp)):
+        assert type(value) is complex
+    batch = sc.born_term_2(POT, EY, np.stack([yp, EY]))
+    assert batch.shape == (2,)
+    assert batch[0] == pytest.approx(sc.born_term_2(POT, EY, yp), rel=1e-13)
+    with pytest.raises(InvalidInputError):
+        m.t_matrix_batch(EY, yp)
+
+
+def test_speed_caches_are_bounded(monkeypatch):
+    from bgflight import kinetic as kn
+
+    monkeypatch.setattr(sc, "SPEED_CACHE_SIZE", 4)
+    m = sc.ScatteringModel(POT, coupling=0.3, born_order=2)
+    speeds = np.linspace(0.5, 1.5, 7)
+    sig = [m.sigma_tot(v) for v in speeds]
+    bound = [kn._direction_bound(m, v) for v in speeds]
+    assert len(m._sigma_cache) <= 4 and len(m._dir_bound_cache) <= 4
+    assert round(speeds[0], 12) not in m._sigma_cache
+    assert m.sigma_tot(speeds[0]) == sig[0]
+    assert kn._direction_bound(m, speeds[0]) == bound[0]
+    assert len(m._sigma_cache) <= 4 and len(m._dir_bound_cache) <= 4
+
+
 def test_born_order_cap():
     m = sc.ScatteringModel(POT, coupling=0.1, born_order=2)
     with pytest.raises(InvalidInputError):
