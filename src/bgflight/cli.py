@@ -3,8 +3,9 @@ out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-check failure,
 4 resource cap exceeded.  All stochastic outputs are a pure function of
-(config, seed); the worker count (--threads / BGQ_THREADS) never changes
-results.  Leg and vertex indices in configs and outputs are 0-based.
+(config, seed): chains run serially, each on its own counter-based stream.
+``--threads`` is accepted and recorded in the manifest but has no effect on
+execution.  Leg and vertex indices in configs and outputs are 0-based.
 """
 
 from __future__ import annotations
@@ -258,12 +259,10 @@ def _cmd_simulate(args, out_dir):
         "b": None})
     model = _build_model(cfg, args)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    threads = args.threads
     a = _symbol(cfg["a"])
     b = _symbol(cfg["b"]) if cfg["b"] is not None else None
     est = kn.pair_estimate(cfg["series"], a, b, cfg["t"], cfg["k_max"],
-                           cfg["n_samples"], model, seed=seed,
-                           threads=threads)
+                           cfg["n_samples"], model, seed=seed)
     csv_path = os.path.join(out_dir, "simulate.csv")
     rows = [(k, v) for k, v in sorted(est.per_k.items())]
     _write_csv(csv_path, ["k", "contribution"], rows)
@@ -368,8 +367,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("BGQ_THREADS", "1")))
+    parser.add_argument("--threads", type=int, default=1,
+                        help="recorded in the manifest; no effect on "
+                             "execution")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--theta-max", type=float, default=None,

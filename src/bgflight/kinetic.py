@@ -540,8 +540,8 @@ def _proposal_pdf(y, mu, sd):
 
 
 def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
-                  k_max, n_samples, model: ScatteringModel, seed=0,
-                  clip=None, g_method=None, threads=1) -> EstimateResult:
+                  k_max, n_samples, model: ScatteringModel,
+                  seed=0) -> EstimateResult:
     """Monte Carlo pairing <b, f(t)> of the truncated collision series
     against the memoryless proposal chain.
 
@@ -550,8 +550,10 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     its series terms carry unit density ratio.  The limit-process terms are
     reweighted by the density ratio summed over all (ell, m) leg pairings
     with the 1/k! symmetry factor.  ``b = None`` estimates the total mass
-    of f(t) instead of a pairing.  Fixed seed means bit-identical output;
-    chains beyond k_max legs contribute zero and count as truncated.
+    of f(t) instead of a pairing.  Chain i draws from its own stream
+    ``_chain_rng(seed, i)``, so a fixed seed means bit-identical output;
+    chains beyond k_max legs contribute zero and count as truncated.  One
+    warning per call reports the chains whose G series did not converge.
     """
     if series not in ("lb", "new"):
         raise InvalidInputError("series must be 'lb' or 'new'")
@@ -567,43 +569,30 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     kvals = np.zeros(n_samples, dtype=int)
     returns = np.zeros(n_samples)
     flags = np.zeros(n_samples, dtype=bool)
-
-    def run_chain(i):
+    unconverged = []
+    for i in range(n_samples):
         rng = _chain_rng(seed, i)
         y1 = mu_q + sd_q * rng.normal(size=d)
         q = _proposal_pdf(y1, mu_q, sd_q)
         speed = float(np.linalg.norm(y1))
         if speed < 1e-9:
-            return
+            continue
         chain = sample_lb_chain(t, y1, model, rng, max_legs=k_max + 1)
         if chain.truncated or chain.k > k_max:
             flags[i] = True
-            return
-        k = chain.k
+            continue
         u = np.asarray(chain.times)
-        legs = chain.momenta
-        shift = np.sum(u[:, None] * np.asarray(legs), axis=0)
-        if series == "lb" or k == 1:
+        shift = np.sum(u[:, None] * np.asarray(chain.momenta), axis=0)
+        if series == "lb" or chain.k == 1:
             # the one-leg terms of the two series coincide
-            val = _overlap_or_mass(b, a, shift, y1, legs[-1]) / q
+            contribs[i] = _overlap_or_mass(b, a, shift, y1,
+                                           chain.momenta[-1]) / q
         else:
-            val = _new_weight(b, a, shift, chain, model, q, g_method)
-            returns[i] = _new_weight(b, a, shift, chain, model, q, g_method,
-                                     diagonal_only=True)
-        if clip is not None:
-            val = float(np.clip(val, -clip, clip))
-        contribs[i] = val
-        kvals[i] = k
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chain, range(n_samples), chunksize=256))
-    else:
-        for i in range(n_samples):
-            run_chain(i)
-    # reductions run over index order, so results never depend on threads
+            contribs[i], returns[i], gmat = _new_weight(b, a, shift, chain,
+                                                        model, q)
+            if gmat is not None and not gmat.converged:
+                unconverged.append(gmat.tail_estimate)
+        kvals[i] = chain.k
     n = n_samples
     value = float(np.sum(contribs) / n)
     stderr = float(np.std(contribs, ddof=1) / math.sqrt(n))
@@ -613,6 +602,10 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     ess = float((np.abs(nz).sum() ** 2) / (nz @ nz)) if nz.size else 0.0
     if nz.size and ess < 0.05 * nz.size:
         warnings.warn("effective sample size below 5 percent", stacklevel=2)
+    if unconverged:
+        warnings.warn(f"G series unconverged on {len(unconverged)} of {n} "
+                      f"chains: worst tail estimate {max(unconverged):.2e}",
+                      stacklevel=2)
     return EstimateResult(
         value=value, stderr=stderr, n_samples=n, per_k=per_k, ess=ess,
         return_mass=(float(np.sum(returns)) / n if series == "new" else None),
@@ -625,39 +618,32 @@ def _overlap_or_mass(b, a, shift, y_b, y_a):
     return float(pair_overlap(b, a, shift, y_b, y_a))
 
 
-def _new_weight(b, a, shift, chain: CollisionChain, model, q, g_method,
-                diagonal_only=False):
-    """Limit-process reweighting of one proposal chain: sum over leg
-    pairings of rho_{ell m} at the permuted leg assignment over the
-    proposal density."""
+def _new_weight(b, a, shift, chain: CollisionChain, model, q):
+    """Limit-process reweighting of one proposal chain and its return share.
+
+    The weight sums rho_{ell m} / rho_lb times the overlap at leg m over the
+    leg pairings (ell, m), the drawn leg moved to position ell, with the 1/k!
+    factor, over the proposal density ``q``.  Damping and shell cancel, and
+    G(P W P^T, P u) = P G(W, u) P^T makes entry (ell, m) of every permuted
+    assignment g_{0 pos(m)} of one G, so the weight is
+    sum_j |g_0j|^2 ov(leg j) / (kernel (k-1)!) / q, the kernel being the
+    product of 4 pi^2 |T|^2 along the legs; the return share (ell = m) is
+    its j = 0 term.  Returns (weight, share, G), G None for a zero kernel.
+    """
     k = chain.k
-    u = np.asarray(chain.times)
-    legs = [np.asarray(p) for p in chain.momenta]
-    speed = chain.speed
-    sig = model.sigma_tot(speed)
-    dens_lb = float(rho_lb(u, legs, model).value)
-    if dens_lb == 0.0:
-        return 0.0
+    legs = chain.momenta
     tvals = _t_table(model, legs)
-    total = 0.0
-    fact = math.factorial(k)
-    for ell in range(k):
-        # drawn leg takes position ell, the rest keep their order
-        order = [ell] + [p for p in range(k) if p != ell]
-        pos = np.empty(k, dtype=int)
-        pos[order] = np.arange(k)
-        u_perm = u[pos]
-        t_perm = tvals[np.ix_(pos, pos)]
-        legs_perm = [legs[p] for p in pos]
-        for m in range(k):
-            if diagonal_only and m != ell:
-                continue
-            dens = rho_new_from_values(
-                ell, m, u_perm, t_perm, [sig] * k, speed, model.dim,
-                method=g_method or ("bessel_k2" if k == 2 else "series"))
-            ov = _overlap_or_mass(b, a, shift, legs[0], legs_perm[m])
-            total += dens.value / dens_lb * ov / fact
-    return total / q
+    kernel = math.prod(4 * math.pi ** 2 * abs(tvals[i, i + 1]) ** 2
+                       for i in range(k - 1))
+    if kernel == 0.0:
+        return 0.0, 0.0, None
+    graph = WeightedCollisionGraph(-2j * math.pi * tvals, chain.times)
+    gmat = g_auto(graph, prefer="bessel_k2" if k == 2 else "series")
+    scale = math.factorial(k - 1) * kernel * q
+    terms = [abs(gmat.entry(0, j)) ** 2
+             * _overlap_or_mass(b, a, shift, legs[0], legs[j]) / scale
+             for j in range(k)]
+    return sum(terms), terms[0], gmat
 
 
 def pair_quadrature(series, a: GaussianSymbol, b: GaussianSymbol, t,

@@ -6,13 +6,9 @@ a strict expected failure: the inequality it asserts is false, with the
 counterexample documented in the check's detail string.
 """
 
-import warnings
-
 import pytest
 
 from bgflight import acceptance as acc
-
-warnings.filterwarnings("ignore", category=UserWarning)
 
 
 def _report(result):

@@ -169,7 +169,7 @@ def test_simulate_deterministic(tmp_path):
     assert diag["n_samples"] == 400
 
 
-def test_simulate_thread_invariance(tmp_path, monkeypatch):
+def test_simulate_thread_invariance(tmp_path):
     cfg = write(tmp_path / "c.json", {
         "series": "new", "coupling": 0.4, "t": 0.6, "k_max": 2,
         "n_samples": 300, "seed": 4,
@@ -178,10 +178,11 @@ def test_simulate_thread_invariance(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["simulate", "--config", cfg, "--out", str(out1),
                  "--threads", "1"]) == 0
-    monkeypatch.setenv("BGQ_THREADS", "4")
-    assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+    assert main(["simulate", "--config", cfg, "--out", str(out2),
+                 "--threads", "2"]) == 0
     assert (out1 / "simulate.csv").read_bytes() == \
         (out2 / "simulate.csv").read_bytes()
+    assert json.loads((out2 / "manifest.json").read_text())["threads"] == 2
 
 
 def test_simulate_single_sample_exits_2(tmp_path):

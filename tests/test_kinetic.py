@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -379,6 +380,90 @@ def test_mass_estimate_runs():
     model = sc.ScatteringModel(POT, coupling=0.3, born_order=1)
     est = kn.pair_estimate("new", A_SYM, None, 0.5, 2, 2000, model, seed=8)
     assert np.isfinite(est.value) and est.value > 0
+
+
+def _permuted_weight(b, a, shift, chain, model, q):
+    """The reweighting by its definition: every (ell, m) pairing at the
+    permuted leg assignment, rho_new over rho_lb times the overlap over k!.
+    Returns the weight and its ell = m part."""
+    k = chain.k
+    u = np.asarray(chain.times)
+    legs = chain.momenta
+    speed = chain.speed
+    sig = model.sigma_tot(speed)
+    dens_lb = kn.rho_lb(u, legs, model).value
+    tvals = tmat(model, legs)
+    total = diag = 0.0
+    for ell in range(k):
+        order = [ell] + [p for p in range(k) if p != ell]
+        pos = np.empty(k, dtype=int)
+        pos[order] = np.arange(k)
+        for m in range(k):
+            dens = kn.rho_new_from_values(
+                ell, m, u[pos], tvals[np.ix_(pos, pos)], [sig] * k, speed,
+                model.dim, method="bessel_k2" if k == 2 else "series")
+            ov = kn._overlap_or_mass(b, a, shift, legs[0], legs[pos[m]])
+            term = dens.value / dens_lb * ov / math.factorial(k) / q
+            total += term
+            if m == ell:
+                diag += term
+    return total, diag
+
+
+@pytest.mark.parametrize("born_order", [1, 2])
+def test_new_weight_matches_permuted_definition(born_order, monkeypatch):
+    model = sc.ScatteringModel(POT, coupling=0.5, born_order=born_order)
+    rng = np.random.default_rng(17)
+    evals = []
+    original = kn.g_auto
+
+    def counted(*args, **kwargs):
+        evals.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kn, "g_auto", counted)
+    for k in (2, 3):
+        for _ in range(4):
+            dirs = rng.normal(size=(k, 3))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            legs = list(rng.uniform(0.6, 1.4) * dirs)
+            chain = kn.CollisionChain(legs, list(rng.uniform(0.05, 1.0, k)))
+            shift = np.sum(np.asarray(chain.times)[:, None]
+                           * np.asarray(legs), axis=0)
+            q = rng.uniform(0.2, 2.0)
+            evals.clear()
+            weight, share, gmat = kn._new_weight(B_SYM, A_SYM, shift, chain,
+                                                 model, q)
+            assert len(evals) == 1 and gmat.converged
+            ref, ref_share = _permuted_weight(B_SYM, A_SYM, shift, chain,
+                                              model, q)
+            assert weight == pytest.approx(ref, rel=1e-12)
+            assert share == pytest.approx(ref_share, rel=1e-12)
+
+
+def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
+    model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
+    args = ("new", A_SYM, B_SYM, 1.0, 3, 40, model)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kn.pair_estimate(*args, seed=9)
+    assert not [w for w in caught if "unconverged" in str(w.message)]
+    original = kn.g_auto
+    evals = []
+
+    def unconverged(*a, **kw):
+        evals.append(1)
+        return dataclasses.replace(original(*a, **kw), converged=False,
+                                   tail_estimate=3e-9 * len(evals))
+
+    monkeypatch.setattr(kn, "g_auto", unconverged)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kn.pair_estimate(*args, seed=9)
+    hits = [str(w.message) for w in caught if "unconverged" in str(w.message)]
+    assert evals and hits == [
+        f"G series unconverged on {len(evals)} of 40 chains: worst tail "
+        f"estimate {3e-9 * len(evals):.2e}"]
 
 
 def test_k2_closed_form_vectorised_against_scalar():
