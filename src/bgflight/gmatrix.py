@@ -20,6 +20,12 @@ independent of the square-root branch since J_0 and J_1(z)/z are even.
 Three evaluation routes are provided (series, contour quadrature, k=2 Bessel
 closed form); their mutual agreement is the module's main correctness check.
 Indices are 0-based throughout.
+
+The contour route has one kernel for every k: det(D(z) - W) and
+adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
+weights times adj/det is a combination of 2^k moments of weight/det, taken
+in one pass over the grid.  Grids beyond CONTOUR_GRID_CAP points are refused
+with a CapacityError.
 """
 
 from __future__ import annotations
@@ -31,12 +37,16 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import InvalidInputError, SingularContourError
+from .errors import CapacityError, InvalidInputError, SingularContourError
 from .paths import WeightedCollisionGraph
 
 # g_series fails when the rounding error of its largest layer exceeds this
 # fraction of max(1, max |G|)
 SERIES_ROUNDING_RTOL = 1e-10
+# g_contour refuses a grid (nodes**k points) beyond this many points
+CONTOUR_GRID_CAP = 1 << 26
+# grid points per chunk of the contour pass
+_CONTOUR_CHUNK = 1 << 20
 
 
 def bessel_j_quadrature(n: int, z: complex, nodes: int = 512) -> complex:
@@ -196,115 +206,80 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
 # contour route: iterated trapezoid over circles
 # ---------------------------------------------------------------------------
 
-def _contour_axes(graph, radius, nodes):
-    theta = 2 * np.pi * np.arange(nodes) / nodes
-    ring = np.exp(1j * theta)
-    z_ax = [radius[i] * ring for i in range(graph.k)]
+def _adjugate(a):
+    """Transposed cofactor matrix; defined for singular ``a`` too."""
+    m = a.shape[0]
+    minors = np.array([[np.delete(np.delete(a, i, 0), j, 1) for j in range(m)]
+                       for i in range(m)])
+    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    return (sign * np.linalg.det(minors)).T
+
+
+def _contour_coefficients(w):
+    """det(D(z) - W) and adj(D(z) - W) as polynomials affine in each z_i.
+
+    The coefficient of prod_{i in S} z_i is the det, and the adjugate
+    embedded in the rows and columns outside S, of -W restricted to the axes
+    outside S.  Both are indexed by the (2,)*k indicator of S.
+    """
+    k = w.shape[0]
+    det_c = np.zeros((2,) * k, dtype=complex)
+    adj_c = np.zeros((2,) * k + (k, k), dtype=complex)
+    for bits in np.ndindex(*(2,) * k):
+        rest = [i for i in range(k) if not bits[i]]
+        if not rest:
+            det_c[bits] = 1.0
+            continue
+        a = -w[np.ix_(rest, rest)]
+        det_c[bits] = np.linalg.det(a)
+        adj_c[bits][np.ix_(rest, rest)] = _adjugate(a)
+    return det_c, adj_c
+
+
+def _on_grid(coef, axes):
+    """Polynomial affine in each coordinate, with (2,)*m coefficients,
+    evaluated on the outer grid of the m coordinate arrays."""
+    for z in axes:
+        coef = coef[0][..., None] + coef[1][..., None] * z
+    return coef
+
+
+def _moments(t, vecs):
+    """sum over the grid of t * prod_i vecs[i][b_i] for every b in {0, 1}^m,
+    flattened with b_0 most significant; ``vecs[i]`` has shape (2, len of
+    axis i of t).  Plain ufunc reductions: a BLAS contraction pays thread
+    wake-ups that cost more than the sum itself on these grid sizes."""
+    r = t[..., None]
+    for v in reversed(vecs):
+        r = (np.swapaxes(r, -1, -2)[..., None, :, :] * v[:, None, :]).sum(
+            axis=-1)
+        r = r.reshape(r.shape[:-2] + (-1,))
+    return r
+
+
+def _contour_sum(times, radius, nodes, det_c, adj_c):
+    """Trapezoid sum of (D(z) - W)^{-1} exp(u . z) over the product of
+    circles, as sum_S m_S adj_S with the moments m_S of s/det against
+    prod_{i in S} z_i taken in one pass over the grid, in chunks along
+    axis 0 with det = c0 + z_0 c1."""
+    k, n = len(times), nodes
+    z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     # per-axis trapezoid factor (z/n) exp(u z)
-    s_ax = [(z_ax[i] / nodes) * np.exp(graph.times[i] * z_ax[i])
-            for i in range(graph.k)]
-    return z_ax, s_ax
-
-
-def _guard_det(min_det, radius):
-    if min_det < 1e-12 * float(np.prod(radius)):
-        raise SingularContourError(
-            "near-singular matrix on the contour; increase the radius")
-
-
-def _contour_k2(graph, radius, nodes):
-    w = graph.weights
-    z_ax, s_ax = _contour_axes(graph, radius, nodes)
-    z1, z2 = z_ax[0][:, None], z_ax[1][None, :]
-    det = z1 * z2 - w[0, 1] * w[1, 0]
-    _guard_det(float(np.min(np.abs(det))), radius)
-    t = (s_ax[0][:, None] * s_ax[1][None, :]) / det
-    m0 = t.sum()
-    m1 = t.sum(axis=1) @ z_ax[0]
-    m2 = t.sum(axis=0) @ z_ax[1]
-    return np.array([[m2, w[0, 1] * m0], [w[1, 0] * m0, m1]])
-
-
-def _contour_k3(graph, radius, nodes, chunk_elems=1 << 21):
-    # adjugate entries are affine in each z, so the full grid sum reduces
-    # to moments of t = s/det against 1, z_i and z_i z_j
-    w = graph.weights
-    n = nodes
-    z_ax, s_ax = _contour_axes(graph, radius, nodes)
-    a12, a13, a23 = w[0, 1] * w[1, 0], w[0, 2] * w[2, 0], w[1, 2] * w[2, 1]
-    cyc = w[0, 1] * w[1, 2] * w[2, 0] + w[0, 2] * w[2, 1] * w[1, 0]
-    t12 = np.zeros((n, n), dtype=complex)
-    t13 = np.zeros((n, n), dtype=complex)
-    t23 = np.zeros((n, n), dtype=complex)
-    min_det = np.inf
-    z2 = z_ax[1][None, :, None]
-    z3 = z_ax[2][None, None, :]
-    z2z3 = z_ax[1][:, None] * z_ax[2][None, :]
-    s23 = s_ax[1][:, None] * s_ax[2][None, :]
-    chunk = max(1, chunk_elems // (n * n))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        z1 = z_ax[0][sl][:, None, None]
-        det = (z1 * (z2z3[None] - a23) - z2 * a13 - z3 * a12 - cyc)
-        min_det = min(min_det, float(np.min(np.abs(det))))
-        t = (s_ax[0][sl][:, None, None] * s23[None]) / det
-        t12[sl] = t.sum(axis=2)
-        t13[sl] = t.sum(axis=1)
-        t23 += t.sum(axis=0)
-    _guard_det(min_det, radius)
-    m0 = t23.sum()
-    m1 = t12.sum(axis=1) @ z_ax[0]
-    m2 = t12.sum(axis=0) @ z_ax[1]
-    m3 = t13.sum(axis=0) @ z_ax[2]
-    m12 = z_ax[0] @ t12 @ z_ax[1]
-    m13 = z_ax[0] @ t13 @ z_ax[2]
-    m23 = z_ax[1] @ t23 @ z_ax[2]
-    return np.array([
-        [m23 - a23 * m0,
-         w[0, 1] * m3 + w[0, 2] * w[2, 1] * m0,
-         w[0, 1] * w[1, 2] * m0 + w[0, 2] * m2],
-        [w[1, 0] * m3 + w[1, 2] * w[2, 0] * m0,
-         m13 - a13 * m0,
-         w[1, 2] * m1 + w[0, 2] * w[1, 0] * m0],
-        [w[1, 0] * w[2, 1] * m0 + w[2, 0] * m2,
-         w[2, 1] * m1 + w[0, 1] * w[2, 0] * m0,
-         m12 - a12 * m0],
-    ])
-
-
-def _contour_generic(graph, radius, nodes, chunk_elems=1 << 19):
-    k, w = graph.k, graph.weights
-    n = nodes
-    z_ax, s_ax = _contour_axes(graph, radius, nodes)
-    total = np.zeros((k, k), dtype=complex)
-    min_det = np.inf
-    chunk = max(1, chunk_elems // max(1, n ** (k - 1)))
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        shape = (sl.stop - sl.start,) + (n,) * (k - 1)
-        m = np.broadcast_to(-w, shape + (k, k)).copy()
-        s = s_ax[0][sl].reshape([-1] + [1] * (k - 1)).astype(complex)
-        for i in range(k):
-            ax_shape = [1] * k
-            ax_shape[i] = -1
-            src = z_ax[i][sl] if i == 0 else z_ax[i]
-            m[..., i, i] = np.broadcast_to(src.reshape(ax_shape), shape)
-            if i > 0:
-                s = s * s_ax[i].reshape(ax_shape)
-        det = np.linalg.det(m)
-        min_det = min(min_det, float(np.min(np.abs(det))))
-        _guard_det(min_det, radius)
-        inv = np.linalg.inv(m)
-        total += np.sum(s[..., None, None] * inv, axis=tuple(range(k)))
-    return total
-
-
-def _contour_accumulate(graph, radius, nodes):
-    if graph.k == 2:
-        return _contour_k2(graph, radius, nodes)
-    if graph.k == 3:
-        return _contour_k3(graph, radius, nodes)
-    return _contour_generic(graph, radius, nodes)
+    s = (z / n) * np.exp(times[:, None] * z)
+    vecs = np.stack([s, s * z], axis=1)
+    c0, c1 = _on_grid(det_c[0], z[1:]), _on_grid(det_c[1], z[1:])
+    z0 = z[0].reshape((-1,) + (1,) * (k - 1))
+    floor = 1e-12 * float(np.prod(radius))
+    m = np.zeros(2 ** k, dtype=complex)
+    step = max(1, _CONTOUR_CHUNK // n ** (k - 1))
+    for start in range(0, n, step):
+        sl = slice(start, start + step)
+        det = c0 + z0[sl] * c1
+        if np.abs(det).min() < floor:
+            raise SingularContourError(
+                "near-singular matrix on the contour; increase the radius")
+        m += _moments(1 / det, [vecs[0][:, sl], *vecs[1:]])
+    return (m[:, None, None] * adj_c.reshape(-1, k, k)).sum(axis=0)
 
 
 def g_contour(graph: WeightedCollisionGraph, spec: ContourSpec | None = None,
@@ -328,10 +303,16 @@ def g_contour(graph: WeightedCollisionGraph, spec: ContourSpec | None = None,
             f"radius must exceed r0 = {graph.r0:.6g} on every coordinate")
     if spec.nodes < 4:
         raise InvalidInputError("need at least 4 nodes per circle")
-    fine = _contour_accumulate(graph, radius, spec.nodes)
+    if spec.nodes ** k > CONTOUR_GRID_CAP:
+        raise CapacityError(
+            f"contour grid of {spec.nodes}^{k} points exceeds the cap of "
+            f"{CONTOUR_GRID_CAP}; lower nodes")
+    coef = _contour_coefficients(graph.weights)
+    fine = _contour_sum(graph.times, radius, spec.nodes, *coef)
     err = None
     if error_estimate:
-        half = _contour_accumulate(graph, radius, max(4, spec.nodes // 2))
+        half = _contour_sum(graph.times, radius, max(4, spec.nodes // 2),
+                            *coef)
         err = float(np.max(np.abs(fine - half)))
     return GMatrix(fine, "contour", nodes=spec.nodes, quad_error=err)
 

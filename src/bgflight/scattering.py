@@ -333,16 +333,6 @@ class ScatteringModel:
         t = self.t_matrix(y, speed * w)
         return 4 * math.pi ** 2 * speed ** (self.dim - 2) * abs(t) ** 2
 
-    def sigma_pair(self, y_out, y_in) -> float:
-        """Kernel between two on-shell momenta (same norm)."""
-        y_out = np.asarray(y_out, dtype=float)
-        y_in = np.asarray(y_in, dtype=float)
-        speed = float(np.linalg.norm(y_in))
-        if speed == 0:
-            raise InvalidInputError("collision kernel undefined at y = 0")
-        t = self.t_matrix(y_out, y_in)
-        return 4 * math.pi ** 2 * speed ** (self.dim - 2) * abs(t) ** 2
-
     def polar_abs2(self, speed, cosines) -> np.ndarray:
         """|T(y, speed w)|^2 with y = speed e_1 and unit w at the given polar
         cosines (the sine on the second axis): the on-shell kernel depends

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -110,6 +111,19 @@ def test_gmatrix_k2_beyond_former_series_cap(tmp_path):
         payload["entries_im"])
     assert g[0, 1] == pytest.approx(bessel_j_quadrature(0, 40.0), abs=1e-13)
     assert g[0, 0] == pytest.approx(-bessel_j_quadrature(1, 40.0), abs=1e-13)
+
+
+def test_gmatrix_k4_default_nodes_exceeds_grid_cap(tmp_path, capsys):
+    # 256^4 grid points: refused before any grid is built
+    cfg = write(tmp_path / "c.json", {
+        "k": 4, "u": [0.5, 0.5, 0.5, 0.5],
+        "w_re": [[0, 0.2, 0, 0], [0.1, 0, 0.3, 0], [0, 0.2, 0, 0.1],
+                 [0.3, 0, 0.1, 0]]})
+    started = time.perf_counter()
+    assert main(["gmatrix", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert time.perf_counter() - started < 5.0
+    assert "resource cap" in capsys.readouterr().err
 
 
 def test_gmatrix_unconverged_series_exits_3(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,13 +115,21 @@ def test_contour_radius_validation():
 
 
 def test_contour_singular_guard():
-    # radius barely above r0 on one axis may still be fine; force failure
-    # by a radius vector that dips under a pole of the determinant
-    w = np.array([[0, 1.0], [1.0, 0]], dtype=complex)
-    g = WeightedCollisionGraph(w, [1.0, 1.0])
-    # poles of det(diag(z) - W) sit at z1 z2 = 1; radius (1, 1) touches them
-    with pytest.raises((SingularContourError, InvalidInputError)):
-        gm.g_contour(g, gm.ContourSpec(radius=[1.0, 1.0], nodes=64))
+    # w01 = w10 = 1 puts poles of det(diag(z) - W) at z1 z2 = 1, which the
+    # unit circles meet at grid nodes; g_contour refuses the radius (r0 = k)
+    # and the grid kernel stops before dividing by the vanishing det
+    for k in (2, 3, 4):
+        w = np.zeros((k, k), dtype=complex)
+        w[0, 1] = w[1, 0] = 1.0
+        g = WeightedCollisionGraph(w, np.ones(k))
+        nodes = 64 if k == 2 else 16
+        with pytest.raises((SingularContourError, InvalidInputError)):
+            gm.g_contour(g, gm.ContourSpec(radius=1.0, nodes=nodes))
+        coef = gm._contour_coefficients(g.weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularContourError):
+                gm._contour_sum(g.times, np.ones(k), nodes, *coef)
 
 
 def test_contour_error_estimate_reported():
@@ -134,6 +143,32 @@ def test_contour_generic_k4_matches_series():
     cont = gm.g_contour(g, gm.ContourSpec(nodes=32), error_estimate=False)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
+
+
+def test_contour_matches_series_k5():
+    g = rand_graph(5, umax=0.6, seed=4, wscale=0.3)
+    cont = gm.g_contour(g, gm.ContourSpec(nodes=16), error_estimate=False)
+    ser = gm.g_series(g, max_order=60)
+    assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_contour_coefficients_expand_det_and_adjugate(k):
+    g = rand_graph(k, seed=20 + k)
+    det_c, adj_c = gm._contour_coefficients(g.weights)
+    r = np.random.default_rng(k)
+    z = r.normal(size=k) + 1j * r.normal(size=k)
+    det = 0j
+    adj = np.zeros((k, k), dtype=complex)
+    for bits in np.ndindex(*(2,) * k):
+        zs = np.prod(z[np.array(bits, dtype=bool)])
+        det += det_c[bits] * zs
+        adj += adj_c[bits] * zs
+    m = np.diag(z) - g.weights
+    direct = np.linalg.det(m)
+    assert det == pytest.approx(direct, rel=1e-12)
+    assert np.max(np.abs(adj - direct * np.linalg.inv(m))) <= 1e-12 * np.max(
+        np.abs(adj))
 
 
 # ---------------------------------------------------------------------------

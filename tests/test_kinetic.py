@@ -77,7 +77,7 @@ def test_rho_lb_two_leg_product_form():
     leg1 = kn.rho_lb([u[0]], [Y1], MODEL).value
     leg2 = kn.rho_lb([u[1]], [Y2], MODEL).value
     assert val.value == pytest.approx(
-        leg1 * MODEL.sigma_pair(Y1, Y2) * leg2, rel=1e-12)
+        leg1 * MODEL.sigma_kernel(Y1, Y2) * leg2, rel=1e-12)
 
 
 def test_rho_lb_off_shell_rejected():
