@@ -60,28 +60,15 @@ def _unit_disk(rng):
 
 # ---------------------------------------------------------------------------
 
-def _bessel_ld(n, z):
-    """J_n in extended precision; the unit-modulus transition draws push the
-    Bessel argument to ~8 pi where the alternating double-precision series
-    loses ~8 digits to cancellation."""
-    z = np.clongdouble(z)
-    term = (z / 2) ** n / math.factorial(n)
-    total = term
-    q = -(z * z) / 4
-    for m in range(1, 200):
-        term = term * q / (m * (m + n))
-        total = total + term
-        if abs(complex(term)) <= 1e-22 * max(abs(complex(total)), 1e-300):
-            break
-    return total
-
-
 @_timed
 def check_01_bessel_series_equivalence(seed=101, draws=100, terms=50,
                                        rtol=1e-10):
-    """One-collision densities: Bessel closed forms against the explicit
-    k = 2 power series truncated at 50 terms (extended precision on both
-    sides, see _bessel_ld)."""
+    """One-collision densities: the library's k = 2 closed form, through
+    kinetic.rho_new_from_values for (0, 0) and (0, 1), against the explicit
+    k = 2 power series truncated at 50 terms and summed in extended
+    precision (the unit-modulus transition draws push the Bessel argument
+    to ~8 pi, where the alternating double-precision series loses ~8 digits
+    to cancellation)."""
     rng = np.random.default_rng(seed)
     sig = 0.3
     worst = 0.0
@@ -92,11 +79,11 @@ def check_01_bessel_series_equivalence(seed=101, draws=100, terms=50,
         u1l, u2l = np.clongdouble(u1), np.clongdouble(u2)
         t01l, t10l = np.clongdouble(t01), np.clongdouble(t10)
         damping = math.exp(-(u1 + u2) * sig)
-        lb = damping * 4 * math.pi ** 2 * abs(complex(t01)) ** 2
-        zeta = 4 * pi_ld * np.sqrt(u1l * u2l * t01l * t10l)
-        rho_d = lb * (u1 / u2) * abs(t10 / t01) \
-            * float(abs(_bessel_ld(1, zeta)) ** 2)
-        rho_o = lb * float(abs(_bessel_ld(0, zeta)) ** 2)
+        tv = np.array([[0, t01], [t10, 0]])
+        rho_d = kn.rho_new_from_values(0, 0, [u1, u2], tv, [sig, sig],
+                                       SPEED, DIM).value
+        rho_o = kn.rho_new_from_values(0, 1, [u1, u2], tv, [sig, sig],
+                                       SPEED, DIM).value
         # truncated combinatorial power series
         s_d = np.clongdouble(0)
         for m in range(1, terms + 1):
@@ -252,13 +239,9 @@ def _draw_chain(rng, k, lam=0.1):
     dirs = rng.normal(size=(k, DIM))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     momenta = SPEED * dirs
-    pot = sc.GaussianPotential()
-    tv = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                tv[i, j] = lam * pot.w_hat(momenta[i] - momenta[j])
-    return momenta, tv
+    model = sc.ScatteringModel(sc.GaussianPotential(), coupling=lam,
+                               born_order=1)
+    return momenta, kn._t_table(model, momenta)
 
 
 @_timed
@@ -403,10 +386,8 @@ def check_09_sampler_calibration(seed=909, n_chains=10**5):
             mask[i] = True
     x = np.sort(firsts[mask])
     n = x.size
-    cdf = (1 - np.exp(-sig * x)) / (1 - math.exp(-sig * horizon))
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    ks = max(float(np.max(np.abs(cdf - hi))), float(np.max(np.abs(cdf - lo))))
+    ks = la.ks_distance((1 - np.exp(-sig * x))
+                        / (1 - math.exp(-sig * horizon)))
     ks_ok = ks <= 1.63 / math.sqrt(n)  # alpha = 0.01
     horizon0 = 1.0 / sig
     zero = 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -371,9 +370,22 @@ def main(argv=None) -> int:
                         help="recorded in the manifest; no effect on "
                              "execution")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--tol", type=float, default=None,
+                        help="tail tolerance of the theta quadrature of the "
+                             "Born terms of order >= 2 "
+                             "(ScatteringModel.theta_tol), overriding the "
+                             "config key 'tolerance'; it only acts where "
+                             "the contour cannot bend (e.g. incident "
+                             "momentum 0 with Re gamma > 0); read only by "
+                             "scatter and simulate")
     parser.add_argument("--theta-max", type=float, default=None,
-                        dest="theta_max")
+                        dest="theta_max",
+                        help="point on each theta half-line where the "
+                             "contour of the Born terms of order >= 2 bends "
+                             "into the complex plane "
+                             "(ScatteringModel.theta_anchor; default "
+                             "max(4, 2 width^2)); not a cut-off; read only "
+                             "by scatter and simulate")
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

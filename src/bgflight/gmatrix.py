@@ -19,7 +19,9 @@ independent of the square-root branch since J_0 and J_1(z)/z are even.
 
 Three evaluation routes are provided (series, contour quadrature, k=2 Bessel
 closed form); their mutual agreement is the module's main correctness check.
-Indices are 0-based throughout.
+The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``, the
+ones the path identity of ``paths`` is checked on.  Indices are 0-based
+throughout.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
@@ -32,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
 from .errors import CapacityError, InvalidInputError, SingularContourError
-from .paths import WeightedCollisionGraph
+from .paths import WeightedCollisionGraph, _layers, _monomials
 
 # g_series fails when the rounding error of its largest layer exceeds this
 # fraction of max(1, max |G|)
@@ -99,39 +100,6 @@ def default_radius(graph: WeightedCollisionGraph) -> float:
 # series route: homogeneous layers of the resolvent expansion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _monomials(k: int, degree: int):
-    """All exponent tuples of total degree ``degree`` over k variables,
-    lexicographic, with an index lookup."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, k)
-    index = {m: i for i, m in enumerate(out)}
-    return tuple(out), index
-
-
-@lru_cache(maxsize=None)
-def _shift_sources(k: int, degree: int):
-    """For each axis i, the layer-(degree-1) index of monomial - e_i,
-    or -1 when the exponent on axis i vanishes."""
-    monos, _ = _monomials(k, degree)
-    _, prev_index = _monomials(k, degree - 1)
-    src = np.full((k, len(monos)), -1, dtype=np.int64)
-    for j, m in enumerate(monos):
-        for i in range(k):
-            if m[i] >= 1:
-                key = m[:i] + (m[i] - 1,) + m[i + 1:]
-                src[i, j] = prev_index[key]
-    return src
-
-
 def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
     """prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial; zero if any nu_i = 0."""
     monos, _ = _monomials(k, degree)
@@ -148,7 +116,8 @@ def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
 def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
              tol: float = 1e-16) -> GMatrix:
     """Truncated series evaluation: accumulate the factorial transform of
-    each homogeneous layer (D(u) W)^n D(u) at the vertex times.
+    each homogeneous layer (D(u) W)^n D(u), as ``paths._layers`` yields
+    them, at the vertex times.
 
     Stops once two consecutive layer contributions fall below ``tol``
     relative to the running value (two, because parity can zero alternate
@@ -158,18 +127,13 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
     SERIES_ROUNDING_RTOL of the result's scale: cancellation has then eaten
     the digits, and the tail estimate reports that rounding error.
     """
-    k, w, u = graph.k, graph.weights, graph.times
-    monos1, idx1 = _monomials(k, 1)
-    layer = np.zeros((k, k, len(monos1)), dtype=complex)
-    for i in range(k):
-        e = tuple(1 if a == i else 0 for a in range(k))
-        layer[i, i, idx1[e]] = 1.0
+    k, u = graph.k, graph.times
     total = np.zeros((k, k), dtype=complex)
     last_two = [np.inf, np.inf]
     peak, scale = 0.0, 1.0
     order_reached = 0
     converged = False
-    for degree in range(1, max_order + 2):
+    for degree, layer in zip(range(1, max_order + 2), _layers(graph)):
         bw = _borel_weights(k, degree, u)
         value = layer @ bw
         total += value
@@ -183,17 +147,6 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
         if degree > k and max(last_two) <= tol * scale:
             converged = True
             break
-        if degree == max_order + 1:
-            break
-        src = _shift_sources(k, degree + 1)
-        new = np.zeros((k, k, src.shape[1]), dtype=complex)
-        for i in range(k):
-            valid = src[i] >= 0
-            if not np.any(valid):
-                continue
-            gathered = layer[:, :, src[i, valid]]
-            new[i][:, valid] = np.tensordot(w[i], gathered, axes=(0, 0))
-        layer = new
     rounding = np.finfo(float).eps * peak
     if rounding > SERIES_ROUNDING_RTOL * scale:
         converged = False

@@ -170,17 +170,21 @@ def poisson_reference(intensity, count, seed=0) -> PointSample:
     return PointSample(lam, theta)
 
 
+def ks_distance(cdf_at_sorted) -> float:
+    """Kolmogorov-Smirnov distance between the empirical law of n sorted
+    values and a continuous law, given that law's CDF at those values."""
+    cdf = np.asarray(cdf_at_sorted, dtype=float)
+    steps = np.arange(cdf.size + 1) / cdf.size
+    return max(float(np.max(np.abs(cdf - steps[1:]))),
+               float(np.max(np.abs(cdf - steps[:-1]))))
+
+
 def ks_exponential(values, mean=1.0):
     """Kolmogorov-Smirnov distance and asymptotic p-value of ``values``
     against the exponential law with the given mean."""
     x = np.sort(np.asarray(values, dtype=float))
-    n = x.size
-    cdf = 1.0 - np.exp(-x / mean)
-    hi = np.arange(1, n + 1) / n
-    lo = np.arange(0, n) / n
-    dist = max(float(np.max(np.abs(cdf - hi))),
-               float(np.max(np.abs(cdf - lo))))
-    pval = float(special.kolmogorov(math.sqrt(n) * dist))
+    dist = ks_distance(1.0 - np.exp(-x / mean))
+    pval = float(special.kolmogorov(math.sqrt(x.size) * dist))
     return dist, pval
 
 

@@ -13,13 +13,17 @@ over all paths from i to j these weights are the entries of the matrix power
 C u^nu -> C u^(nu-1) / (nu-1)!, terms with any exponent zero dropped) kills
 exactly the contribution of non-surjective paths.  That identity is the
 engine behind the generating matrix function computed in ``gmatrix``.
+
+``_layers`` is the one implementation of the layers [D(u) W]^n D(u):
+``gmatrix.g_series`` sums them and ``matrix_power_table`` writes them out,
+so the path identity checks the layers G is summed from.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,6 +138,65 @@ def total_weight(path, graph: WeightedCollisionGraph) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# Homogeneous layers of the resolvent expansion
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _monomials(k: int, degree: int):
+    """All exponent tuples of total degree ``degree`` over k variables,
+    lexicographic, with an index lookup."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining + 1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), degree, k)
+    index = {m: i for i, m in enumerate(out)}
+    return tuple(out), index
+
+
+@lru_cache(maxsize=None)
+def _shift_sources(k: int, degree: int):
+    """For each axis i, the layer-(degree-1) index of monomial - e_i,
+    or -1 when the exponent on axis i vanishes."""
+    monos, _ = _monomials(k, degree)
+    _, prev_index = _monomials(k, degree - 1)
+    src = np.full((k, len(monos)), -1, dtype=np.int64)
+    for j, m in enumerate(monos):
+        for i in range(k):
+            if m[i] >= 1:
+                key = m[:i] + (m[i] - 1,) + m[i + 1:]
+                src[i, j] = prev_index[key]
+    return src
+
+
+def _layers(graph: WeightedCollisionGraph):
+    """Yield [D(u) W]^n D(u) for n = 0, 1, 2, ... as a (k, k, M) array of
+    coefficients over the M monomials ``_monomials(k, n + 1)``.  Row i of
+    layer n + 1 is u_i sum_l w_il (row l of layer n): one matrix product
+    on the gathered rows, then an index shift."""
+    k, w = graph.k, graph.weights
+    # layer 0 is D(u): entry (i, i) is the monomial u_i
+    expo = np.array(_monomials(k, 1)[0]).T
+    layer = np.eye(k)[:, :, None] * expo[:, None, :] + 0j
+    degree = 1
+    while True:
+        yield layer
+        degree += 1
+        src = _shift_sources(k, degree)
+        new = np.zeros((k, k, src.shape[1]), dtype=complex)
+        for i in range(k):
+            valid = src[i] >= 0
+            gathered = layer[:, :, src[i, valid]]
+            new[i][:, valid] = (w[i] @ gathered.reshape(k, -1)).reshape(k, -1)
+        layer = new
+
+
+# ---------------------------------------------------------------------------
 # Polynomial tables in the vertex times
 # ---------------------------------------------------------------------------
 
@@ -170,19 +233,6 @@ class TaylorTable:
     def scale(self, value):
         return TaylorTable(self.k, {m: c * value for m, c in self.coeffs.items()})
 
-    def shift(self, axis):
-        """Multiply by the variable on ``axis``."""
-        out = {}
-        for m, c in self.coeffs.items():
-            key = m[:axis] + (m[axis] + 1,) + m[axis + 1:]
-            out[key] = c
-        return TaylorTable(self.k, out)
-
-    def truncate(self, max_total_degree):
-        return TaylorTable(self.k, {
-            m: c for m, c in self.coeffs.items() if sum(m) <= max_total_degree
-        })
-
     def evaluate(self, u):
         u = np.asarray(u)
         total = 0j
@@ -192,9 +242,6 @@ class TaylorTable:
                 term *= ui ** mi
             total += term
         return total
-
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
     def max_abs_diff(self, other):
         keys = set(self.coeffs) | set(other.coeffs)
@@ -244,27 +291,19 @@ def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
 
 
 def matrix_power_table(graph: WeightedCollisionGraph, n):
-    """Symbolic [D(u) W]^n D(u) as a k x k array of TaylorTables."""
+    """Symbolic [D(u) W]^n D(u) as a k x k array of TaylorTables: layer n of
+    ``_layers`` written out, exact zeros dropped."""
+    if n < 0:
+        raise InvalidInputError("power must be non-negative")
     k = graph.k
-    w = graph.weights
-    tables = [[TaylorTable(k) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        e = [0] * k
-        e[i] = 1
-        tables[i][i].add_term(tuple(e), 1 + 0j)
+    layers = _layers(graph)
     for _ in range(n):
-        new = [[TaylorTable(k) for _ in range(k)] for _ in range(k)]
-        for i in range(k):
-            acc_row = [TaylorTable(k) for _ in range(k)]
-            for l in range(k):
-                if w[i, l] == 0:
-                    continue
-                for j in range(k):
-                    acc_row[j] = acc_row[j] + tables[l][j].scale(w[i, l])
-            for j in range(k):
-                new[i][j] = acc_row[j].shift(i)
-        tables = new
-    return tables
+        next(layers)
+    layer = next(layers)
+    monos, _ = _monomials(k, n + 1)
+    return [[TaylorTable(k, {m: c for m, c in zip(monos, layer[i, j].tolist())
+                             if c != 0})
+             for j in range(k)] for i in range(k)]
 
 
 def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,

@@ -92,6 +92,12 @@ def free_resolvent(y, yp, gamma) -> complex:
 # complex elements of any partner-batched temporary (128 KB)
 BATCH_ELEMS = 8192
 
+# Gauss-Legendre nodes per real theta panel, Gauss-Laguerre nodes on the
+# vertical leg, and the most panels the real-axis fallback may use
+PANEL_NODES = 20
+LEG_NODES = 64
+PANEL_CAP = 4000
+
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -104,8 +110,20 @@ def _rule(gauss, n):
     return _RULE_CACHE[key]
 
 
-def _theta_contour(c, gamma, s, tol, leg_nodes=64, per_panel=20,
-                   panel_cap=4000, anchor=None):
+def _panels(beta, end, panels):
+    """Gauss-Legendre panels on [0, end] with the phase exp(beta theta)
+    folded into the weights."""
+    x, w = _rule(leggauss, PANEL_NODES)
+    edges = np.linspace(0.0, end, panels + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * np.diff(edges)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel().astype(complex)
+    weights *= np.exp(beta * nodes)
+    return nodes.astype(complex), weights
+
+
+def _theta_contour(c, gamma, s, tol, anchor=None):
     """Complex nodes and weights approximating int_0^inf f(theta)
     exp(beta theta) dtheta for f analytic past the anchor, where
     beta = i pi c - 2 pi gamma and c >= 0 is the squared incident speed.
@@ -124,20 +142,13 @@ def _theta_contour(c, gamma, s, tol, leg_nodes=64, per_panel=20,
     if rate > 1e-4:
         # bent contour: real panels to the anchor, vertical leg beyond
         periods = anchor * (c + 2 * abs(gamma)) / 2.0
-        panels = max(4, int(math.ceil(periods)) + 2)
-        x, w = _rule(leggauss, per_panel)
-        edges = np.linspace(0.0, anchor, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel().astype(complex)
-        weights *= np.exp(beta * nodes)
-        lx, lw = _rule(laggauss, leg_nodes)
+        nodes, weights = _panels(beta, anchor,
+                                 max(4, int(math.ceil(periods)) + 2))
+        lx, lw = _rule(laggauss, LEG_NODES)
         tau = lx / rate
-        leg_nodes_c = anchor + 1j * tau
         leg_weights = (1j * np.exp(beta * anchor) * (lw / rate)
                        * np.exp(-2j * math.pi * gamma.real * tau))
-        return (np.concatenate([nodes.astype(complex), leg_nodes_c]),
+        return (np.concatenate([nodes, anchor + 1j * tau]),
                 np.concatenate([weights, leg_weights]))
     if gamma.real > 0:
         # decaying real-axis integrand; truncate where the exponential tail
@@ -150,16 +161,9 @@ def _theta_contour(c, gamma, s, tol, leg_nodes=64, per_panel=20,
                 f"theta tail {tail:.2e} above tolerance {tol:.2e}")
         periods = theta_max * (c + 2 * abs(gamma)) / 2.0
         panels = max(8, int(math.ceil(periods)) + 4)
-        if panels > panel_cap:
+        if panels > PANEL_CAP:
             raise TailBoundError("oscillation count beyond quadrature budget")
-        x, w = _rule(leggauss, per_panel)
-        edges = np.linspace(0.0, theta_max, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        weights = (half[:, None] * w[None, :]).ravel().astype(complex)
-        weights *= np.exp(beta * nodes)
-        return nodes.astype(complex), weights
+        return _panels(beta, theta_max, panels)
     raise TailBoundError(
         "on-shell theta integral needs a non-zero incident momentum")
 

@@ -9,6 +9,8 @@ counterexample documented in the check's detail string.
 import pytest
 
 from bgflight import acceptance as acc
+from bgflight import gmatrix as gm
+from bgflight import paths as gp
 
 
 def _report(result):
@@ -24,6 +26,15 @@ def test_criterion_01_bessel_series_equivalence():
     assert r.seconds < 1.0
 
 
+def test_criterion_01_checks_the_library_closed_form(monkeypatch):
+    # a 1e-6 relative error in the k = 2 entries G is computed from must
+    # show, so the closed-form side cannot be a private copy
+    exact = gm._k2_entries
+    monkeypatch.setattr(gm, "_k2_entries", lambda *args: tuple(
+        e * (1 + 1e-6) for e in exact(*args)))
+    assert not acc.check_01_bessel_series_equivalence().passed
+
+
 def test_criterion_02_three_way_agreement():
     r = _report(acc.check_02_three_way_agreement())
     assert r.passed
@@ -33,6 +44,17 @@ def test_criterion_02_three_way_agreement():
 def test_criterion_03_path_operator_identity():
     r = _report(acc.check_03_path_operator_identity())
     assert r.passed
+
+
+def test_criterion_03_checks_the_layers_g_is_summed_from(monkeypatch):
+    exact = gp._layers
+
+    def scaled(graph):
+        for layer in exact(graph):
+            yield layer * (1 + 1e-9)
+
+    monkeypatch.setattr(gp, "_layers", scaled)
+    assert not acc.check_03_path_operator_identity().passed
 
 
 def test_criterion_04_bijection_suite():

@@ -219,3 +219,17 @@ def test_lattice_outputs(tmp_path):
     assert "ks_stat" in report and "independence_p" in report
     # LF endings, no CR
     assert b"\r" not in (out / "points.csv").read_bytes()
+
+
+def test_help_describes_tol_and_theta_max(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    tol_help = text[text.rindex("--tol TOL"):text.rindex("--theta-max")]
+    anchor_help = text[text.rindex("--theta-max THETA_MAX"):]
+    assert "ScatteringModel.theta_tol" in tol_help
+    assert "ScatteringModel.theta_anchor" in anchor_help
+    assert "bends into the complex plane" in anchor_help
+    for described in (tol_help, anchor_help):
+        assert "read only by scatter and simulate" in described

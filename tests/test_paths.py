@@ -181,6 +181,35 @@ def test_identity_sweep(k):
                 assert gp.path_sum_identity_check(g, n, i, j) <= 1e-12
 
 
+def test_identity_checks_the_shared_layers(monkeypatch):
+    # the matrix-power side is the layer recursion g_series sums, so a
+    # 1e-9 relative error in those layers must break the identity
+    exact = gp._layers
+
+    def scaled(graph):
+        for layer in exact(graph):
+            yield layer * (1 + 1e-9)
+
+    monkeypatch.setattr(gp, "_layers", scaled)
+    g = make_graph(3, seed=8)
+    assert gp.path_sum_identity_check(g, 3, 0, 1) > 1e-12
+
+
+def test_matrix_power_table_is_the_series_layer():
+    # layer n of the generator, written out, is what g_series sums
+    g = make_graph(3, seed=5)
+    layers = gp._layers(g)
+    for n in range(5):
+        layer = next(layers)
+        monos, index = gp._monomials(3, n + 1)
+        for i, row in enumerate(gp.matrix_power_table(g, n)):
+            for j, table in enumerate(row):
+                dense = np.zeros(len(monos), dtype=complex)
+                for m, c in table.coeffs.items():
+                    dense[index[m]] = c
+                assert np.array_equal(dense, layer[i, j])
+
+
 def test_nonsurjective_difference_is_constant_somewhere():
     for k in (2, 3):
         g = make_graph(k, seed=30 + k)
