@@ -102,12 +102,11 @@ def default_radius(graph: WeightedCollisionGraph) -> float:
 
 def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
     """prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial; zero if any nu_i = 0."""
-    monos, _ = _monomials(k, degree)
-    expo = np.array(monos)
+    expo = _monomials(k, degree)
     pw = np.zeros((k, degree + 1))
     for e in range(1, degree + 1):
         pw[:, e] = u ** (e - 1) / math.factorial(e - 1)
-    out = np.ones(len(monos))
+    out = np.ones(len(expo))
     for i in range(k):
         out *= pw[i, expo[:, i]]
     return out

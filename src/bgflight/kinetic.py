@@ -40,6 +40,10 @@ from .paths import WeightedCollisionGraph, partition_to_path
 from .scattering import ScatteringModel
 
 ON_SHELL_RTOL = 1e-9
+# direction proposals per rejection batch of the chain sampler
+PROPOSAL_BATCH = 64
+# (draw, distinct term) pairs per chunk of the combinatorial amplitudes
+COMB_CHUNK_ELEMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +268,14 @@ def _comb_table(kind, k, n_max):
             np.array([mult[key] for key in keys], dtype=complex))
 
 
-def _comb_amplitudes(kind, u, w, n_max, chunk_elems=1 << 16):
+def _comb_amplitudes(kind, u, w, n_max):
     """Partition-sum amplitudes for a batch of draws.
 
     ``u`` holds the times (draws, k) and ``w`` the edge weights
     (draws, k, k).  Returns the amplitude summed over orders k-1..n_max and
     the order-n_max contribution, both complex per draw.  Each term is
     prod w_ij^(edge count) prod u_i^(s_i - 1)/(s_i - 1)!; draws are taken in
-    chunks of at most ``chunk_elems`` (draw, distinct term) pairs.
+    chunks of at most COMB_CHUNK_ELEMS (draw, distinct term) pairs.
     """
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=complex)
@@ -282,7 +286,7 @@ def _comb_amplitudes(kind, u, w, n_max, chunk_elems=1 << 16):
              if np.any(counts[:, i, j])]
     amp = np.empty(draws, dtype=complex)
     tail = np.empty(draws, dtype=complex)
-    step = max(1, chunk_elems // max(1, len(orders)))
+    step = max(1, COMB_CHUNK_ELEMS // max(1, len(orders)))
     for lo in range(0, draws, step):
         sl = slice(lo, min(lo + step, draws))
         wpow = np.ones(w[sl].shape + (n_max + 1,), dtype=complex)
@@ -442,7 +446,7 @@ def _direction_bound(model: ScatteringModel, speed: float) -> float:
 
 
 def sample_lb_chain(t, y0, model: ScatteringModel, rng,
-                    max_legs=64, batch=64) -> CollisionChain:
+                    max_legs=64) -> CollisionChain:
     """Markov chain sample: exponential flight times with rate
     Sigma_tot(speed), scattering directions by rejection of uniform sphere
     proposals against |T|^2, truncated at total time t.
@@ -476,9 +480,9 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
         cur = momenta[-1]
         new_dir = None
         while new_dir is None:
-            props = rng.normal(size=(batch, model.dim))
+            props = rng.normal(size=(PROPOSAL_BATCH, model.dim))
             props /= np.linalg.norm(props, axis=1)[:, None]
-            uacc = rng.uniform(size=batch)
+            uacc = rng.uniform(size=PROPOSAL_BATCH)
             ratio = np.abs(model.t_matrix_batch(cur, speed * props)) ** 2 \
                 / bound
             hits = np.nonzero(uacc < ratio)[0]
@@ -490,7 +494,7 @@ def sample_lb_chain(t, y0, model: ScatteringModel, rng,
                 proposals += int(hits[0]) + 1
                 accepts += 1
             else:
-                proposals += batch
+                proposals += PROPOSAL_BATCH
         momenta.append(speed * new_dir)
     else:
         chain = CollisionChain(momenta[:-1], times, truncated=True)

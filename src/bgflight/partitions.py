@@ -29,21 +29,17 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, InvalidInputError
 
-FAMILIES = ("all", "circ", "circ_nc", "baro", "baro_nc")
 MARKED_CLASSES = ("all", "reduced", "reduced_diag", "reduced_off")
 
 #: Hard ceiling on the number of items any enumeration may produce.
 DEFAULT_ENUMERATION_CAP = 10**7
 
 Blocks = tuple[tuple[int, ...], ...]
-
-
-def _freeze_blocks(blocks) -> Blocks:
-    return tuple(tuple(sorted(b)) for b in blocks)
 
 
 def _check_cover(n: int, blocks: Blocks) -> None:
@@ -59,16 +55,40 @@ def _check_cover(n: int, blocks: Blocks) -> None:
         raise InvalidInputError(f"blocks do not cover 0..{n}")
 
 
-def _label_map(n: int, blocks: Blocks) -> tuple[int, ...]:
-    lab = [-1] * (n + 1)
-    for i, b in enumerate(blocks):
-        for j in b:
-            lab[j] = i
-    return tuple(lab)
+class _Blocks:
+    """What the three partition types share: a block listing of {0..n} and
+    the label of each index (its block's position in that listing)."""
+
+    def _set_blocks(self, n: int, blocks, canonical: bool) -> None:
+        """Freeze ``blocks`` (sorted by minimum when ``canonical``), check
+        they cover 0..n, and store them with their label map."""
+        blocks = tuple(tuple(sorted(b)) for b in blocks)
+        if canonical:
+            blocks = tuple(sorted(blocks, key=min))
+        _check_cover(n, blocks)
+        labels = [-1] * (n + 1)
+        for i, b in enumerate(blocks):
+            for j in b:
+                labels[j] = i
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "labels", tuple(labels))
+
+    @property
+    def k(self) -> int:
+        return len(self.blocks)
+
+    def block_of(self, j: int) -> int:
+        return self.labels[j]
+
+    def is_circ(self) -> bool:
+        return self.labels[0] == self.labels[self.n]
+
+    def is_nonconsecutive(self) -> bool:
+        return all(self.labels[j] != self.labels[j + 1] for j in range(self.n))
 
 
 @dataclass(frozen=True)
-class Partition:
+class Partition(_Blocks):
     """Unordered partition of {0, ..., n}; blocks stored in canonical order."""
 
     n: int
@@ -76,28 +96,11 @@ class Partition:
     labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        blocks = _freeze_blocks(self.blocks)
-        blocks = tuple(sorted(blocks, key=min))
-        _check_cover(self.n, blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "labels", _label_map(self.n, blocks))
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, j: int) -> int:
-        return self.labels[j]
-
-    def is_circ(self) -> bool:
-        return self.labels[0] == self.labels[self.n]
-
-    def is_nonconsecutive(self) -> bool:
-        return all(self.labels[j] != self.labels[j + 1] for j in range(self.n))
+        self._set_blocks(self.n, self.blocks, canonical=True)
 
 
 @dataclass(frozen=True)
-class OrderedPartition:
+class OrderedPartition(_Blocks):
     """Partition with a significant block order."""
 
     n: int
@@ -105,33 +108,17 @@ class OrderedPartition:
     labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        blocks = _freeze_blocks(self.blocks)
-        _check_cover(self.n, blocks)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "labels", _label_map(self.n, blocks))
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, j: int) -> int:
-        return self.labels[j]
-
-    def is_circ(self) -> bool:
-        return self.labels[0] == self.labels[self.n]
+        self._set_blocks(self.n, self.blocks, canonical=False)
 
     def is_baro_ordered(self) -> bool:
         return self.labels[0] == 0 and self.labels[self.n] == self.k - 1
-
-    def is_nonconsecutive(self) -> bool:
-        return all(self.labels[j] != self.labels[j + 1] for j in range(self.n))
 
     def unordered(self) -> Partition:
         return Partition(self.n, self.blocks)
 
 
 @dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(_Blocks):
     """Admissible marked partition; ``ordered`` makes the listing significant."""
 
     mark: int
@@ -141,23 +128,11 @@ class MarkedPartition:
     labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        blocks = _freeze_blocks(self.blocks)
-        if not self.ordered:
-            blocks = tuple(sorted(blocks, key=min))
-        n = max(max(b) for b in blocks)
-        _check_cover(n, blocks)
-        object.__setattr__(self, "blocks", blocks)
+        n = max(max(b) for b in self.blocks)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", _label_map(n, blocks))
+        self._set_blocks(n, self.blocks, canonical=not self.ordered)
         if not 0 <= self.mark <= n:
             raise InvalidInputError("mark outside 0..n")
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, j: int) -> int:
-        return self.labels[j]
 
     def mu(self, i: int) -> int:
         """Left multiplicity of block i: |F_i intersect [0, mark]| - 1."""
@@ -169,7 +144,7 @@ class MarkedPartition:
 
     def is_admissible(self) -> bool:
         """0 and n share a block; non-mark blocks are singletons or straddle."""
-        if self.labels[0] != self.labels[self.n]:
+        if not self.is_circ():
             return False
         li = self.labels[self.mark]
         for i, b in enumerate(self.blocks):
@@ -239,6 +214,7 @@ _FAMILY_FLAGS = {
     "baro": (False, False),
     "baro_nc": (False, True),
 }
+FAMILIES = tuple(_FAMILY_FLAGS)
 
 
 def _labels_to_blocks(labels, k) -> Blocks:
@@ -248,23 +224,22 @@ def _labels_to_blocks(labels, k) -> Blocks:
     return tuple(tuple(b) for b in blocks)
 
 
-def _family_orderings(blocks: Blocks, family: str):
-    """Orderings consistent with the family convention, lexicographically."""
-    k = len(blocks)
-    if family in ("circ", "circ_nc"):
-        head, rest = blocks[0], blocks[1:]
-        for perm in itertools.permutations(rest):
-            yield (head,) + perm
-    elif family in ("baro", "baro_nc"):
-        n = max(max(b) for b in blocks)
-        first = blocks[0]
-        last = next(b for b in blocks if n in b)
-        middle = tuple(b for b in blocks if b is not first and b is not last)
-        for perm in itertools.permutations(middle):
-            yield (first,) + perm + (last,)
-    else:
-        for perm in itertools.permutations(blocks):
-            yield perm
+def _orderings(blocks: Blocks, head: Blocks, tail: Blocks):
+    """``head + perm + tail`` for every permutation of the other blocks, in
+    lexicographic order of the permutation."""
+    rest = tuple(b for b in blocks if b not in head and b not in tail)
+    for perm in itertools.permutations(rest):
+        yield head + perm + tail
+
+
+def _capped(items, cap: int) -> list:
+    """The list of ``items``; CapacityError once it would pass ``cap``."""
+    out = []
+    for item in items:
+        out.append(item)
+        if len(out) > cap:
+            raise CapacityError(f"enumeration exceeds cap {cap}")
+    return out
 
 
 def enumerate_partitions(n, k, family="all", ordered=False,
@@ -282,19 +257,20 @@ def enumerate_partitions(n, k, family="all", ordered=False,
     if family.startswith("baro") and k < 2:
         return []
     circ, nc = _FAMILY_FLAGS[family]
-    out = []
-    for labels in _rgs_partitions(n, k, circ=circ, nc=nc):
-        blocks = _labels_to_blocks(labels, k)
-        if ordered:
-            for ob in _family_orderings(blocks, family):
-                out.append(OrderedPartition(n, ob))
-                if len(out) > cap:
-                    raise CapacityError(f"enumeration exceeds cap {cap}")
-        else:
-            out.append(Partition(n, blocks))
-            if len(out) > cap:
-                raise CapacityError(f"enumeration exceeds cap {cap}")
-    return out
+
+    def items():
+        for labels in _rgs_partitions(n, k, circ=circ, nc=nc):
+            blocks = _labels_to_blocks(labels, k)
+            if not ordered:
+                yield Partition(n, blocks)
+                continue
+            # circ and baro list the block of 0 first, baro n's block last
+            head = (blocks[0],) if circ is not None else ()
+            tail = (blocks[labels[n]],) if circ is False else ()
+            for ob in _orderings(blocks, head, tail):
+                yield OrderedPartition(n, ob)
+
+    return _capped(items(), cap)
 
 
 def enumerate_marked(n, k, marked_class="all", ordered=False,
@@ -310,41 +286,30 @@ def enumerate_marked(n, k, marked_class="all", ordered=False,
         raise InvalidInputError(f"unknown marked class {marked_class!r}")
     if marked_class == "reduced_off" and k < 2:
         raise InvalidInputError("off-diagonal class requires k >= 2")
-    out = []
-    for labels in _rgs_partitions(n, k, circ=True, nc=False):
-        blocks = _labels_to_blocks(labels, k)
-        for mark in range(n + 1):
-            mp = MarkedPartition(mark, blocks)
-            if not mp.is_admissible():
-                continue
-            if marked_class != "all":
-                if not mp.is_reduced():
+
+    def items():
+        for labels in _rgs_partitions(n, k, circ=True, nc=False):
+            blocks = _labels_to_blocks(labels, k)
+            for mark in range(n + 1):
+                mp = MarkedPartition(mark, blocks)
+                if not mp.is_admissible():
                     continue
-                if marked_class == "reduced_diag" and not mp.is_diagonal():
+                if marked_class != "all":
+                    if not mp.is_reduced():
+                        continue
+                    if marked_class == "reduced_diag" and not mp.is_diagonal():
+                        continue
+                    if marked_class == "reduced_off" and mp.is_diagonal():
+                        continue
+                if not ordered:
+                    yield mp
                     continue
-                if marked_class == "reduced_off" and mp.is_diagonal():
-                    continue
-            if not ordered:
-                out.append(mp)
-                if len(out) > cap:
-                    raise CapacityError(f"enumeration exceeds cap {cap}")
-                continue
-            mark_block = blocks[mp.block_of(mark)]
-            if marked_class == "reduced_off":
-                middle = tuple(b for b in blocks[1:] if b != mark_block)
-                for perm in itertools.permutations(middle):
-                    out.append(MarkedPartition(
-                        mark, (blocks[0],) + perm + (mark_block,),
-                        ordered=True))
-                    if len(out) > cap:
-                        raise CapacityError(f"enumeration exceeds cap {cap}")
-            else:
-                for perm in itertools.permutations(blocks[1:]):
-                    out.append(MarkedPartition(mark, (blocks[0],) + perm,
-                                               ordered=True))
-                    if len(out) > cap:
-                        raise CapacityError(f"enumeration exceeds cap {cap}")
-    return out
+                tail = ((blocks[labels[mark]],)
+                        if marked_class == "reduced_off" else ())
+                for ob in _orderings(blocks, (blocks[0],), tail):
+                    yield MarkedPartition(mark, ob, ordered=True)
+
+    return _capped(items(), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +463,6 @@ def to_diagram(obj) -> dict:
 def weight_bound_pair(n: int, k: int):
     """Left and right side of the factorial weight bound over the circ family:
     sum over partitions of prod 1/|F_i|! against k^(n+1)/(n+1)!."""
-    import math
-
     lhs = 0.0
     for p in enumerate_partitions(n, k, family="circ"):
         w = 1.0

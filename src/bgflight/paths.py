@@ -21,6 +21,7 @@ so the path identity checks the layers G is summed from.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -142,35 +143,35 @@ def total_weight(path, graph: WeightedCollisionGraph) -> complex:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomials(k: int, degree: int):
-    """All exponent tuples of total degree ``degree`` over k variables,
-    lexicographic, with an index lookup."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), degree, k)
-    index = {m: i for i, m in enumerate(out)}
-    return tuple(out), index
+def _monomials(k: int, degree: int) -> np.ndarray:
+    """All exponent vectors of total degree ``degree`` over k variables, as
+    a read-only (M, k) array in lexicographic order.  Stars and bars: the
+    k - 1 bar positions among degree + k - 1 slots, taken as combinations
+    in lexicographic order, give the exponents as the gaps between bars."""
+    slots, count = degree + k - 1, math.comb(degree + k - 1, k - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots),
+                                                             k - 1)),
+        dtype=np.int64, count=count * (k - 1)).reshape(count, k - 1)
+    edges = np.hstack([np.full((count, 1), -1), bars,
+                       np.full((count, 1), slots)])
+    out = np.diff(edges, axis=1) - 1
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
-def _shift_sources(k: int, degree: int):
+def _shift_sources(k: int, degree: int) -> np.ndarray:
     """For each axis i, the layer-(degree-1) index of monomial - e_i,
-    or -1 when the exponent on axis i vanishes."""
-    monos, _ = _monomials(k, degree)
-    _, prev_index = _monomials(k, degree - 1)
-    src = np.full((k, len(monos)), -1, dtype=np.int64)
-    for j, m in enumerate(monos):
-        for i in range(k):
-            if m[i] >= 1:
-                key = m[:i] + (m[i] - 1,) + m[i + 1:]
-                src[i, j] = prev_index[key]
+    or -1 when the exponent on axis i vanishes.  Exponents are digits of a
+    base degree + 1 number, whose order is the lexicographic one, so the
+    index is a binary search for the shifted number."""
+    monos = _monomials(k, degree)
+    place = (degree + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    prev_keys = _monomials(k, degree - 1) @ place
+    src = np.searchsorted(prev_keys, (monos @ place)[None, :] - place[:, None])
+    src[monos.T == 0] = -1
+    src.setflags(write=False)
     return src
 
 
@@ -181,7 +182,7 @@ def _layers(graph: WeightedCollisionGraph):
     on the gathered rows, then an index shift."""
     k, w = graph.k, graph.weights
     # layer 0 is D(u): entry (i, i) is the monomial u_i
-    expo = np.array(_monomials(k, 1)[0]).T
+    expo = _monomials(k, 1).T
     layer = np.eye(k)[:, :, None] * expo[:, None, :] + 0j
     degree = 1
     while True:
@@ -300,7 +301,7 @@ def matrix_power_table(graph: WeightedCollisionGraph, n):
     for _ in range(n):
         next(layers)
     layer = next(layers)
-    monos, _ = _monomials(k, n + 1)
+    monos = list(map(tuple, _monomials(k, n + 1).tolist()))
     return [[TaylorTable(k, {m: c for m, c in zip(monos, layer[i, j].tolist())
                              if c != 0})
              for j in range(k)] for i in range(k)]

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi
 
 from .errors import InvalidInputError, TailBoundError
 
@@ -101,13 +102,25 @@ PANEL_CAP = 4000
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _rule(gauss, n):
-    """Nodes and weights of the numpy Gauss rule ``gauss`` (leggauss or
-    laggauss) with n nodes, computed once per process."""
-    key = (gauss, n)
+def _rule(gauss, n, *params):
+    """Nodes and weights of the Gauss rule ``gauss(n, *params)`` (leggauss,
+    laggauss or roots_jacobi), computed once per process."""
+    key = (gauss, n) + params
     if key not in _RULE_CACHE:
-        _RULE_CACHE[key] = gauss(n)
+        _RULE_CACHE[key] = gauss(n, *params)
     return _RULE_CACHE[key]
+
+
+def _polar_rule(d, n):
+    """n-node rule for int_{-1}^{1} f(c) (1 - c^2)^((d-3)/2) dc, the polar
+    reduction of a sphere integral in R^d: Gauss-Jacobi with that weight,
+    which in even d has a square-root endpoint that Gauss-Legendre on the
+    product converges to slowly.  At d = 3 the weight is 1 and the rule is
+    Gauss-Legendre."""
+    if d == 3:
+        return _rule(leggauss, n)
+    a = (d - 3) / 2.0
+    return _rule(roots_jacobi, n, a, a)
 
 
 def _panels(beta, end, panels):
@@ -372,14 +385,13 @@ class ScatteringModel:
         return self._speed_cached(self._sigma_cache, speed, self._sigma_cold)
 
     def _sigma_cold(self, speed) -> float:
-        if self.born_order == 1:
+        d = self.dim
+        if self.born_order == 1 and d == 3:
             return float(sigma_tot_born1_speeds(
                 self.potential, self.coupling, np.array([speed]))[0])
-        d = self.dim
-        cnodes, cweights = _rule(leggauss, self.sphere_nodes)
+        cnodes, cweights = _polar_rule(d, self.sphere_nodes)
         vals = self.polar_abs2(speed, cnodes)
-        sphere = _lower_sphere_area(d) * float(
-            np.sum(cweights * vals * (1 - cnodes ** 2) ** ((d - 3) / 2.0)))
+        sphere = _lower_sphere_area(d) * float(np.sum(cweights * vals))
         return 4 * math.pi ** 2 * speed ** (d - 2) * sphere
 
     # -- optical theorem ----------------------------------------------------
@@ -418,26 +430,18 @@ def sphere_area(d) -> float:
 
 
 def sigma_tot_born1_speeds(pot: GaussianPotential, lam, speeds):
-    """Vectorised first-Born total cross section over an array of speeds
-    (closed form in d = 3, quadrature otherwise)."""
+    """Vectorised first-Born total cross section over an array of speeds,
+    in closed form; d = 3 only (ScatteringModel.sigma_tot integrates other
+    dimensions with the polar rule)."""
     speeds = np.asarray(speeds, dtype=float)
     if np.any(speeds <= 0):
         raise InvalidInputError("speeds must be positive")
     a, s, d = pot.amplitude, pot.width, pot.dim
-    if d == 3:
-        q = 4 * math.pi * s * s * speeds ** 2
-        integral = 2 * math.pi * a * a * s ** (2 * d) * \
-            (1 - np.exp(-2 * q)) / q
-        return 4 * math.pi ** 2 * lam ** 2 * speeds * integral
-    cn, cw = _rule(leggauss, 96)
-    out = np.empty_like(speeds)
-    for i, r in enumerate(speeds):
-        vals = a * a * s ** (2 * d) * np.exp(
-            -2 * math.pi * s * s * r * r * (2 - 2 * cn))
-        out[i] = 4 * math.pi ** 2 * lam ** 2 * r ** (d - 2) * \
-            _lower_sphere_area(d) * float(
-                np.sum(cw * vals * (1 - cn ** 2) ** ((d - 3) / 2.0)))
-    return out
+    if d != 3:
+        raise InvalidInputError("closed-form cross section needs d = 3")
+    q = 4 * math.pi * s * s * speeds ** 2
+    integral = 2 * math.pi * a * a * s ** (2 * d) * (1 - np.exp(-2 * q)) / q
+    return 4 * math.pi ** 2 * lam ** 2 * speeds * integral
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
 
 from bgflight.cli import main
 from bgflight.gmatrix import bessel_j_quadrature
-
-warnings.filterwarnings("ignore", category=UserWarning)
 
 
 def write(path, obj):

@@ -201,7 +201,8 @@ def test_matrix_power_table_is_the_series_layer():
     layers = gp._layers(g)
     for n in range(5):
         layer = next(layers)
-        monos, index = gp._monomials(3, n + 1)
+        monos = gp._monomials(3, n + 1)
+        index = {tuple(m): r for r, m in enumerate(monos.tolist())}
         for i, row in enumerate(gp.matrix_power_table(g, n)):
             for j, table in enumerate(row):
                 dense = np.zeros(len(monos), dtype=complex)

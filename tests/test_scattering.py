@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
+from scipy.special import ive
 
 from bgflight import scattering as sc
 from bgflight.errors import InvalidInputError, TailBoundError
@@ -233,6 +234,20 @@ def test_sigma_tot_first_born_closed_form():
     assert closed == pytest.approx(
         2 * math.pi ** 2 * 0.05 ** 2 * (1 - math.exp(-8 * math.pi)),
         rel=1e-12)
+
+
+@pytest.mark.parametrize("speed", [0.5, 1.0, 3.0])
+def test_sigma_tot_first_born_even_dimension(speed):
+    # d = 4: int (1 - c^2)^(1/2) exp(q c) dc = pi I_1(q) / q with
+    # q = 4 pi s^2 r^2, and |S^2| = 4 pi
+    pot = sc.GaussianPotential(1.0, 1.0, dim=4)
+    m = sc.ScatteringModel(pot, coupling=0.1, born_order=1)
+    q = 4 * math.pi * speed ** 2
+    closed = 4 * math.pi ** 2 * 0.01 * speed ** 2 * 4 * math.pi \
+        * math.pi * ive(1, q) / q
+    assert m.sigma_tot(speed) == pytest.approx(closed, rel=1e-12)
+    with pytest.raises(InvalidInputError):
+        sc.sigma_tot_born1_speeds(pot, 0.1, np.array([speed]))
 
 
 def test_sigma_tot_small_coupling_scaling():
