@@ -481,7 +481,3 @@ ALL_CHECKS = [
     check_10_lattice_statistics,
     check_11_estimator_consistency,
 ]
-
-
-def run_all(checks=None):
-    return [fn() for fn in (checks or ALL_CHECKS)]

@@ -34,6 +34,12 @@ class ConfigError(Exception):
     pass
 
 
+# config keys whose values must be JSON integers, in every command
+INT_KEYS = frozenset({"n", "k", "n_max", "seed", "max_order", "nodes",
+                      "born_order", "dim", "k_max", "n_samples", "gap_bins",
+                      "theta_bins", "cap"})
+
+
 def _load_config(path, schema, defaults):
     if path is None:
         cfg = {}
@@ -45,17 +51,40 @@ def _load_config(path, schema, defaults):
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}")
+    return _checked(cfg, schema, defaults, "config")
+
+
+def _checked(cfg, schema, defaults, name):
+    """``defaults`` updated by the JSON object ``cfg`` (called ``name`` in
+    messages), once ``cfg`` has only keys of ``schema``, every key that
+    ``schema`` marks required and integers under INT_KEYS."""
     if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    for key in cfg:
+        raise ConfigError(f"{name} must be a JSON object")
+    for key, value in cfg.items():
         if key not in schema:
-            raise ConfigError(f"unknown config key: {key!r}")
+            raise ConfigError(f"unknown {name} key: {key!r}")
+        if key in INT_KEYS and (not isinstance(value, int)
+                                or isinstance(value, bool)):
+            raise ConfigError(f"{name} key {key!r} must be an integer, "
+                              f"not {value!r}")
     merged = dict(defaults)
     merged.update(cfg)
     missing = [k for k, req in schema.items() if req and k not in merged]
     if missing:
-        raise ConfigError(f"missing required config key: {missing[0]!r}")
+        raise ConfigError(f"missing required {name} key: {missing[0]!r}")
     return merged
+
+
+def _vector(value, dim, name):
+    """``value`` as a float vector of ``dim`` components."""
+    try:
+        vec = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (dim,):
+        raise ConfigError(f"{name} must be a list of {dim} numbers, "
+                          f"not {value!r}")
+    return vec
 
 
 def _write_csv(path, header, rows):
@@ -216,17 +245,17 @@ def _cmd_scatter(args, out_dir):
         "include_third": False,
     }, {"born_order": 1, "gamma": 0.0, "include_third": False})
     model = _build_model(cfg, args)
-    y = np.asarray(cfg["y"], dtype=float)
+    y = _vector(cfg["y"], model.dim, "'y'")
     out = {"op": cfg["op"]}
     if cfg["op"] == "tmat":
         if "yp" not in cfg:
             raise ConfigError("missing required config key: 'yp'")
-        t = model.t_matrix(y, np.asarray(cfg["yp"], dtype=float))
+        t = model.t_matrix(y, _vector(cfg["yp"], model.dim, "'yp'"))
         out.update({"t_re": t.real, "t_im": t.imag})
     elif cfg["op"] == "sigma":
         if "direction" in cfg:
             out["sigma"] = model.sigma_kernel(
-                y, np.asarray(cfg["direction"], dtype=float))
+                y, _vector(cfg["direction"], model.dim, "'direction'"))
         out["sigma_tot"] = model.sigma_tot(y)
     elif cfg["op"] == "optical":
         res = model.optical_residual(y, cfg["include_third"])
@@ -241,11 +270,19 @@ def _cmd_scatter(args, out_dir):
     return cfg, [path], {}, 0
 
 
-def _symbol(spec):
+def _symbol(spec, dim, name):
+    """The observable config ``spec`` (config key ``name``) in dimension
+    ``dim``."""
+    spec = _checked(spec, {
+        "x_center": True, "y_center": True, "x_width": False,
+        "y_width": False, "amplitude": False,
+    }, {"x_width": 1.0, "y_width": 1.0, "amplitude": 1.0},
+        f"observable {name!r}")
     return kn.GaussianSymbol(
-        x_center=spec["x_center"], y_center=spec["y_center"],
-        x_width=spec.get("x_width", 1.0), y_width=spec.get("y_width", 1.0),
-        amplitude=spec.get("amplitude", 1.0))
+        x_center=_vector(spec["x_center"], dim, f"'{name}.x_center'"),
+        y_center=_vector(spec["y_center"], dim, f"'{name}.y_center'"),
+        x_width=spec["x_width"], y_width=spec["y_width"],
+        amplitude=spec["amplitude"])
 
 
 def _cmd_simulate(args, out_dir):
@@ -258,8 +295,8 @@ def _cmd_simulate(args, out_dir):
         "b": None})
     model = _build_model(cfg, args)
     seed = args.seed if args.seed is not None else cfg["seed"]
-    a = _symbol(cfg["a"])
-    b = _symbol(cfg["b"]) if cfg["b"] is not None else None
+    a = _symbol(cfg["a"], model.dim, "a")
+    b = _symbol(cfg["b"], model.dim, "b") if cfg["b"] is not None else None
     est = kn.pair_estimate(cfg["series"], a, b, cfg["t"], cfg["k_max"],
                            cfg["n_samples"], model, seed=seed)
     csv_path = os.path.join(out_dir, "simulate.csv")
@@ -391,10 +428,7 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         cfg, outputs, checks, status = COMMANDS[args.command](args, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInputError, json.JSONDecodeError) as exc:
+    except (ConfigError, InvalidInputError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

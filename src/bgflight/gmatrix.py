@@ -41,6 +41,9 @@ from scipy import special
 from .errors import CapacityError, InvalidInputError, SingularContourError
 from .paths import WeightedCollisionGraph, _layers, _monomials
 
+# g_series stops once two consecutive layers fall below this fraction of
+# max(1, max |G|)
+SERIES_TOL = 1e-16
 # g_series fails when the rounding error of its largest layer exceeds this
 # fraction of max(1, max |G|)
 SERIES_ROUNDING_RTOL = 1e-10
@@ -112,13 +115,12 @@ def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
-             tol: float = 1e-16) -> GMatrix:
+def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
     """Truncated series evaluation: accumulate the factorial transform of
     each homogeneous layer (D(u) W)^n D(u), as ``paths._layers`` yields
     them, at the vertex times.
 
-    Stops once two consecutive layer contributions fall below ``tol``
+    Stops once two consecutive layer contributions fall below SERIES_TOL
     relative to the running value (two, because parity can zero alternate
     layers); ``converged`` is cleared when max_order runs out first.  It is
     also cleared when the largest layer is so much bigger than the result
@@ -143,7 +145,7 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80,
         scale = max(1.0, float(np.max(np.abs(total))))
         # layers below total degree k vanish identically (every exponent
         # must reach 1), so only judge convergence past that point
-        if degree > k and max(last_two) <= tol * scale:
+        if degree > k and max(last_two) <= SERIES_TOL * scale:
             converged = True
             break
     rounding = np.finfo(float).eps * peak
@@ -300,12 +302,10 @@ def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
 
 
 def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
-           max_order: int = 80, spec: ContourSpec | None = None,
-           **kwargs) -> GMatrix:
+           max_order: int = 80, spec: ContourSpec | None = None) -> GMatrix:
     """Dispatch: Bessel closed form for k = 2, contour otherwise, unless a
     method is forced.  ``max_order`` reaches the series route and ``spec``
-    the contour route only when that route is the one taken; ``kwargs`` go
-    to the chosen route."""
+    the contour route only when that route is the one taken."""
     method = prefer or ("bessel_k2" if graph.k == 2 else "contour")
     if method == "bessel_k2":
         if graph.k != 2:
@@ -313,7 +313,7 @@ def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
         w = graph.weights
         return g_bessel_k2(graph.times[0], graph.times[1], w[0, 1], w[1, 0])
     if method == "series":
-        return g_series(graph, max_order=max_order, **kwargs)
+        return g_series(graph, max_order=max_order)
     if method == "contour":
-        return g_contour(graph, spec, **kwargs)
+        return g_contour(graph, spec)
     raise InvalidInputError(f"unknown method {method!r}")

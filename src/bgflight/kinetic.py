@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -142,11 +142,6 @@ class CollisionChain:
     momenta: list
     times: list
     truncated: bool = False
-    ell: int = 0
-    m: int = field(init=False)
-
-    def __post_init__(self):
-        self.m = len(self.momenta) - 1
 
     @property
     def k(self) -> int:
@@ -191,12 +186,13 @@ def rho_lb(u, momenta, model: ScatteringModel) -> DensityValue:
 
 
 def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed, d,
-                        method=None, **g_kwargs) -> DensityValue:
+                        method=None, spec=None) -> DensityValue:
     """Limit-process density from precomputed on-shell T values.
 
     ``tvals`` is the k x k matrix T(y_i, y_j) (diagonal ignored) and
     ``sigma_tots`` the per-leg total cross sections.  k = 2 uses the Bessel
-    closed form, larger k the contour integral, unless ``method`` overrides.
+    closed form, larger k the contour integral with ContourSpec ``spec``,
+    unless ``method`` overrides.
     """
     u = np.asarray(u, dtype=float)
     k = len(u)
@@ -211,20 +207,19 @@ def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed, d,
     w = -2j * math.pi * np.asarray(tvals, dtype=complex)
     np.fill_diagonal(w, 0.0)
     graph = WeightedCollisionGraph(w, u)
-    gmat = g_auto(graph, prefer=method, **g_kwargs)
+    gmat = g_auto(graph, prefer=method, spec=spec)
     amp = abs(gmat.entry(ell, m)) ** 2
     return DensityValue(amp * damping * shell, amp, damping, shell)
 
 
-def rho_new(ell, m, u, momenta, model: ScatteringModel, method=None,
-            **g_kwargs) -> DensityValue:
+def rho_new(ell, m, u, momenta, model: ScatteringModel,
+            method=None) -> DensityValue:
     """Limit-process density rho_{ell m} on a sampled chain configuration."""
     speed = _check_on_shell(momenta)
     k = len(momenta)
     sig = model.sigma_tot(speed)
     return rho_new_from_values(ell, m, u, _t_table(model, momenta),
-                               [sig] * k, speed, model.dim, method=method,
-                               **g_kwargs)
+                               [sig] * k, speed, model.dim, method=method)
 
 
 def _t_table(model: ScatteringModel, momenta):
@@ -432,17 +427,18 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
 # ---------------------------------------------------------------------------
 
 def _direction_bound(model: ScatteringModel, speed: float) -> float:
-    """Rejection bound on |T|^2 over the shell directions at ``speed``."""
+    """Rejection bound on |T|^2 over the shell directions at ``speed``.
+
+    At Born order 1 it is the forward value; above it, a 513-point polar
+    scan plus 5%, run on every call (one per chain, since each chain has
+    its own speed) and checked against every accepted proposal by
+    sample_lb_chain."""
     if model.born_order == 1:
         # radially decreasing transform peaks in the forward direction
         pot = model.potential
         return (model.coupling * pot.amplitude * pot.width ** pot.dim) ** 2
-    # heuristic above Born order 1: a 513-point polar scan with a 5% margin,
-    # checked against every accepted proposal by sample_lb_chain
-    return model._speed_cached(
-        model._dir_bound_cache, speed,
-        lambda v: 1.05 * float(np.max(
-            model.polar_abs2(v, np.linspace(-1, 1, 513)))))
+    return 1.05 * float(np.max(
+        model.polar_abs2(speed, np.linspace(-1, 1, 513))))
 
 
 def sample_lb_chain(t, y0, model: ScatteringModel, rng,
@@ -667,34 +663,26 @@ def pair_quadrature(series, a: GaussianSymbol, b: GaussianSymbol, t,
         + 0.5 * float(np.linalg.norm(a.y_center - b.y_center))
     gn, gw = np.polynomial.legendre.leggauss(y_nodes)
     axes = [centers[i] + half * gn for i in range(3)]
-    wts = [half * gw for _ in range(3)]
-    total = 0.0
-    if k == 1:
-        for i0, y0 in enumerate(axes[0]):
-            for i1, y1 in enumerate(axes[1]):
-                for i2, y2 in enumerate(axes[2]):
-                    y = np.array([y0, y1, y2])
-                    speed = float(np.linalg.norm(y))
-                    if speed < 1e-9:
-                        continue
-                    ov = pair_overlap(b, a, t * y, y, y)
-                    total += (wts[0][i0] * wts[1][i1] * wts[2][i2]
-                              * ov * math.exp(-t * model.sigma_tot(speed)))
-        return float(total)
-    if k != 2:
+    w = half * gw
+    if k not in (1, 2):
         raise InvalidInputError("deterministic pairing supports k <= 2")
-    sphere_rule = _sphere_grid(*sphere)
-    time_rule = np.polynomial.legendre.leggauss(u_nodes)
-    for i0, y0 in enumerate(axes[0]):
-        for i1, y1 in enumerate(axes[1]):
-            wy01 = wts[0][i0] * wts[1][i1]
-            for i2, y2 in enumerate(axes[2]):
-                y = np.array([y0, y1, y2])
-                wy = wy01 * wts[2][i2]
-                if float(np.linalg.norm(y)) < 1e-9:
-                    continue
-                total += wy * _k2_term(
-                    series, t, y, model,
-                    lambda shift, y_a: pair_overlap(b, a, shift, y, y_a),
-                    sphere_rule, time_rule)
+    if k == 2:
+        sphere_rule = _sphere_grid(*sphere)
+        time_rule = np.polynomial.legendre.leggauss(u_nodes)
+    # the momentum grid flattened row-major, node weights (w0 w1) w2
+    ys = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    wys = np.multiply.outer(np.outer(w, w), w).ravel()
+    total = 0.0
+    for y, wy in zip(ys, wys):
+        speed = float(np.linalg.norm(y))
+        if speed < 1e-9:
+            continue
+        if k == 1:
+            total += (wy * pair_overlap(b, a, t * y, y, y)
+                      * math.exp(-t * model.sigma_tot(speed)))
+        else:
+            total += wy * _k2_term(
+                series, t, y, model,
+                lambda shift, y_a: pair_overlap(b, a, shift, y, y_a),
+                sphere_rule, time_rule)
     return float(total)

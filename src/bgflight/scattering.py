@@ -36,7 +36,6 @@ section is its spherical integral.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +46,6 @@ from scipy.special import roots_jacobi
 from .errors import InvalidInputError, TailBoundError
 
 MAX_BORN_ORDER = 3
-# entries of each per-speed cache of a ScatteringModel
-SPEED_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,8 @@ BATCH_ELEMS = 8192
 PANEL_NODES = 20
 LEG_NODES = 64
 PANEL_CAP = 4000
+# polar nodes of the total cross section's sphere integral
+SPHERE_NODES = 64
 
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -272,10 +271,11 @@ def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0, tol=1e-10,
 # scattering model
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ScatteringModel:
     """Gaussian single site with coupling; evaluates the Born sum, the
-    on-shell collision kernel, total cross section and optical residual."""
+    on-shell collision kernel, total cross section and optical residual.
+    An immutable parameter record: nothing is cached per speed."""
 
     potential: GaussianPotential = field(default_factory=GaussianPotential)
     coupling: float = 0.1
@@ -283,7 +283,6 @@ class ScatteringModel:
     gamma: complex = 0.0
     theta_tol: float = 1e-11
     theta_anchor: float | None = None
-    sphere_nodes: int = 64
 
     def __post_init__(self):
         if not 1 <= self.born_order <= MAX_BORN_ORDER:
@@ -291,10 +290,6 @@ class ScatteringModel:
                 f"born_order must be in 1..{MAX_BORN_ORDER}")
         if complex(self.gamma).real < 0:
             raise InvalidInputError("Re gamma must be non-negative")
-        self._sigma_cache: dict[float, float] = {}
-        # per-speed rejection bounds of the chain sampler (kinetic)
-        self._dir_bound_cache: dict[float, float] = {}
-        self._cache_lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -362,34 +357,21 @@ class ScatteringModel:
         partners[:, 1] = speed * np.sqrt(np.maximum(0.0, 1 - cosines ** 2))
         return np.abs(self.t_matrix_batch(y_axis, partners)) ** 2
 
-    def _speed_cached(self, cache, speed, compute) -> float:
-        """``cache[speed]``, filled by ``compute(speed)`` on a miss; the
-        oldest entry goes once SPEED_CACHE_SIZE are held."""
-        key = round(speed, 12)
-        with self._cache_lock:
-            if key in cache:
-                return cache[key]
-        value = compute(speed)
-        with self._cache_lock:
-            if key not in cache and len(cache) >= SPEED_CACHE_SIZE:
-                del cache[next(iter(cache))]
-            cache[key] = value
-        return value
-
     def sigma_tot(self, y) -> float:
-        """Spherical integral of the kernel; radial, cached per speed."""
+        """Spherical integral of the kernel at the speed |y| (``y`` a
+        momentum or a speed): the closed form at Born order 1 in d = 3,
+        else a SPHERE_NODES-point polar rule.  Computed on every call;
+        flight times are drawn at continuously distributed speeds, so a
+        per-speed memo would almost never see a speed twice."""
         y = np.asarray(y, dtype=float)
         speed = float(np.linalg.norm(y)) if y.ndim else float(abs(y))
         if speed == 0:
             raise InvalidInputError("total cross section undefined at y = 0")
-        return self._speed_cached(self._sigma_cache, speed, self._sigma_cold)
-
-    def _sigma_cold(self, speed) -> float:
         d = self.dim
         if self.born_order == 1 and d == 3:
             return float(sigma_tot_born1_speeds(
                 self.potential, self.coupling, np.array([speed]))[0])
-        cnodes, cweights = _polar_rule(d, self.sphere_nodes)
+        cnodes, cweights = _polar_rule(d, SPHERE_NODES)
         vals = self.polar_abs2(speed, cnodes)
         sphere = _lower_sphere_area(d) * float(np.sum(cweights * vals))
         return 4 * math.pi ** 2 * speed ** (d - 2) * sphere
@@ -414,19 +396,13 @@ class ScatteringModel:
         im_t = lam ** 2 * self.born_term(2, y, y).imag
         if include_third_order:
             im_t += lam ** 3 * self.born_term(3, y, y).imag
-        first = ScatteringModel(self.potential, lam, born_order=1,
-                                sphere_nodes=self.sphere_nodes)
+        first = ScatteringModel(self.potential, lam, born_order=1)
         return float(im_t + first.sigma_tot(y) / (4 * math.pi))
 
 
 def _lower_sphere_area(d) -> float:
     """Area of S^(d-2), the azimuthal factor of the polar-angle reduction."""
     return 2 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
-
-
-def sphere_area(d) -> float:
-    """Area of S^(d-1)."""
-    return 2 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def sigma_tot_born1_speeds(pot: GaussianPotential, lam, speeds):

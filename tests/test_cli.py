@@ -204,6 +204,36 @@ def test_simulate_single_sample_exits_2(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+SIMULATE_LB = {
+    "series": "lb", "coupling": 0.4, "t": 0.6, "n_samples": 20,
+    "a": {"x_center": [0, 0, 0], "y_center": [1, 0, 0]}}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"a": {"y_center": [1, 0, 0]}}, "'x_center'"),
+    ({"a": {"x_center": [0, 0, 0], "y_center": [1, 0, 0], "x_wdth": 2}},
+     "'x_wdth'"),
+    ({"a": {"x_center": [0, 0], "y_center": [1, 0, 0]}}, "a.x_center"),
+    ({"n_samples": "100"}, "'n_samples'"),
+    ({"k_max": 2.0}, "'k_max'"),
+], ids=["missing_x_center", "unknown_observable_key", "short_x_center",
+        "string_n_samples", "float_k_max"])
+def test_simulate_malformed_config_exits_2(tmp_path, capsys, change,
+                                           message):
+    cfg = write(tmp_path / "c.json", dict(SIMULATE_LB, **change))
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scatter_short_momentum_exits_2(tmp_path, capsys):
+    cfg = write(tmp_path / "c.json", {
+        "op": "tmat", "coupling": 0.3, "y": [1, 0], "yp": [0, 1, 0]})
+    assert main(["scatter", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "'y'" in capsys.readouterr().err
+
+
 def test_lattice_outputs(tmp_path):
     cfg = write(tmp_path / "c.json", {"r_max": 50000.0, "width": 2000.0})
     out = tmp_path / "out"

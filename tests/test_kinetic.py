@@ -180,8 +180,7 @@ def test_rho_combinatorial_matches_contour_k3():
     tv = tmat(MODEL, momenta)
     ref = kn.rho_new_from_values(0, 2, u, tv, [sig] * 3, 1.0, 3,
                                  method="contour",
-                                 spec=gm.ContourSpec(nodes=64),
-                                 error_estimate=False)
+                                 spec=gm.ContourSpec(nodes=64))
     com = kn.rho_combinatorial("off", u, tv, [sig] * 3, 1.0, 3, n_max=14)
     assert com.value == pytest.approx(ref.value, rel=1e-10)
     assert com.tail_estimate < 1e-12 * math.sqrt(max(ref.value, 1e-300))
@@ -269,7 +268,6 @@ def test_chain_norm_conservation_and_budget():
         assert chain.total_time == pytest.approx(1.5)
         for p in chain.momenta:
             assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-12)
-        assert chain.ell == 0 and chain.m == chain.k - 1
 
 
 def test_chain_zero_collision_frequency():
