@@ -15,9 +15,8 @@ from .partitions import (MarkedPartition, OrderedPartition, Partition,
                          enumerate_marked, enumerate_partitions, iota_embed,
                          nc_expand, nc_reduce, reduce_marked,
                          split_plus_minus)
-from .paths import (TaylorTable, WeightedCollisionGraph, borel_L,
-                    enumerate_paths, partition_to_path,
-                    path_sum_identity_check, total_weight)
+from .paths import (WeightedCollisionGraph, enumerate_paths,
+                    partition_to_path, path_sum_identity_check, total_weight)
 from .scattering import (GaussianPotential, RadiusEstimate, ScatteringModel,
                          radius_estimate, schwartz_norm)
 
@@ -30,8 +29,8 @@ __all__ = [
     "generate", "joint_test", "MarkedPartition", "OrderedPartition",
     "Partition", "enumerate_marked", "enumerate_partitions", "iota_embed",
     "nc_expand", "nc_reduce", "reduce_marked", "split_plus_minus",
-    "TaylorTable", "WeightedCollisionGraph", "borel_L", "enumerate_paths",
-    "partition_to_path", "path_sum_identity_check", "total_weight",
+    "WeightedCollisionGraph", "enumerate_paths", "partition_to_path",
+    "path_sum_identity_check", "total_weight",
     "GaussianPotential", "RadiusEstimate", "ScatteringModel",
     "radius_estimate", "schwartz_norm",
 ]

@@ -38,6 +38,9 @@ class ConfigError(Exception):
 INT_KEYS = frozenset({"n", "k", "n_max", "seed", "max_order", "nodes",
                       "born_order", "dim", "k_max", "n_samples", "gap_bins",
                       "theta_bins", "cap"})
+# config keys whose values must be JSON numbers, in every command
+REAL_KEYS = frozenset({"coupling", "t", "gamma", "amplitude", "width",
+                       "tolerance", "r_max", "x_width", "y_width"})
 
 
 def _load_config(path, schema, defaults):
@@ -57,7 +60,8 @@ def _load_config(path, schema, defaults):
 def _checked(cfg, schema, defaults, name):
     """``defaults`` updated by the JSON object ``cfg`` (called ``name`` in
     messages), once ``cfg`` has only keys of ``schema``, every key that
-    ``schema`` marks required and integers under INT_KEYS."""
+    ``schema`` marks required, integers under INT_KEYS and numbers under
+    REAL_KEYS."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{name} must be a JSON object")
     for key, value in cfg.items():
@@ -66,6 +70,10 @@ def _checked(cfg, schema, defaults, name):
         if key in INT_KEYS and (not isinstance(value, int)
                                 or isinstance(value, bool)):
             raise ConfigError(f"{name} key {key!r} must be an integer, "
+                              f"not {value!r}")
+        if key in REAL_KEYS and (not isinstance(value, (int, float))
+                                 or isinstance(value, bool)):
+            raise ConfigError(f"{name} key {key!r} must be a number, "
                               f"not {value!r}")
     merged = dict(defaults)
     merged.update(cfg)
@@ -402,7 +410,10 @@ def main(argv=None) -> int:
         description="collision-series, scattering and lattice numerics")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="overrides the config key 'seed' of paths and "
+                             "simulate; the other commands only record it "
+                             "in the manifest")
     parser.add_argument("--threads", type=int, default=1,
                         help="recorded in the manifest; no effect on "
                              "execution")

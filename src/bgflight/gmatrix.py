@@ -19,9 +19,10 @@ independent of the square-root branch since J_0 and J_1(z)/z are even.
 
 Three evaluation routes are provided (series, contour quadrature, k=2 Bessel
 closed form); their mutual agreement is the module's main correctness check.
-The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``, the
-ones the path identity of ``paths`` is checked on.  Indices are 0-based
-throughout.
+The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``
+under the factorial transform ``paths._borel_weights``: the layers and the
+transform that the path identity of ``paths`` is checked on.  Indices are
+0-based throughout.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
@@ -32,14 +33,13 @@ with a CapacityError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from .errors import CapacityError, InvalidInputError, SingularContourError
-from .paths import WeightedCollisionGraph, _layers, _monomials
+from .paths import WeightedCollisionGraph, _borel_weights, _layers
 
 # g_series stops once two consecutive layers fall below this fraction of
 # max(1, max |G|)
@@ -103,22 +103,10 @@ def default_radius(graph: WeightedCollisionGraph) -> float:
 # series route: homogeneous layers of the resolvent expansion
 # ---------------------------------------------------------------------------
 
-def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
-    """prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial; zero if any nu_i = 0."""
-    expo = _monomials(k, degree)
-    pw = np.zeros((k, degree + 1))
-    for e in range(1, degree + 1):
-        pw[:, e] = u ** (e - 1) / math.factorial(e - 1)
-    out = np.ones(len(expo))
-    for i in range(k):
-        out *= pw[i, expo[:, i]]
-    return out
-
-
 def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
-    """Truncated series evaluation: accumulate the factorial transform of
-    each homogeneous layer (D(u) W)^n D(u), as ``paths._layers`` yields
-    them, at the vertex times.
+    """Truncated series evaluation: accumulate the factorial transform
+    ``paths._borel_weights`` of each homogeneous layer (D(u) W)^n D(u), as
+    ``paths._layers`` yields them, at the vertex times.
 
     Stops once two consecutive layer contributions fall below SERIES_TOL
     relative to the running value (two, because parity can zero alternate

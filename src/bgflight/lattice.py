@@ -163,8 +163,7 @@ def poisson_reference(intensity, count, seed=0) -> PointSample:
     intensity, uniform independent angles."""
     if count < 1:
         raise InvalidInputError("need at least one point")
-    rng = np.random.default_rng(seed) if isinstance(seed, (int, np.integer)) \
-        else seed
+    rng = np.random.default_rng(seed)
     lam = np.cumsum(rng.exponential(1.0 / intensity, size=count))
     theta = rng.uniform(0.0, 1.0, size=count)
     return PointSample(lam, theta)

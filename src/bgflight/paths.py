@@ -14,9 +14,12 @@ C u^nu -> C u^(nu-1) / (nu-1)!, terms with any exponent zero dropped) kills
 exactly the contribution of non-surjective paths.  That identity is the
 engine behind the generating matrix function computed in ``gmatrix``.
 
-``_layers`` is the one implementation of the layers [D(u) W]^n D(u):
-``gmatrix.g_series`` sums them and ``matrix_power_table`` writes them out,
-so the path identity checks the layers G is summed from.
+A polynomial in the vertex times is stored in one layout: a dense array of
+coefficients over the exponent vectors ``_monomials(k, degree)``.
+``_layers`` is the one implementation of the layers [D(u) W]^n D(u) and
+``_borel_weights`` the one implementation of L, both in that layout:
+``gmatrix.g_series`` sums the layers with those weights, and the path
+identity compares path sums with the same layers under the same L.
 """
 
 from __future__ import annotations
@@ -86,8 +89,7 @@ def enumerate_paths(k, n, start, end, surjective=False, cap=DEFAULT_PATH_CAP):
     if n == 0:
         if start != end:
             return []
-        path = (start,)
-        return [path] if (not surjective or k == 1) else []
+        return [] if surjective else [(start,)]
     raw = np.linalg.matrix_power(np.ones((k, k)) - np.eye(k), n)[start, end]
     if raw > cap:
         raise CapacityError(f"{int(raw)} paths exceed cap {cap}")
@@ -139,7 +141,7 @@ def total_weight(path, graph: WeightedCollisionGraph) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Homogeneous layers of the resolvent expansion
+# Polynomials in the vertex times: layers and the factorial transform
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -160,16 +162,23 @@ def _monomials(k: int, degree: int) -> np.ndarray:
     return out
 
 
+def _monomial_index(k: int, degree: int, expo) -> np.ndarray:
+    """Row of each exponent vector (last axis of ``expo``) in
+    ``_monomials(k, degree)``.  Exponents are digits of a base degree + 1
+    number, whose order is the lexicographic one, so the row is a binary
+    search for that number; vectors outside the table get meaningless rows."""
+    place = (degree + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return np.searchsorted(_monomials(k, degree) @ place,
+                           np.asarray(expo) @ place)
+
+
 @lru_cache(maxsize=None)
 def _shift_sources(k: int, degree: int) -> np.ndarray:
     """For each axis i, the layer-(degree-1) index of monomial - e_i,
-    or -1 when the exponent on axis i vanishes.  Exponents are digits of a
-    base degree + 1 number, whose order is the lexicographic one, so the
-    index is a binary search for the shifted number."""
+    or -1 when the exponent on axis i vanishes."""
     monos = _monomials(k, degree)
-    place = (degree + 1) ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    prev_keys = _monomials(k, degree - 1) @ place
-    src = np.searchsorted(prev_keys, (monos @ place)[None, :] - place[:, None])
+    shifted = monos[None, :, :] - np.eye(k, dtype=np.int64)[:, None, :]
+    src = _monomial_index(k, degree - 1, shifted)
     src[monos.T == 0] = -1
     src.setflags(write=False)
     return src
@@ -197,135 +206,64 @@ def _layers(graph: WeightedCollisionGraph):
         layer = new
 
 
-# ---------------------------------------------------------------------------
-# Polynomial tables in the vertex times
-# ---------------------------------------------------------------------------
-
-class TaylorTable:
-    """Sparse polynomial in u_1..u_k: multi-index exponent -> complex
-    coefficient.  Supports the handful of operations the path identities
-    need."""
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k, coeffs=None):
-        self.k = k
-        self.coeffs = dict(coeffs or {})
-
-    def copy(self):
-        return TaylorTable(self.k, self.coeffs)
-
-    def add_term(self, exponents, value):
-        if len(exponents) != self.k:
-            raise InvalidInputError("exponent arity mismatch")
-        key = tuple(exponents)
-        new = self.coeffs.get(key, 0j) + value
-        if new == 0:
-            self.coeffs.pop(key, None)
-        else:
-            self.coeffs[key] = new
-
-    def __add__(self, other):
-        out = self.copy()
-        for key, val in other.coeffs.items():
-            out.add_term(key, val)
-        return out
-
-    def scale(self, value):
-        return TaylorTable(self.k, {m: c * value for m, c in self.coeffs.items()})
-
-    def evaluate(self, u):
-        u = np.asarray(u)
-        total = 0j
-        for m, c in self.coeffs.items():
-            term = c
-            for ui, mi in zip(u, m):
-                term *= ui ** mi
-            total += term
-        return total
-
-    def max_abs_diff(self, other):
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coeffs.get(m, 0j) - other.coeffs.get(m, 0j)) for m in keys),
-            default=0.0,
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, TaylorTable) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"TaylorTable(k={self.k}, terms={len(self.coeffs)})"
-
-
-def borel_L(table: TaylorTable) -> TaylorTable:
-    """Factorial transform: C at exponents nu maps to C / prod (nu_i - 1)!
-    at exponents nu - 1; any term with an exponent 0 is dropped."""
-    out = TaylorTable(table.k)
-    for m, c in table.coeffs.items():
-        if any(mi < 1 for mi in m):
-            continue
-        denom = 1
-        for mi in m:
-            denom *= math.factorial(mi - 1)
-        out.add_term(tuple(mi - 1 for mi in m), c / denom)
+def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
+    """The factorial transform L on the monomials ``_monomials(k, degree)``,
+    evaluated at the vertex times: prod_i u_i^(nu_i - 1) / (nu_i - 1)! per
+    monomial, zero if any nu_i = 0.  A coefficient array over those
+    monomials, dotted with these weights, is L of its polynomial at u."""
+    expo = _monomials(k, degree)
+    pw = np.zeros((k, degree + 1))
+    for e in range(1, degree + 1):
+        pw[:, e] = u ** (e - 1) / math.factorial(e - 1)
+    out = np.ones(len(expo))
+    for i in range(k):
+        out *= pw[i, expo[:, i]]
     return out
 
 
 def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
-                   surjective=True, cap=DEFAULT_PATH_CAP) -> TaylorTable:
-    """Sum of total weights over paths as a polynomial in the vertex times."""
+                   surjective=True, cap=DEFAULT_PATH_CAP) -> np.ndarray:
+    """Sum of total weights over paths as a polynomial in the vertex times:
+    its coefficients over ``_monomials(k, n + 1)``, the layout of layer n of
+    ``_layers``.  Terms are added in path order."""
     k = graph.k
-    w = graph.weights
-    out = TaylorTable(k)
-    for p in enumerate_paths(k, n, start, end, surjective=surjective, cap=cap):
-        coeff = 1 + 0j
-        for a, b in zip(p[:-1], p[1:]):
-            coeff *= w[a, b]
-        if coeff == 0:
-            continue
-        expo = [0] * k
-        for v in p:
-            expo[v] += 1
-        out.add_term(tuple(expo), coeff)
+    out = np.zeros(len(_monomials(k, n + 1)), dtype=complex)
+    paths = enumerate_paths(k, n, start, end, surjective=surjective, cap=cap)
+    if paths:
+        p = np.array(paths)
+        # scalar products, edge by edge as in total_weight: the vectorised
+        # complex product may fuse multiply-adds, which moves the last bits
+        # of the identity residuals
+        coeff = [math.prod(graph.weights[q[:-1], q[1:]]) for q in p]
+        expo = (p[:, :, None] == np.arange(k)).sum(axis=1)
+        np.add.at(out, _monomial_index(k, n + 1, expo), coeff)
     return out
-
-
-def matrix_power_table(graph: WeightedCollisionGraph, n):
-    """Symbolic [D(u) W]^n D(u) as a k x k array of TaylorTables: layer n of
-    ``_layers`` written out, exact zeros dropped."""
-    if n < 0:
-        raise InvalidInputError("power must be non-negative")
-    k = graph.k
-    layers = _layers(graph)
-    for _ in range(n):
-        next(layers)
-    layer = next(layers)
-    monos = list(map(tuple, _monomials(k, n + 1).tolist()))
-    return [[TaylorTable(k, {m: c for m, c in zip(monos, layer[i, j].tolist())
-                             if c != 0})
-             for j in range(k)] for i in range(k)]
 
 
 def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,
                             cap=DEFAULT_PATH_CAP) -> float:
     """Residual of the path/matrix-power identity after the factorial
     transform: max coefficient difference between L(sum over surjective
-    paths) and L([D(u)W]^n D(u))_{start,end}.  Exact up to rounding."""
+    paths) and L([D(u)W]^n D(u))_{start,end}, layer n of ``_layers``, with
+    L applied as the ``_borel_weights`` at u = 1 that ``g_series`` uses.
+    Exact up to rounding."""
     if n < 1:
         raise InvalidInputError("identity needs n >= 1")
-    lhs = borel_L(path_sum_table(graph, n, start, end, surjective=True,
-                                 cap=cap))
-    rhs = borel_L(matrix_power_table(graph, n)[start][end])
-    return lhs.max_abs_diff(rhs)
+    lhs = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
+    rhs = next(itertools.islice(_layers(graph), n, None))[start, end]
+    bw = _borel_weights(graph.k, n + 1, np.ones(graph.k))
+    diff = lhs * bw - rhs * bw
+    # the modulus as complex scalar abs takes it; a vector loop for the
+    # complex abs may round differently
+    return float(np.max(np.hypot(diff.real, diff.imag)))
 
 
 def nonsurjective_terms_constant_in_missed_vertex(graph, n, start, end,
                                                   cap=DEFAULT_PATH_CAP):
     """Degree bookkeeping behind the identity: the difference between the
-    all-paths table and the surjective-paths table has, in every term, at
-    least one vertex with exponent zero."""
+    all-paths table and the surjective-paths table has, in every nonzero
+    term, at least one vertex with exponent zero."""
     allp = path_sum_table(graph, n, start, end, surjective=False, cap=cap)
     surj = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
-    diff = allp + surj.scale(-1)
-    return all(min(m) == 0 for m in diff.coeffs)
+    expo = _monomials(graph.k, n + 1)[allp - surj != 0]
+    return bool(np.all(expo.min(axis=1) == 0))

@@ -76,13 +76,6 @@ class GaussianPotential:
             -np.pi * s ** 2 * (y * y).sum(axis=-1))
 
 
-def free_resolvent(y, yp, gamma) -> complex:
-    """1 / (||y||^2/2 - ||y'||^2/2 + i gamma)."""
-    y = np.asarray(y, dtype=float)
-    yp = np.asarray(yp, dtype=float)
-    return 1.0 / (0.5 * y @ y - 0.5 * yp @ yp + 1j * gamma)
-
-
 # ---------------------------------------------------------------------------
 # theta quadrature machinery
 # ---------------------------------------------------------------------------

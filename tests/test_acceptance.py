@@ -6,6 +6,7 @@ a strict expected failure: the inequality it asserts is false, with the
 counterexample documented in the check's detail string.
 """
 
+import numpy as np
 import pytest
 
 from bgflight import acceptance as acc
@@ -61,6 +62,21 @@ def test_criterion_03_checks_the_layers_g_is_summed_from(monkeypatch):
             yield layer * (1 + 1e-9)
 
     monkeypatch.setattr(gp, "_layers", scaled)
+    assert not acc.check_03_path_operator_identity().passed
+
+
+def test_criterion_03_checks_the_factorial_transform(monkeypatch):
+    # criterion 3 sees which terms L keeps: a transform that also keeps the
+    # terms with a zero exponent (the non-surjective paths) must fail it,
+    # and it is the transform G is summed with
+    assert gm._borel_weights is gp._borel_weights
+    exact = gp._borel_weights
+
+    def keeping(*args):
+        weights = exact(*args)
+        return np.where(weights == 0, 1.0, weights)
+
+    monkeypatch.setattr(gp, "_borel_weights", keeping)
     assert not acc.check_03_path_operator_identity().passed
 
 

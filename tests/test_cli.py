@@ -234,6 +234,26 @@ def test_scatter_short_momentum_exits_2(tmp_path, capsys):
     assert "'y'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate", dict(SIMULATE_LB, t="0.6")),
+    ("simulate", dict(SIMULATE_LB, coupling="0.4")),
+    ("simulate", dict(SIMULATE_LB, a=dict(SIMULATE_LB["a"], x_width="1"))),
+    ("scatter", {"op": "sigma", "coupling": "0.1", "y": [1, 0, 0]}),
+    ("scatter", {"op": "sigma", "coupling": 0.1, "gamma": "0",
+                 "y": [1, 0, 0]}),
+    ("lattice", {"r_max": "785398.16", "width": 2000.0}),
+    ("paths", {"k": 3, "tolerance": "1e-12"}),
+    ("scatter", {"op": "sigma", "coupling": True, "y": [1, 0, 0]}),
+], ids=["simulate_t", "simulate_coupling", "observable_x_width",
+        "scatter_coupling", "scatter_gamma", "lattice_r_max",
+        "paths_tolerance", "bool_coupling"])
+def test_string_for_real_key_exits_2(tmp_path, capsys, command, config):
+    cfg = write(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_lattice_outputs(tmp_path):
     cfg = write(tmp_path / "c.json", {"r_max": 50000.0, "width": 2000.0})
     out = tmp_path / "out"
@@ -260,3 +280,6 @@ def test_help_describes_tol_and_theta_max(capsys):
     assert "bends into the complex plane" in anchor_help
     for described in (tol_help, anchor_help):
         assert "read only by scatter and simulate" in described
+    seed_help = text[text.rindex("--seed SEED"):text.rindex("--threads")]
+    assert "config key 'seed' of paths and simulate" in seed_help
+    assert "only record it in the manifest" in seed_help

@@ -1,4 +1,4 @@
-import math
+import itertools
 
 import numpy as np
 import pytest
@@ -105,54 +105,41 @@ def test_zero_edge_kills_weight():
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 4), (4, 3)])
 def test_path_sums_match_matrix_power_entries(k, n):
     g = make_graph(k, seed=k * 10 + n)
-    tables = gp.matrix_power_table(g, n)
+    layer = next(itertools.islice(gp._layers(g), n, None))
+    powers = np.prod(g.times ** gp._monomials(k, n + 1), axis=1)
     for i in range(k):
         for j in range(k):
             brute = sum(
                 gp.total_weight(p, g)
                 for p in gp.enumerate_paths(k, n, i, j))
-            assert tables[i][j].evaluate(g.times) == pytest.approx(
-                brute, abs=1e-12)
+            assert layer[i, j] @ powers == pytest.approx(brute, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # factorial transform
 # ---------------------------------------------------------------------------
 
-def test_borel_drops_constant_directions():
-    t = gp.TaylorTable(2, {(1, 1): 1.0})
-    out = gp.borel_L(t)
-    assert out.coeffs == {(0, 0): 1.0}
-
-
-def test_borel_explicit_factorials():
-    t = gp.TaylorTable(2, {(2, 1): 1.0})
-    out = gp.borel_L(t)
-    assert out.coeffs == {(1, 0): pytest.approx(1.0)}
-    t2 = gp.TaylorTable(2, {(3, 2): 6.0})
-    assert gp.borel_L(t2).coeffs == {(2, 1): pytest.approx(6.0 / 2.0)}
+def test_borel_weights_at_unit_times():
+    # L maps C u^nu to C u^(nu - 1) / prod (nu_i - 1)!, so at u = 1 each
+    # monomial's weight is 1 / prod (nu_i - 1)!, and 0 if some nu_i = 0
+    u = np.ones(2)
+    for degree, expected in ((2, {(1, 1): 1.0, (2, 0): 0.0, (0, 2): 0.0}),
+                             (3, {(2, 1): 1.0, (3, 0): 0.0}),
+                             (5, {(3, 2): 1.0 / 2.0})):
+        weights = gp._borel_weights(2, degree, u)
+        for expo, value in expected.items():
+            row = gp._monomial_index(2, degree, expo)
+            assert weights[row] == pytest.approx(value)
 
 
 def test_borel_kills_degree_one_diagonal():
     # the n = 0 matrix D(u) has single-variable entries: transform is zero
     g = make_graph(3, seed=1)
-    tables = gp.matrix_power_table(g, 0)
+    layer = next(gp._layers(g))
+    bw = gp._borel_weights(3, 1, np.ones(3))
     for i in range(3):
         for j in range(3):
-            assert gp.borel_L(tables[i][j]).coeffs == {}
-
-
-def test_borel_is_linear_and_degree_lowering():
-    rng = np.random.default_rng(3)
-    a = gp.TaylorTable(3, {(1, 2, 1): 1.5 + 1j, (2, 1, 3): -0.5j})
-    b = gp.TaylorTable(3, {(1, 2, 1): -2.0, (1, 1, 1): 4.0})
-    lin = gp.borel_L(a + b.scale(2.0))
-    manual = gp.borel_L(a) + gp.borel_L(b).scale(2.0)
-    assert lin.max_abs_diff(manual) < 1e-15
-    for m in gp.borel_L(a).coeffs:
-        assert all(x >= 0 for x in m)
-    for m_in, m_out in zip(sorted(a.coeffs), sorted(gp.borel_L(a).coeffs)):
-        assert all(o == i - 1 for i, o in zip(m_in, m_out))
+            assert not np.any(layer[i, j] * bw)
 
 
 # ---------------------------------------------------------------------------
@@ -195,28 +182,19 @@ def test_identity_checks_the_shared_layers(monkeypatch):
     assert gp.path_sum_identity_check(g, 3, 0, 1) > 1e-12
 
 
-def test_matrix_power_table_is_the_series_layer():
-    # layer n of the generator, written out, is what g_series sums
-    g = make_graph(3, seed=5)
-    layers = gp._layers(g)
-    for n in range(5):
-        layer = next(layers)
-        monos = gp._monomials(3, n + 1)
-        index = {tuple(m): r for r, m in enumerate(monos.tolist())}
-        for i, row in enumerate(gp.matrix_power_table(g, n)):
-            for j, table in enumerate(row):
-                dense = np.zeros(len(monos), dtype=complex)
-                for m, c in table.coeffs.items():
-                    dense[index[m]] = c
-                assert np.array_equal(dense, layer[i, j])
-
-
 def test_nonsurjective_difference_is_constant_somewhere():
     for k in (2, 3):
         g = make_graph(k, seed=30 + k)
         for n in range(1, 6):
             assert gp.nonsurjective_terms_constant_in_missed_vertex(
                 g, n, 0, 0)
+
+
+def test_star_import_resolves_every_export():
+    import bgflight
+    namespace = {}
+    exec("from bgflight import *", namespace)
+    assert set(bgflight.__all__) <= set(namespace)
 
 
 def test_graph_validation():

@@ -49,13 +49,6 @@ def test_w_hat_matches_hermite_quadrature():
     assert abs(complex(val) - pot.w_hat(y)) < 1e-8
 
 
-def test_free_resolvent_conjugation():
-    y, yp = EY, np.array([0.2, 0.5, -0.4])
-    g = sc.free_resolvent(y, yp, 0.3)
-    gm = sc.free_resolvent(y, yp, -0.3)
-    assert np.conj(g) == pytest.approx(gm)
-
-
 # ---------------------------------------------------------------------------
 # Born terms
 # ---------------------------------------------------------------------------
