@@ -119,17 +119,24 @@ def test_path_sums_match_matrix_power_entries(k, n):
 # factorial transform
 # ---------------------------------------------------------------------------
 
-def test_borel_weights_at_unit_times():
-    # L maps C u^nu to C u^(nu - 1) / prod (nu_i - 1)!, so at u = 1 each
-    # monomial's weight is 1 / prod (nu_i - 1)!, and 0 if some nu_i = 0
-    u = np.ones(2)
-    for degree, expected in ((2, {(1, 1): 1.0, (2, 0): 0.0, (0, 2): 0.0}),
-                             (3, {(2, 1): 1.0, (3, 0): 0.0}),
-                             (5, {(3, 2): 1.0 / 2.0})):
-        weights = gp._borel_weights(2, degree, u)
-        for expo, value in expected.items():
-            row = gp._monomial_index(2, degree, expo)
-            assert weights[row] == pytest.approx(value)
+def test_borel_drops_constant_directions():
+    # L maps C u^nu to C u^(nu - 1) / prod (nu_i - 1)!: u0 u1 goes to the
+    # constant 1, and a monomial missing some u_i goes to 0
+    u = np.array([0.7, 1.9])
+    weights = gp._borel_weights(2, 2, u)
+    for expo, value in (((1, 1), 1.0), ((2, 0), 0.0), ((0, 2), 0.0)):
+        row = gp._monomial_index(2, 2, expo)
+        assert weights[row] == pytest.approx(value)
+
+
+def test_borel_explicit_factorials():
+    u = np.array([0.7, 1.9])
+    w3 = gp._borel_weights(2, 3, u)
+    assert w3[gp._monomial_index(2, 3, (2, 1))] == pytest.approx(u[0])
+    assert w3[gp._monomial_index(2, 3, (3, 0))] == 0
+    w5 = gp._borel_weights(2, 5, u)
+    assert w5[gp._monomial_index(2, 5, (3, 2))] == pytest.approx(
+        u[0] ** 2 * u[1] / 2.0)
 
 
 def test_borel_kills_degree_one_diagonal():
