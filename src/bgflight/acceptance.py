@@ -166,11 +166,8 @@ def check_03_path_operator_identity(seed=303, tol=1e-12):
         w /= np.max(np.abs(w))
         np.fill_diagonal(w, 0)
         g = gp.WeightedCollisionGraph(w, rng.uniform(0.1, 1.0, k))
-        for n in range(1, 7):
-            for i in range(k):
-                for j in range(k):
-                    worst = max(worst,
-                                gp.path_sum_identity_check(g, n, i, j))
+        for _, _, _, res in gp.path_sum_identity_residuals(g, 6):
+            worst = max(worst, res)
     return (3, "path/matrix-power identity", worst <= tol,
             f"max residual {worst:.3e} over k<=4, n<=6", True)
 
@@ -397,26 +394,18 @@ def check_09_sampler_calibration(seed=909, n_chains=10**5):
     y0 = np.array([1.0, 0.0, 0.0])
     sig = model.sigma_tot(1.0)
     horizon = 2.0 / sig
-    firsts = np.empty(n_chains)
-    mask = np.zeros(n_chains, dtype=bool)
-    for i in range(n_chains):
-        chain = kn.sample_lb_chain(horizon, y0, model,
-                                   kn._chain_rng(seed, i), max_legs=2)
-        if chain.k > 1 or chain.truncated:
-            firsts[i] = chain.times[0]
-            mask[i] = True
-    x = np.sort(firsts[mask])
+    block = kn.sample_lb_block(horizon, np.tile(y0, (n_chains, 1)), model,
+                               seed, np.arange(n_chains), max_legs=2)
+    x = np.sort(block.times[(block.legs > 1) | block.truncated, 0])
     n = x.size
     ks = la.ks_distance((1 - np.exp(-sig * x))
                         / (1 - math.exp(-sig * horizon)))
     ks_ok = ks <= 1.63 / math.sqrt(n)  # alpha = 0.01
     horizon0 = 1.0 / sig
-    zero = 0
     n0 = n_chains // 2
-    for i in range(n0):
-        chain = kn.sample_lb_chain(horizon0, y0, model,
-                                   kn._chain_rng(seed + 1, i), max_legs=2)
-        zero += (chain.k == 1 and not chain.truncated)
+    block = kn.sample_lb_block(horizon0, np.tile(y0, (n0, 1)), model,
+                               seed + 1, np.arange(n0), max_legs=2)
+    zero = int(np.sum((block.legs == 1) & ~block.truncated))
     p0 = math.exp(-1.0)
     dev = abs(zero / n0 - p0) / math.sqrt(p0 * (1 - p0) / n0)
     passed = ks_ok and dev <= 3.0

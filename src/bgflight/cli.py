@@ -3,7 +3,10 @@ out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical-check failure,
 4 resource cap exceeded.  All stochastic outputs are a pure function of
-(config, seed): chains run serially, each on its own counter-based stream.
+(config, seed), with the seed an integer in [0, 2**64) (exit 2 outside
+it): ``simulate`` draws chain i from the Philox4x64-10 counters (j + 1, i,
+lane, 0) under the key (seed, 0) (``kinetic.sample_lb_block``), whatever
+block of chains it runs in, and ``paths`` seeds numpy's default generator.
 ``--threads`` is accepted and recorded in the manifest but has no effect on
 execution.  Leg and vertex indices in configs and outputs are 0-based.
 """
@@ -95,6 +98,15 @@ def _vector(value, dim, name):
     return vec
 
 
+def _seed(args, cfg):
+    """``--seed`` if given, else the config key 'seed': an integer in
+    [0, 2**64), the key range of the chain stream."""
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    if not 0 <= seed < kn.SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2**64), not {seed}")
+    return seed
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -172,8 +184,7 @@ def _cmd_paths(args, out_dir):
     cfg = _load_config(args.config, {
         "k": True, "n_max": False, "seed": False, "tolerance": False,
     }, {"n_max": 5, "seed": 0, "tolerance": 1e-12})
-    seed = args.seed if args.seed is not None else cfg["seed"]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(args, cfg))
     k = cfg["k"]
     w = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
     w /= np.max(np.abs(w))
@@ -181,13 +192,10 @@ def _cmd_paths(args, out_dir):
     graph = gp.WeightedCollisionGraph(w, rng.uniform(0.1, 1.0, k))
     rows = []
     worst = 0.0
-    for n in range(1, cfg["n_max"] + 1):
-        for i in range(k):
-            for j in range(k):
-                res = gp.path_sum_identity_check(graph, n, i, j)
-                worst = max(worst, res)
-                rows.append({"n": n, "start": i, "end": j, "residual": res})
-                print(json.dumps(rows[-1]))
+    for n, i, j, res in gp.path_sum_identity_residuals(graph, cfg["n_max"]):
+        worst = max(worst, res)
+        rows.append({"n": n, "start": i, "end": j, "residual": res})
+        print(json.dumps(rows[-1]))
     path = os.path.join(out_dir, "paths_identity.jsonl")
     with open(path, "w", newline="\n") as fh:
         for row in rows:
@@ -302,7 +310,7 @@ def _cmd_simulate(args, out_dir):
     }, {"born_order": 1, "k_max": 2, "n_samples": 10000, "seed": 0,
         "b": None})
     model = _build_model(cfg, args)
-    seed = args.seed if args.seed is not None else cfg["seed"]
+    seed = _seed(args, cfg)
     a = _symbol(cfg["a"], model.dim, "a")
     b = _symbol(cfg["b"], model.dim, "b") if cfg["b"] is not None else None
     est = kn.pair_estimate(cfg["series"], a, b, cfg["t"], cfg["k_max"],
@@ -412,8 +420,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, default=None,
                         help="overrides the config key 'seed' of paths and "
-                             "simulate; the other commands only record it "
-                             "in the manifest")
+                             "simulate, an integer in [0, 2**64); the other "
+                             "commands only record it in the manifest")
     parser.add_argument("--threads", type=int, default=1,
                         help="recorded in the manifest; no effect on "
                              "execution")

@@ -19,6 +19,13 @@ An independent combinatorial route evaluates the same amplitude as a
 truncated sum over non-consecutive ordered partitions (equivalently
 surjective backtrack-free paths), with per-block factorial weights.
 
+The Monte Carlo estimator samples its memoryless proposal chains in blocks
+of arrays (sample_lb_block) from a counter-based stream: Philox4x64-10
+under the key (seed, 0), draw j of lane l of chain i at the counter
+(j + 1, i, l, 0), with seeds and chain indices in [0, 2**64).  A chain's
+draws are a function of (seed, chain index) alone, so results do not
+depend on how chains are grouped into blocks.
+
 All leg indices are 0-based.  Momenta are stored as full d-vectors of a
 common norm; a relative tolerance of 1e-9 decides on-shell membership.
 """
@@ -42,6 +49,8 @@ from .scattering import ScatteringModel
 ON_SHELL_RTOL = 1e-9
 # direction proposals per rejection batch of the chain sampler
 PROPOSAL_BATCH = 64
+# chains per block of pair_estimate; no result depends on it
+CHAIN_BLOCK = 256
 # (draw, distinct term) pairs per chunk of the combinatorial amplitudes
 COMB_CHUNK_ELEMS = 1 << 16
 
@@ -150,10 +159,6 @@ class CollisionChain:
     @property
     def speed(self) -> float:
         return float(np.linalg.norm(self.momenta[0]))
-
-    @property
-    def total_time(self) -> float:
-        return float(sum(self.times))
 
 
 def _check_on_shell(momenta):
@@ -343,20 +348,6 @@ def _sphere_grid(n_polar, n_azimuth):
     return dirs, weights
 
 
-def _rotate_from_axis(direction):
-    """Orthogonal matrix sending e1 to ``direction``."""
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    e = np.zeros_like(d)
-    e[0] = 1.0
-    v = d + e
-    nv = v @ v
-    if nv < 1e-14:
-        out = -np.eye(len(d))
-        return out
-    return 2 * np.outer(v, v) / nv - np.eye(len(d))
-
-
 def f_term(series, k, t, x, y, a: GaussianSymbol, model: ScatteringModel,
            u_nodes=48, sphere=(16, 32)) -> float:
     """Pointwise collision-series term f^(k)(t, x, y) for k <= 2.
@@ -399,7 +390,7 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
     dirs, dw = sphere_rule
     un, uw = time_rule
     speed = float(np.linalg.norm(y))
-    partners = speed * dirs @ _rotate_from_axis(y).T
+    partners = speed * _from_axis(y / speed, dirs)
     tv = model.t_matrix_batch(y, partners)
     u1 = 0.5 * t * (un[:, None] + 1.0)
     u2 = t - u1
@@ -423,84 +414,262 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
 
 
 # ---------------------------------------------------------------------------
+# random stream
+# ---------------------------------------------------------------------------
+
+# seeds and chain indices are integers in [0, SEED_LIMIT)
+SEED_LIMIT = 1 << 64
+# Philox4x64-10 (Salmon et al., SC'11): the multipliers of words 0 and 2,
+# as a column, and the key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]],
+                     dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32, _S32, _S11 = (np.uint64(v) for v in (0xFFFFFFFF, 32, 11))
+
+
+def _check_seed(seed):
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < SEED_LIMIT):
+        raise InvalidInputError(f"seed must be an integer in [0, 2**64), "
+                                f"not {seed!r}")
+    return int(seed)
+
+
+def _philox(seed, c0, c1, c2):
+    """Philox4x64-10 with key (seed, 0) at the counters (c0, c1, c2, 0),
+    broadcast over the three arrays: the four output words on a new last
+    axis, uint64.  np.random.Philox(key=(seed, 0), counter=(c0 - 1, c1, c2,
+    0)).random_raw(4) gives the same words.  The state is one (4, n) array,
+    so each round multiplies words 0 and 2 in one pass; the high words of
+    the 128-bit products come from 32-bit halves."""
+    shape = np.broadcast_shapes(np.shape(c0), np.shape(c1), np.shape(c2))
+    x = np.zeros((4,) + shape, dtype=np.uint64)
+    x[0], x[1], x[2] = c0, c1, c2
+    x = x.reshape(4, -1)
+    keys = np.array([[(seed + r * _PHILOX_W[0]) % SEED_LIMIT,
+                      r * _PHILOX_W[1] % SEED_LIMIT] for r in range(10)],
+                    dtype=np.uint64)[:, :, None]
+    m_lo, m_hi = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+    for key in keys:
+        a = x[0::2]
+        a_lo, a_hi = a & _LO32, a >> _S32
+        p1, p2 = m_lo * a_hi, m_hi * a_lo
+        mid = ((m_lo * a_lo) >> _S32) + (p1 & _LO32) + (p2 & _LO32)
+        hi = m_hi * a_hi + (p1 >> _S32) + (p2 >> _S32) + (mid >> _S32)
+        y = np.empty_like(x)
+        y[0::2] = hi[::-1] ^ x[1::2] ^ key
+        y[1::2] = (_PHILOX_M * a)[::-1]
+        x = y
+    return np.moveaxis(x.reshape((4,) + shape), 0, -1)
+
+
+def _uniforms(seed, chains, lanes, draws):
+    """Uniforms in [0, 1) from draws ``draws`` of lanes ``lanes`` of chains
+    ``chains`` (broadcast): the four words of counter (draw + 1, chain,
+    lane, 0) on the last axis, each as (word >> 11) 2^-53."""
+    words = _philox(seed, np.asarray(draws, dtype=np.uint64) + 1, chains,
+                    lanes)
+    return (words >> _S11) * 2.0 ** -53
+
+
+def _normals(u):
+    """Box-Muller: standard normals from pairs of uniforms on the last axis
+    (u_2p, u_2p+1) -> (r cos phi, r sin phi), r = sqrt(-2 log(1 - u_2p)),
+    phi = 2 pi u_2p+1."""
+    r = np.sqrt(-2 * np.log1p(-u[..., 0::2]))
+    phi = 2 * math.pi * u[..., 1::2]
+    return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1).reshape(
+        u.shape)
+
+
+# ---------------------------------------------------------------------------
 # chain sampling
 # ---------------------------------------------------------------------------
 
-def _direction_bound(model: ScatteringModel, speed: float) -> float:
-    """Rejection bound on |T|^2 over the shell directions at ``speed``.
+def _from_axis(axis, x):
+    """The Householder reflection sending e1 to the unit vector ``axis``,
+    applied to ``x``: 2 v (v.x)/(v.v) - x with v = axis + e1, broadcast over
+    leading axes.  Where ``axis`` is within about 1e-7 of -e1 (v.v below
+    1e-14) the reflection is -I, which also sends e1 to -e1."""
+    v = np.array(axis, dtype=float)
+    v[..., 0] += 1.0
+    nv = np.sum(v * v, axis=-1, keepdims=True)
+    near = nv < 1e-14
+    coef = np.where(near, 0.0, 2 * np.sum(v * x, axis=-1, keepdims=True)
+                    / np.where(near, 1.0, nv))
+    return coef * v - x
 
-    At Born order 1 it is the forward value; above it, a 513-point polar
-    scan plus 5%, run on every call (one per chain, since each chain has
-    its own speed) and checked against every accepted proposal by
-    sample_lb_chain."""
-    if model.born_order == 1:
-        # radially decreasing transform peaks in the forward direction
-        pot = model.potential
-        return (model.coupling * pot.amplitude * pot.width ** pot.dim) ** 2
+
+def _born1_directions(axis, kappa, u_cos, u_phi):
+    """Exact Born-1 scattering directions in d = 3, one per row: on shell
+    |T|^2 is proportional to exp(-kappa (1 - cos theta)), kappa =
+    4 pi s^2 |y|^2, a von Mises-Fisher law about the incoming direction
+    ``axis``.  cos theta inverts its CDF at 1 - u_cos, written
+    1 + log1p(u_cos expm1(-2 kappa))/kappa so that it tends to the uniform
+    1 - 2 u_cos as kappa -> 0 and stays finite for large kappa; the azimuth
+    is 2 pi u_phi."""
+    c = np.clip(1.0 + np.log1p(u_cos * np.expm1(-2 * kappa)) / kappa,
+                -1.0, 1.0)
+    s = np.sqrt(1.0 - c * c)
+    phi = 2 * math.pi * u_phi
+    local = np.stack([c, s * np.cos(phi), s * np.sin(phi)], axis=-1)
+    return _from_axis(axis, local)
+
+
+def _direction_bound(model: ScatteringModel, speed: float) -> float:
+    """Rejection bound on |T|^2 over the shell directions at ``speed``: a
+    513-point polar scan plus 5%, run once per chain that scatters (each
+    chain has its own speed) and checked against every accepted
+    proposal."""
     return 1.05 * float(np.max(
         model.polar_abs2(speed, np.linspace(-1, 1, 513))))
 
 
-def sample_lb_chain(t, y0, model: ScatteringModel, rng,
-                    max_legs=64) -> CollisionChain:
-    """Markov chain sample: exponential flight times with rate
-    Sigma_tot(speed), scattering directions by rejection of uniform sphere
-    proposals against |T|^2, truncated at total time t.
-
-    Chains reaching ``max_legs`` before exhausting the time budget come back
-    flagged truncated.  A warning fires when the rejection efficiency drops
-    below 1 percent, and one when an accepted proposal's |T|^2 exceeds the
-    rejection bound: it was accepted with probability 1 instead of
-    |T|^2/bound, so the sampled directions do not follow the kernel.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    speed = float(np.linalg.norm(y0))
-    if speed == 0 or t <= 0:
-        raise InvalidInputError("need y0 != 0 and t > 0")
-    sig = model.sigma_tot(speed)
-    bound = _direction_bound(model, speed)
-    momenta = [y0]
-    times = []
-    elapsed = 0.0
-    proposals = 0
-    accepts = 0
+def _rejection_directions(model, seed, chains, lane, cur, bounds):
+    """Unit directions after the momenta ``cur`` (n, d), one chain per row,
+    by rejection of uniform sphere proposals against |T|^2 / ``bounds``.
+    Chain i draws its batches in order from draws 1, 2, ... of its
+    ``lane``: PROPOSAL_BATCH proposals of d Box-Muller normals and one
+    acceptance uniform each.  Every round makes one T batch per pending
+    chain.  Returns the directions, the proposals spent per row and the
+    worst |T|^2 / bound among the accepted proposals."""
+    n, d = cur.shape
+    per = 2 * -(-d // 2) + 1
+    draws = -(-PROPOSAL_BATCH * per // 4)
+    speed = np.linalg.norm(cur, axis=1)
+    out = np.empty((n, d))
+    spent = np.zeros(n, dtype=int)
     worst = 0.0
-    for _ in range(max_legs):
-        dt = rng.exponential(1.0 / sig)
-        if elapsed + dt >= t:
-            times.append(t - elapsed)
-            chain = CollisionChain(momenta, times)
-            break
-        times.append(dt)
-        elapsed += dt
-        cur = momenta[-1]
-        new_dir = None
-        while new_dir is None:
-            props = rng.normal(size=(PROPOSAL_BATCH, model.dim))
-            props /= np.linalg.norm(props, axis=1)[:, None]
-            uacc = rng.uniform(size=PROPOSAL_BATCH)
-            ratio = np.abs(model.t_matrix_batch(cur, speed * props)) ** 2 \
-                / bound
+    pending = np.arange(n)
+    first = 1
+    while pending.size:
+        u = _uniforms(seed, chains[pending, None], lane,
+                      np.arange(first, first + draws))
+        u = u.reshape(len(pending), -1)[:, :PROPOSAL_BATCH * per].reshape(
+            len(pending), PROPOSAL_BATCH, per)
+        props = _normals(u[..., :per - 1])[..., :d]
+        props /= np.linalg.norm(props, axis=-1, keepdims=True)
+        left = []
+        for row, props_i, uacc in zip(pending, props, u[..., -1]):
+            ratio = np.abs(model.t_matrix_batch(
+                cur[row], speed[row] * props_i)) ** 2 / bounds[row]
             hits = np.nonzero(uacc < ratio)[0]
             if hits.size:
                 # proposals before the accepted one have ratio < uacc < 1,
                 # so only an accepted proposal can exceed the bound
                 worst = max(worst, float(ratio[hits[0]]))
-                new_dir = props[hits[0]]
-                proposals += int(hits[0]) + 1
-                accepts += 1
+                out[row] = props_i[hits[0]]
+                spent[row] += int(hits[0]) + 1
             else:
-                proposals += PROPOSAL_BATCH
-        momenta.append(speed * new_dir)
-    else:
-        chain = CollisionChain(momenta[:-1], times, truncated=True)
-    if accepts and proposals / accepts > 100:
-        warnings.warn("direction rejection efficiency below 1 percent",
-                      stacklevel=2)
-    if worst > 1.0:
-        warnings.warn(f"direction rejection bound exceeded: worst "
-                      f"|T|^2 / bound = {worst:.4g}", stacklevel=2)
-    return chain
+                spent[row] += PROPOSAL_BATCH
+                left.append(row)
+        pending = np.array(left, dtype=int)
+        first += draws
+    return out, spent, worst
+
+
+@dataclass(frozen=True)
+class ChainBlock:
+    """A block of memoryless chains as arrays: flight times (n, max_legs),
+    momenta (n, max_legs, d), both zero beyond each chain's leg count
+    ``legs`` (n,), and ``truncated`` (n,), set for chains that reached
+    max_legs with time left."""
+
+    times: np.ndarray
+    momenta: np.ndarray
+    legs: np.ndarray
+    truncated: np.ndarray
+
+
+def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
+                    max_legs=64) -> ChainBlock:
+    """Memoryless chains from the initial momenta ``y0`` (n, d) up to total
+    time t: exponential flight times at rate Sigma_tot(speed), scattering
+    directions from |T|^2.  Row r is chain ``chains[r]`` of the stream of
+    ``seed``, and reads only that chain's counters, so its draws do not
+    depend on which chains share the block.
+
+    Stream layout (Philox4x64-10, key (seed, 0); draw j of lane l of chain
+    i is counter (j + 1, i, l, 0)): lane 0 is left to the caller (the
+    initial momentum of pair_estimate); leg m reads lane m + 1, whose draw 0
+    gives the flight time -log1p(-u_0)/Sigma_tot and, at Born order 1 in
+    d = 3, the exact direction (u_1, u_2) of the next leg.  At Born order
+    >= 2, or d > 3, directions come by rejection from draws 1, 2, ... of
+    that lane, against the bound of _direction_bound; a warning fires when
+    some chain spends more than 100 proposals per accepted direction, and
+    one when an accepted proposal's |T|^2 exceeds the bound: it was
+    accepted with probability 1 instead of |T|^2/bound, so the sampled
+    directions do not follow the kernel.
+    """
+    seed = _check_seed(seed)
+    y0 = np.asarray(y0, dtype=float)
+    chains = np.asarray(chains)
+    if chains.shape != y0.shape[:1] or y0.ndim != 2:
+        raise InvalidInputError("need initial momenta (n, d), one chain "
+                                "index per row")
+    if chains.size and (chains.dtype.kind not in "iu" or chains.min() < 0):
+        raise InvalidInputError("chain indices must be non-negative integers")
+    chains = chains.astype(np.uint64)
+    speed = np.linalg.norm(y0, axis=1)
+    if np.any(speed == 0) or t <= 0 or max_legs < 1:
+        raise InvalidInputError("need y0 != 0, t > 0 and max_legs >= 1")
+    n, d = y0.shape
+    lanes = np.arange(1, max_legs + 1)
+    first = _uniforms(seed, chains[:, None], lanes, 0)
+    dt = -np.log1p(-first[..., 0]) / model.sigma_tot_speeds(speed)[:, None]
+    elapsed = np.cumsum(dt, axis=1)
+    ends = elapsed >= t
+    truncated = ~ends.any(axis=1)
+    legs = np.where(truncated, max_legs, ends.argmax(axis=1) + 1)
+    rows = np.arange(n)
+    live = lanes[None, :] <= legs[:, None]
+    times = np.where(live, dt, 0.0)
+    done = rows[~truncated]
+    last = legs[done] - 1
+    times[done, last] = t - np.where(last > 0, elapsed[done, last - 1], 0.0)
+    momenta = np.zeros((n, max_legs, d))
+    momenta[:, 0] = y0
+    exact = model.born_order == 1 and d == 3
+    if not exact:
+        # only chains that scatter need a bound
+        bounds = np.zeros(n)
+        bounds[legs > 1] = [_direction_bound(model, float(v))
+                            for v in speed[legs > 1]]
+        proposals = np.zeros(n, dtype=int)
+        worst = 0.0
+    for leg in range(int(legs.max(initial=1)) - 1):
+        sel = rows[legs > leg + 1]
+        cur = momenta[sel, leg]
+        if exact:
+            kappa = 4 * math.pi * model.potential.width ** 2 * speed[sel] ** 2
+            new = _born1_directions(cur / speed[sel, None], kappa,
+                                    first[sel, leg, 1], first[sel, leg, 2])
+        else:
+            new, spent, bad = _rejection_directions(
+                model, seed, chains[sel], leg + 1, cur, bounds[sel])
+            proposals[sel] += spent
+            worst = max(worst, bad)
+        momenta[sel, leg + 1] = speed[sel, None] * new
+    if not exact:
+        # one accepted direction per leg after the first
+        if np.any(proposals > 100 * (legs - 1)):
+            warnings.warn("direction rejection efficiency below 1 percent",
+                          stacklevel=2)
+        if worst > 1.0:
+            warnings.warn(f"direction rejection bound exceeded: worst "
+                          f"|T|^2 / bound = {worst:.4g}", stacklevel=2)
+    return ChainBlock(times, momenta, legs, truncated)
+
+
+def sample_lb_chain(t, y0, model: ScatteringModel, seed, index=0,
+                    max_legs=64) -> CollisionChain:
+    """Chain ``index`` of the stream of ``seed`` from the initial momentum
+    ``y0``: the one-chain case of sample_lb_block."""
+    block = sample_lb_block(t, np.asarray(y0, dtype=float)[None], model,
+                            seed, [index], max_legs)
+    k = int(block.legs[0])
+    return CollisionChain(list(block.momenta[0, :k]),
+                          list(block.times[0, :k]), bool(block.truncated[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +690,6 @@ class EstimateResult:
         return abs(self.value - reference) <= sigmas * self.stderr
 
 
-def _chain_rng(seed, index):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def _proposal(a: GaussianSymbol, b: GaussianSymbol):
     mu = 0.5 * (a.y_center + b.y_center)
     sd = (0.5 * max(a.y_width, b.y_width)
@@ -535,8 +699,8 @@ def _proposal(a: GaussianSymbol, b: GaussianSymbol):
 
 def _proposal_pdf(y, mu, sd):
     d = len(mu)
-    q = float(np.sum((y - mu) ** 2)) / (2 * sd * sd)
-    return math.exp(-q) / (2 * math.pi * sd * sd) ** (d / 2.0)
+    q = np.sum((y - mu) ** 2, axis=-1) / (2 * sd * sd)
+    return np.exp(-q) / (2 * math.pi * sd * sd) ** (d / 2.0)
 
 
 def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
@@ -550,10 +714,14 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     its series terms carry unit density ratio.  The limit-process terms are
     reweighted by the density ratio summed over all (ell, m) leg pairings
     with the 1/k! symmetry factor.  ``b = None`` estimates the total mass
-    of f(t) instead of a pairing.  Chain i draws from its own stream
-    ``_chain_rng(seed, i)``, so a fixed seed means bit-identical output;
-    chains beyond k_max legs contribute zero and count as truncated.  One
-    warning per call reports the chains whose G series did not converge.
+    of f(t) instead of a pairing.  ``seed`` is an integer in [0, 2**64).
+    Chain i (i < n_samples) takes its initial momentum from draw 0 of lane
+    0 of its counters (Box-Muller) and its legs from sample_lb_block, so
+    its draws are a function of (seed, i) alone and a fixed seed means
+    bit-identical output.  Chains run in blocks of CHAIN_BLOCK, whose size
+    changes no result.  Chains beyond k_max legs contribute zero and count
+    as truncated.  One warning per call reports the chains whose G series
+    did not converge.
     """
     if series not in ("lb", "new"):
         raise InvalidInputError("series must be 'lb' or 'new'")
@@ -562,6 +730,7 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     if n_samples < 2:
         raise InvalidInputError("n_samples must be at least 2 (the standard "
                                 "error needs two chains)")
+    seed = _check_seed(seed)
     d = model.dim
     mu_q, sd_q = _proposal(a, b) if b is not None else (a.y_center,
                                                         a.y_width + 0.25)
@@ -570,29 +739,35 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     returns = np.zeros(n_samples)
     flags = np.zeros(n_samples, dtype=bool)
     unconverged = []
-    for i in range(n_samples):
-        rng = _chain_rng(seed, i)
-        y1 = mu_q + sd_q * rng.normal(size=d)
+    for lo in range(0, n_samples, CHAIN_BLOCK):
+        idx = np.arange(lo, min(lo + CHAIN_BLOCK, n_samples))
+        u = _uniforms(seed, idx[:, None], 0, np.arange(-(-d // 4)))
+        y1 = mu_q + sd_q * _normals(u.reshape(len(idx), -1))[:, :d]
+        keep = np.linalg.norm(y1, axis=1) >= 1e-9
+        idx, y1 = idx[keep], y1[keep]
         q = _proposal_pdf(y1, mu_q, sd_q)
-        speed = float(np.linalg.norm(y1))
-        if speed < 1e-9:
-            continue
-        chain = sample_lb_chain(t, y1, model, rng, max_legs=k_max + 1)
-        if chain.truncated or chain.k > k_max:
-            flags[i] = True
-            continue
-        u = np.asarray(chain.times)
-        shift = np.sum(u[:, None] * np.asarray(chain.momenta), axis=0)
-        if series == "lb" or chain.k == 1:
-            # the one-leg terms of the two series coincide
-            contribs[i] = _overlap_or_mass(b, a, shift, y1,
-                                           chain.momenta[-1]) / q
-        else:
-            contribs[i], returns[i], gmat = _new_weight(b, a, shift, chain,
-                                                        model, q)
-            if gmat is not None and not gmat.converged:
-                unconverged.append(gmat.tail_estimate)
-        kvals[i] = chain.k
+        block = sample_lb_block(t, y1, model, seed, idx, max_legs=k_max + 1)
+        legs = block.legs
+        flags[idx] = block.truncated | (legs > k_max)
+        ok = ~flags[idx]
+        kvals[idx[ok]] = legs[ok]
+        shift = np.zeros_like(y1)
+        for m in range(k_max + 1):
+            shift += block.times[:, m, None] * block.momenta[:, m]
+        for k in range(1, k_max + 1):
+            sel = ok & (legs == k)
+            if series == "lb" or k == 1:
+                # the one-leg terms of the two series coincide
+                contribs[idx[sel]] = _overlap_or_mass(
+                    b, a, shift[sel], y1[sel],
+                    block.momenta[sel, k - 1]) / q[sel]
+            elif sel.any():
+                weights, shares, tails = _new_weights(
+                    b, a, shift[sel], block.momenta[sel, :k],
+                    block.times[sel, :k], model, q[sel])
+                contribs[idx[sel]] = weights
+                returns[idx[sel]] = shares
+                unconverged += tails
     n = n_samples
     value = float(np.sum(contribs) / n)
     stderr = float(np.std(contribs, ddof=1) / math.sqrt(n))
@@ -614,36 +789,67 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
 
 def _overlap_or_mass(b, a, shift, y_b, y_a):
     if b is None:
-        return float(a.x_mass() * a.amplitude * a.y_profile(y_a))
-    return float(pair_overlap(b, a, shift, y_b, y_a))
+        return a.x_mass() * a.amplitude * a.y_profile(y_a)
+    return pair_overlap(b, a, shift, y_b, y_a)
 
 
-def _new_weight(b, a, shift, chain: CollisionChain, model, q):
-    """Limit-process reweighting of one proposal chain and its return share.
+def _t_tables(model: ScatteringModel, legs):
+    """k x k tables T(y_i, y_j) of m on-shell chains, legs (m, k, d), with
+    a zero diagonal: at Born order 1 one broadcast transform of the leg
+    differences (the same values as _t_table), above it _t_table per
+    chain."""
+    if model.born_order > 1:
+        return np.stack([_t_table(model, chain) for chain in legs])
+    tvals = model.coupling * model.born_term(1, legs[:, :, None],
+                                             legs[:, None]) + 0j
+    tvals[:, np.arange(legs.shape[1]), np.arange(legs.shape[1])] = 0.0
+    return tvals
+
+
+def _new_weights(b, a, shift, legs, times, model, q):
+    """Limit-process reweighting of m proposal chains of k >= 2 legs each
+    (legs (m, k, d), times (m, k), shift (m, d), proposal density q (m,)),
+    and their return shares.
 
     The weight sums rho_{ell m} / rho_lb times the overlap at leg m over the
     leg pairings (ell, m), the drawn leg moved to position ell, with the 1/k!
-    factor, over the proposal density ``q``.  Damping and shell cancel, and
+    factor, over ``q``.  Damping and shell cancel, and
     G(P W P^T, P u) = P G(W, u) P^T makes entry (ell, m) of every permuted
     assignment g_{0 pos(m)} of one G, so the weight is
-    sum_j |g_0j|^2 ov(leg j) / (kernel (k-1)!) / q, the kernel being the
+    sum_j |g_0j|^2 ov(leg j) / ((k-1)! kernel q), the kernel being the
     product of 4 pi^2 |T|^2 along the legs; the return share (ell = m) is
-    its j = 0 term.  Returns (weight, share, G), G None for a zero kernel.
+    its j = 0 term.  Row 0 of G is the vectorised closed form at k = 2 and
+    one series per chain above it.  Returns (weights, shares, tails), tails
+    holding the tail estimates of the unconverged series; a chain with a
+    zero kernel weighs 0.
     """
-    k = chain.k
-    legs = chain.momenta
-    tvals = _t_table(model, legs)
-    kernel = math.prod(4 * math.pi ** 2 * abs(tvals[i, i + 1]) ** 2
-                       for i in range(k - 1))
-    if kernel == 0.0:
-        return 0.0, 0.0, None
-    graph = WeightedCollisionGraph(-2j * math.pi * tvals, chain.times)
-    gmat = g_auto(graph, prefer="bessel_k2" if k == 2 else "series")
-    scale = math.factorial(k - 1) * kernel * q
-    terms = [abs(gmat.entry(0, j)) ** 2
-             * _overlap_or_mass(b, a, shift, legs[0], legs[j]) / scale
+    m, k = times.shape
+    weights = np.zeros(m)
+    shares = np.zeros(m)
+    tvals = _t_tables(model, legs)
+    kernel = np.ones(m)
+    for i in range(k - 1):
+        kernel = kernel * (4 * math.pi ** 2 * np.abs(tvals[:, i, i + 1]) ** 2)
+    live = kernel != 0.0
+    w = -2j * math.pi * tvals[live]
+    u = times[live]
+    tails = []
+    if k == 2:
+        g00, g01, _, _ = _k2_entries(u[:, 0], u[:, 1], w[:, 0, 1], w[:, 1, 0])
+        row = np.stack([g00, g01], axis=1)
+    else:
+        gmats = [g_auto(WeightedCollisionGraph(wc, uc), prefer="series")
+                 for wc, uc in zip(w, u)]
+        row = np.array([g.entries[0] for g in gmats]).reshape(-1, k)
+        tails = [g.tail_estimate for g in gmats if not g.converged]
+    scale = math.factorial(k - 1) * kernel[live] * q[live]
+    terms = [np.abs(row[:, j]) ** 2
+             * _overlap_or_mass(b, a, shift[live], legs[live, 0],
+                                legs[live, j]) / scale
              for j in range(k)]
-    return sum(terms), terms[0], gmat
+    weights[live] = sum(terms)
+    shares[live] = terms[0]
+    return weights, shares, tails
 
 
 def pair_quadrature(series, a: GaussianSymbol, b: GaussianSymbol, t,

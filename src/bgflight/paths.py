@@ -240,6 +240,18 @@ def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
     return out
 
 
+def _identity_residual(graph, layer, n, start, end, cap):
+    """Max coefficient modulus of L(surjective path sum) - L(entry
+    (start, end) of ``layer``), layer n of ``_layers``, with L applied as
+    the ``_borel_weights`` at u = 1 that ``g_series`` uses."""
+    lhs = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
+    bw = _borel_weights(graph.k, n + 1, np.ones(graph.k))
+    diff = lhs * bw - layer[start, end] * bw
+    # the modulus as complex scalar abs takes it; a vector loop for the
+    # complex abs may round differently
+    return float(np.max(np.hypot(diff.real, diff.imag)))
+
+
 def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,
                             cap=DEFAULT_PATH_CAP) -> float:
     """Residual of the path/matrix-power identity after the factorial
@@ -249,13 +261,20 @@ def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,
     Exact up to rounding."""
     if n < 1:
         raise InvalidInputError("identity needs n >= 1")
-    lhs = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
-    rhs = next(itertools.islice(_layers(graph), n, None))[start, end]
-    bw = _borel_weights(graph.k, n + 1, np.ones(graph.k))
-    diff = lhs * bw - rhs * bw
-    # the modulus as complex scalar abs takes it; a vector loop for the
-    # complex abs may round differently
-    return float(np.max(np.hypot(diff.real, diff.imag)))
+    layer = next(itertools.islice(_layers(graph), n, None))
+    return _identity_residual(graph, layer, n, start, end, cap)
+
+
+def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
+                                cap=DEFAULT_PATH_CAP):
+    """(n, start, end, residual) of path_sum_identity_check for every
+    n = 1..n_max and every pair of vertices, in that order, from one pass
+    of ``_layers``."""
+    k = graph.k
+    layers = itertools.islice(_layers(graph), 1, n_max + 1)
+    return [(n, i, j, _identity_residual(graph, layer, n, i, j, cap))
+            for n, layer in enumerate(layers, start=1)
+            for i in range(k) for j in range(k)]
 
 
 def nonsurjective_terms_constant_in_missed_vertex(graph, n, start, end,

@@ -352,22 +352,29 @@ class ScatteringModel:
 
     def sigma_tot(self, y) -> float:
         """Spherical integral of the kernel at the speed |y| (``y`` a
-        momentum or a speed): the closed form at Born order 1 in d = 3,
-        else a SPHERE_NODES-point polar rule.  Computed on every call;
-        flight times are drawn at continuously distributed speeds, so a
-        per-speed memo would almost never see a speed twice."""
+        momentum or a speed): the one-speed case of sigma_tot_speeds."""
         y = np.asarray(y, dtype=float)
         speed = float(np.linalg.norm(y)) if y.ndim else float(abs(y))
-        if speed == 0:
+        return float(self.sigma_tot_speeds(np.array([speed]))[0])
+
+    def sigma_tot_speeds(self, speeds) -> np.ndarray:
+        """Total cross sections at a 1-d array of positive speeds: the closed
+        form in one call at Born order 1 in d = 3, else a SPHERE_NODES-point
+        polar rule per speed.  Computed on every call; flight times are
+        drawn at continuously distributed speeds, so a per-speed memo would
+        almost never see a speed twice."""
+        speeds = np.asarray(speeds, dtype=float)
+        if np.any(speeds <= 0):
             raise InvalidInputError("total cross section undefined at y = 0")
         d = self.dim
         if self.born_order == 1 and d == 3:
-            return float(sigma_tot_born1_speeds(
-                self.potential, self.coupling, np.array([speed]))[0])
+            return sigma_tot_born1_speeds(self.potential, self.coupling,
+                                          speeds)
         cnodes, cweights = _polar_rule(d, SPHERE_NODES)
-        vals = self.polar_abs2(speed, cnodes)
-        sphere = _lower_sphere_area(d) * float(np.sum(cweights * vals))
-        return 4 * math.pi ** 2 * speed ** (d - 2) * sphere
+        sphere = _lower_sphere_area(d) * np.array(
+            [float(np.sum(cweights * self.polar_abs2(v, cnodes)))
+             for v in speeds])
+        return 4 * math.pi ** 2 * speeds ** (d - 2) * sphere
 
     # -- optical theorem ----------------------------------------------------
 

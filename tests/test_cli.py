@@ -283,3 +283,44 @@ def test_help_describes_tol_and_theta_max(capsys):
     seed_help = text[text.rindex("--seed SEED"):text.rindex("--threads")]
     assert "config key 'seed' of paths and simulate" in seed_help
     assert "only record it in the manifest" in seed_help
+
+
+@pytest.mark.parametrize("command, config, argv", [
+    ("simulate", dict(SIMULATE_LB, seed=-1), []),
+    ("simulate", SIMULATE_LB, ["--seed", str(2 ** 64)]),
+    ("paths", {"k": 3, "seed": -1}, []),
+    ("paths", {"k": 3}, ["--seed", "-5"]),
+], ids=["simulate_config", "simulate_flag", "paths_config", "paths_flag"])
+def test_seed_outside_range_exits_2(tmp_path, capsys, command, config, argv):
+    cfg = write(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")] + argv) == 2
+    assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+def test_simulate_largest_seed(tmp_path):
+    cfg = write(tmp_path / "c.json", dict(SIMULATE_LB, seed=2 ** 64 - 1))
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("series", ["lb", "new"])
+def test_simulate_chain_block_invariance(tmp_path, monkeypatch, series):
+    # chain i reads only its own counters, so the block size of
+    # pair_estimate changes no byte of the artifacts
+    from bgflight import kinetic
+    cfg = write(tmp_path / "c.json", {
+        "series": series, "coupling": 0.4, "t": 0.6, "k_max": 3,
+        "n_samples": 300, "seed": 5,
+        "a": {"x_center": [0, 0, 0], "y_center": [1, 0, 0],
+              "x_width": 1.2, "y_width": 0.8},
+        "b": {"x_center": [0.9, 0.2, 0], "y_center": [0.9, 0.1, 0]}})
+    artifacts = []
+    for block in (1, 7, 256):
+        monkeypatch.setattr(kinetic, "CHAIN_BLOCK", block)
+        out = tmp_path / f"o{block}"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("simulate.csv", "simulate.json")])
+    assert artifacts[0] == artifacts[1] == artifacts[2]
+    assert json.loads(artifacts[0][1])["value"] > 0

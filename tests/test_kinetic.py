@@ -213,14 +213,12 @@ def test_f_term_k2_lb_matches_chain_monte_carlo():
     val = kn.f_term("lb", 2, t, x, Y1, A_SYM, model, u_nodes=32,
                     sphere=(12, 24))
     n = 60000
-    acc = 0.0
-    for i in range(n):
-        rng = kn._chain_rng(123, i)
-        chain = kn.sample_lb_chain(t, Y1, model, rng, max_legs=3)
-        if chain.k == 2 and not chain.truncated:
-            shift = sum(ui * yi for ui, yi in zip(chain.times, chain.momenta))
-            acc += float(A_SYM.value(x - shift, chain.momenta[-1]))
-    mc = acc / n
+    block = kn.sample_lb_block(t, np.tile(Y1, (n, 1)), model, 123,
+                               np.arange(n), max_legs=3)
+    two = (block.legs == 2) & ~block.truncated
+    shift = (block.times[two, 0, None] * block.momenta[two, 0]
+             + block.times[two, 1, None] * block.momenta[two, 1])
+    mc = float(np.sum(A_SYM.value(x - shift, block.momenta[two, 1]))) / n
     assert val == pytest.approx(mc, rel=0.05)
 
 
@@ -253,20 +251,34 @@ def test_f_term_rejects_high_k():
 # chain sampling
 # ---------------------------------------------------------------------------
 
+def _block(t, model, seed, n, max_legs=64):
+    """n chains from Y1 of the stream of ``seed``."""
+    return kn.sample_lb_block(t, np.tile(Y1, (n, 1)), model, seed,
+                              np.arange(n), max_legs=max_legs)
+
+
 def test_chain_determinism():
+    # a chain's draws depend on (seed, index) alone: chain 4 alone, inside
+    # a block of eight and as the one-chain sampler are the same chain
     model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
-    c1 = kn.sample_lb_chain(2.0, Y1, model, kn._chain_rng(9, 4))
-    c2 = kn.sample_lb_chain(2.0, Y1, model, kn._chain_rng(9, 4))
-    assert c1.times == c2.times
-    assert all(np.array_equal(a, b) for a, b in zip(c1.momenta, c2.momenta))
+    one = kn.sample_lb_block(2.0, Y1[None], model, 9, [4])
+    eight = _block(2.0, model, 9, 8)
+    for field in ("times", "momenta", "legs", "truncated"):
+        assert np.array_equal(getattr(one, field)[0],
+                              getattr(eight, field)[4])
+    chain = kn.sample_lb_chain(2.0, Y1, model, 9, 4)
+    k = int(one.legs[0])
+    assert chain.k == k and chain.times == list(one.times[0, :k])
+    assert np.array_equal(chain.momenta, one.momenta[0, :k])
 
 
 def test_chain_norm_conservation_and_budget():
     model = sc.ScatteringModel(POT, coupling=0.6, born_order=1)
+    block = _block(1.5, model, 2, 50)
     for i in range(50):
-        chain = kn.sample_lb_chain(1.5, Y1, model, kn._chain_rng(2, i))
-        assert chain.total_time == pytest.approx(1.5)
-        for p in chain.momenta:
+        k = block.legs[i]
+        assert np.sum(block.times[i, :k]) == pytest.approx(1.5)
+        for p in block.momenta[i, :k]:
             assert np.linalg.norm(p) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -275,8 +287,7 @@ def test_chain_zero_collision_frequency():
     sig = model.sigma_tot(1.0)
     t = 1.0 / sig
     n = 4000
-    hits = sum(kn.sample_lb_chain(t, Y1, model, kn._chain_rng(3, i)).k == 1
-               for i in range(n))
+    hits = int(np.sum(_block(t, model, 3, n).legs == 1))
     p = hits / n
     p0 = math.exp(-1.0)
     assert abs(p - p0) < 3.5 * math.sqrt(p0 * (1 - p0) / n)
@@ -286,12 +297,8 @@ def test_chain_flight_time_distribution():
     model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
     sig = model.sigma_tot(1.0)
     t = 5.0 / sig
-    firsts = []
-    for i in range(4000):
-        chain = kn.sample_lb_chain(t, Y1, model, kn._chain_rng(4, i))
-        if chain.k > 1:
-            firsts.append(chain.times[0])
-    x = np.sort(firsts)
+    block = _block(t, model, 4, 4000)
+    x = np.sort(block.times[block.legs > 1, 0])
     # exact law of the uncensored first flight: truncated exponential
     cdf = (1 - np.exp(-sig * x)) / (1 - math.exp(-sig * t))
     n = len(x)
@@ -303,14 +310,9 @@ def test_chain_flight_time_distribution():
 
 def test_chain_truncation_flag():
     model = sc.ScatteringModel(POT, coupling=1.0, born_order=1)
-    truncated = 0
-    for i in range(200):
-        chain = kn.sample_lb_chain(2.0, Y1, model, kn._chain_rng(5, i),
-                                   max_legs=2)
-        if chain.truncated:
-            truncated += 1
-            assert chain.k == 2
-    assert truncated > 0
+    block = _block(2.0, model, 5, 200, max_legs=2)
+    assert np.any(block.truncated)
+    assert np.all(block.legs[block.truncated] == 2)
 
 
 def test_chain_warns_when_rejection_bound_fails(monkeypatch):
@@ -318,13 +320,54 @@ def test_chain_warns_when_rejection_bound_fails(monkeypatch):
     t = 20.0 / model.sigma_tot(1.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        kn.sample_lb_chain(t, Y1, model, kn._chain_rng(6, 0), max_legs=16)
+        _block(t, model, 6, 1, max_legs=16)
     assert not [w for w in caught if "bound exceeded" in str(w.message)]
     true_bound = kn._direction_bound
     monkeypatch.setattr(kn, "_direction_bound",
                         lambda m, v: 0.5 * true_bound(m, v))
     with pytest.warns(UserWarning, match=r"bound exceeded: worst .* = 1\.\d"):
-        kn.sample_lb_chain(t, Y1, model, kn._chain_rng(6, 0), max_legs=16)
+        _block(t, model, 6, 1, max_legs=16)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 3])
+def test_philox_matches_numpy(seed):
+    # counter (j + 1, i, lane, 0) is the first block numpy's Philox makes
+    # from counter (j, i, lane, 0)
+    key = np.array([seed, 0], dtype=np.uint64)
+    for chain in (0, 7, 2 ** 40):
+        for lane in (0, 3):
+            ours = kn._philox(seed, np.arange(1, 6), chain, lane).ravel()
+            ref = np.random.Philox(key=key, counter=[0, chain, lane, 0])
+            assert np.array_equal(ours, ref.random_raw(20))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 4 * math.pi, 100.0])
+def test_born1_cosine_follows_exact_law(kappa):
+    from scipy import stats
+    u = kn._uniforms(11, np.arange(4000), 1, 0)
+    dirs = kn._born1_directions(np.tile(Y1, (4000, 1)), kappa, u[:, 1],
+                                u[:, 2])
+    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-14)
+
+    def cdf(c):
+        return (np.exp(kappa * (c - 1)) - math.exp(-2 * kappa)) \
+            / -math.expm1(-2 * kappa)
+
+    assert stats.kstest(dirs[:, 0], cdf).pvalue > 0.01
+    # the azimuth about the axis is uniform
+    phi = np.arctan2(dirs[:, 2], dirs[:, 1])
+    assert stats.kstest(phi, stats.uniform(-math.pi, 2 * math.pi).cdf
+                        ).pvalue > 0.01
+
+
+@pytest.mark.parametrize("axis", [Y1, -Y1, np.array([0.36, -0.48, 0.8])])
+def test_householder_sends_e1_to_axis(axis):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 3))
+    out = kn._from_axis(axis, np.vstack([Y1, x]))
+    assert np.allclose(out[0], axis, atol=1e-15)
+    # orthogonal: lengths and inner products are kept
+    assert np.allclose(out[1:] @ out[1:].T, x @ x.T, rtol=1e-13, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +464,28 @@ def test_new_weight_matches_permuted_definition(born_order, monkeypatch):
 
     monkeypatch.setattr(kn, "g_auto", counted)
     for k in (2, 3):
+        chains = []
         for _ in range(4):
             dirs = rng.normal(size=(k, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             legs = list(rng.uniform(0.6, 1.4) * dirs)
-            chain = kn.CollisionChain(legs, list(rng.uniform(0.05, 1.0, k)))
-            shift = np.sum(np.asarray(chain.times)[:, None]
-                           * np.asarray(legs), axis=0)
-            q = rng.uniform(0.2, 2.0)
-            evals.clear()
-            weight, share, gmat = kn._new_weight(B_SYM, A_SYM, shift, chain,
-                                                 model, q)
-            assert len(evals) == 1 and gmat.converged
-            ref, ref_share = _permuted_weight(B_SYM, A_SYM, shift, chain,
-                                              model, q)
-            assert weight == pytest.approx(ref, rel=1e-12)
-            assert share == pytest.approx(ref_share, rel=1e-12)
+            chains.append(kn.CollisionChain(legs,
+                                            list(rng.uniform(0.05, 1.0, k))))
+        legs = np.array([c.momenta for c in chains])
+        times = np.array([c.times for c in chains])
+        shift = np.sum(times[..., None] * legs, axis=1)
+        q = rng.uniform(0.2, 2.0, 4)
+        evals.clear()
+        weights, shares, tails = kn._new_weights(B_SYM, A_SYM, shift, legs,
+                                                 times, model, q)
+        # row 0 of G: the vectorised closed form at k = 2, one series per
+        # chain above it
+        assert len(evals) == (0 if k == 2 else 4) and tails == []
+        for i, chain in enumerate(chains):
+            ref, ref_share = _permuted_weight(B_SYM, A_SYM, shift[i], chain,
+                                              model, q[i])
+            assert weights[i] == pytest.approx(ref, rel=1e-12)
+            assert shares[i] == pytest.approx(ref_share, rel=1e-12)
 
 
 def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
