@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical-check failure,
 4 resource cap exceeded.  All stochastic outputs are a pure function of
 (config, seed), with the seed an integer in [0, 2**64) (exit 2 outside
 it): ``simulate`` draws chain i from the Philox4x64-10 counters (j + 1, i,
-lane, 0) under the key (seed, 0) (``kinetic.sample_lb_block``), whatever
+lane, 0) under the key (seed, 0) (``kinetic.pair_estimate``), whatever
 block of chains it runs in, and ``paths`` seeds numpy's default generator.
 ``--threads`` is accepted and recorded in the manifest but has no effect on
 execution.  Leg and vertex indices in configs and outputs are 0-based.

@@ -24,7 +24,9 @@ of arrays (sample_lb_block) from a counter-based stream: Philox4x64-10
 under the key (seed, 0), draw j of lane l of chain i at the counter
 (j + 1, i, l, 0), with seeds and chain indices in [0, 2**64).  A chain's
 draws are a function of (seed, chain index) alone, so results do not
-depend on how chains are grouped into blocks.
+depend on how chains are grouped into blocks.  Every chain that reaches
+leg k gives the k-leg term, its flight times turned cyclically and weighed
+by the balance heuristic over the turns (_turned_flights).
 
 All leg indices are 0-based.  Momenta are stored as full d-vectors of a
 common norm; a relative tolerance of 1e-9 decides on-shell membership.
@@ -228,16 +230,19 @@ def rho_new(ell, m, u, momenta, model: ScatteringModel,
 
 
 def _t_table(model: ScatteringModel, momenta):
-    """k x k matrix T(y_i, y_j) on shell: one batch per row over the later
-    legs, the lower triangle by reciprocity T(y_j, y_i) = T(y_i, y_j), and a
-    zero diagonal (rho_new_from_values ignores it)."""
+    """k x k matrices T(y_i, y_j) on shell of the chains ``momenta``
+    (..., k, d): for each leg i one batch over the later legs of every
+    chain, the lower triangle by reciprocity T(y_j, y_i) = T(y_i, y_j), and
+    a zero diagonal (rho_new_from_values ignores it)."""
     legs = np.asarray(momenta, dtype=float)
-    k = len(legs)
-    tvals = np.zeros((k, k), dtype=complex)
+    flat = legs.reshape((-1,) + legs.shape[-2:])
+    k = flat.shape[1]
+    tvals = np.zeros((len(flat), k, k), dtype=complex)
     for i in range(k - 1):
-        tvals[i, i + 1:] = tvals[i + 1:, i] = model.t_matrix_batch(
-            legs[i], legs[i + 1:])
-    return tvals
+        tvals[:, i, i + 1:] = model.t_matrix_batch(flat[:, i],
+                                                   flat[:, i + 1:])
+        tvals[:, i + 1:, i] = tvals[:, i, i + 1:]
+    return tvals.reshape(legs.shape[:-2] + (k, k))
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +535,10 @@ def _rejection_directions(model, seed, chains, lane, cur, bounds):
     by rejection of uniform sphere proposals against |T|^2 / ``bounds``.
     Chain i draws its batches in order from draws 1, 2, ... of its
     ``lane``: PROPOSAL_BATCH proposals of d Box-Muller normals and one
-    acceptance uniform each.  Every round makes one T batch per pending
-    chain.  Returns the directions, the proposals spent per row and the
-    worst |T|^2 / bound among the accepted proposals."""
+    acceptance uniform each.  Every round evaluates T for all pending
+    chains in one t_matrix_batch call.  Returns the directions, the
+    proposals spent per row and the worst |T|^2 / bound among the accepted
+    proposals."""
     n, d = cur.shape
     per = 2 * -(-d // 2) + 1
     draws = -(-PROPOSAL_BATCH * per // 4)
@@ -549,21 +555,20 @@ def _rejection_directions(model, seed, chains, lane, cur, bounds):
             len(pending), PROPOSAL_BATCH, per)
         props = _normals(u[..., :per - 1])[..., :d]
         props /= np.linalg.norm(props, axis=-1, keepdims=True)
-        left = []
-        for row, props_i, uacc in zip(pending, props, u[..., -1]):
-            ratio = np.abs(model.t_matrix_batch(
-                cur[row], speed[row] * props_i)) ** 2 / bounds[row]
-            hits = np.nonzero(uacc < ratio)[0]
-            if hits.size:
-                # proposals before the accepted one have ratio < uacc < 1,
-                # so only an accepted proposal can exceed the bound
-                worst = max(worst, float(ratio[hits[0]]))
-                out[row] = props_i[hits[0]]
-                spent[row] += int(hits[0]) + 1
-            else:
-                spent[row] += PROPOSAL_BATCH
-                left.append(row)
-        pending = np.array(left, dtype=int)
+        ratio = np.abs(model.t_matrix_batch(
+            cur[pending], speed[pending, None, None] * props)) ** 2 \
+            / bounds[pending, None]
+        hits = u[..., -1] < ratio
+        found = hits.any(axis=1)
+        pick = hits.argmax(axis=1)[found]
+        if found.any():
+            # proposals before the accepted one have ratio < uacc < 1,
+            # so only an accepted proposal can exceed the bound
+            worst = max(worst, float(ratio[found, pick].max()))
+        out[pending[found]] = props[found, pick]
+        spent[pending[found]] += pick + 1
+        spent[pending[~found]] += PROPOSAL_BATCH
+        pending = pending[~found]
         first += draws
     return out, spent, worst
 
@@ -572,13 +577,15 @@ def _rejection_directions(model, seed, chains, lane, cur, bounds):
 class ChainBlock:
     """A block of memoryless chains as arrays: flight times (n, max_legs),
     momenta (n, max_legs, d), both zero beyond each chain's leg count
-    ``legs`` (n,), and ``truncated`` (n,), set for chains that reached
-    max_legs with time left."""
+    ``legs`` (n,), ``truncated`` (n,), set for chains that reached max_legs
+    with time left, and ``rates`` (n,), the total cross section at each
+    chain's speed (its collision rate)."""
 
     times: np.ndarray
     momenta: np.ndarray
     legs: np.ndarray
     truncated: np.ndarray
+    rates: np.ndarray
 
 
 def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
@@ -591,15 +598,15 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
 
     Stream layout (Philox4x64-10, key (seed, 0); draw j of lane l of chain
     i is counter (j + 1, i, l, 0)): lane 0 is left to the caller (the
-    initial momentum of pair_estimate); leg m reads lane m + 1, whose draw 0
-    gives the flight time -log1p(-u_0)/Sigma_tot and, at Born order 1 in
-    d = 3, the exact direction (u_1, u_2) of the next leg.  At Born order
-    >= 2, or d > 3, directions come by rejection from draws 1, 2, ... of
-    that lane, against the bound of _direction_bound; a warning fires when
-    some chain spends more than 100 proposals per accepted direction, and
-    one when an accepted proposal's |T|^2 exceeds the bound: it was
-    accepted with probability 1 instead of |T|^2/bound, so the sampled
-    directions do not follow the kernel.
+    initial momentum and the turns of pair_estimate); leg m reads lane
+    m + 1, whose draw 0 gives the flight time -log1p(-u_0)/Sigma_tot and,
+    at Born order 1 in d = 3, the exact direction (u_1, u_2) of the next
+    leg.  At Born order >= 2, or d > 3, directions come by rejection from
+    draws 1, 2, ... of that lane, against the bound of _direction_bound; a
+    warning fires when some chain spends more than 100 proposals per
+    accepted direction, and one when an accepted proposal's |T|^2 exceeds
+    the bound: it was accepted with probability 1 instead of |T|^2/bound,
+    so the sampled directions do not follow the kernel.
     """
     seed = _check_seed(seed)
     y0 = np.asarray(y0, dtype=float)
@@ -616,7 +623,8 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     n, d = y0.shape
     lanes = np.arange(1, max_legs + 1)
     first = _uniforms(seed, chains[:, None], lanes, 0)
-    dt = -np.log1p(-first[..., 0]) / model.sigma_tot_speeds(speed)[:, None]
+    rates = model.sigma_tot_speeds(speed)
+    dt = -np.log1p(-first[..., 0]) / rates[:, None]
     elapsed = np.cumsum(dt, axis=1)
     ends = elapsed >= t
     truncated = ~ends.any(axis=1)
@@ -641,7 +649,7 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
         sel = rows[legs > leg + 1]
         cur = momenta[sel, leg]
         if exact:
-            kappa = 4 * math.pi * model.potential.width ** 2 * speed[sel] ** 2
+            kappa = model.potential.shell_concentration(speed[sel])
             new = _born1_directions(cur / speed[sel, None], kappa,
                                     first[sel, leg, 1], first[sel, leg, 2])
         else:
@@ -658,7 +666,7 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
         if worst > 1.0:
             warnings.warn(f"direction rejection bound exceeded: worst "
                           f"|T|^2 / bound = {worst:.4g}", stacklevel=2)
-    return ChainBlock(times, momenta, legs, truncated)
+    return ChainBlock(times, momenta, legs, truncated, rates)
 
 
 def sample_lb_chain(t, y0, model: ScatteringModel, seed, index=0,
@@ -713,15 +721,21 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     momentum profiles; subsequent dynamics follow the memoryless process, so
     its series terms carry unit density ratio.  The limit-process terms are
     reweighted by the density ratio summed over all (ell, m) leg pairings
-    with the 1/k! symmetry factor.  ``b = None`` estimates the total mass
-    of f(t) instead of a pairing.  ``seed`` is an integer in [0, 2**64).
-    Chain i (i < n_samples) takes its initial momentum from draw 0 of lane
-    0 of its counters (Box-Muller) and its legs from sample_lb_block, so
-    its draws are a function of (seed, i) alone and a fixed seed means
-    bit-identical output.  Chains run in blocks of CHAIN_BLOCK, whose size
-    changes no result.  Chains beyond k_max legs contribute zero and count
-    as truncated.  One warning per call reports the chains whose G series
-    did not converge.
+    with the 1/k! symmetry factor.  Every chain that reaches leg k gives
+    term k: its first k momenta, with its flights completed to t and turned
+    as in _turned_flights, whose weight stands in for the chance that the
+    chain stops at leg k.  ``b = None`` estimates the total mass of f(t)
+    instead of a pairing.  ``seed`` is an integer in [0, 2**64).
+
+    Chain i (i < n_samples) takes its initial momentum from draws 0, ...,
+    ceil(d/4) - 1 of lane 0 of its counters (Box-Muller), the turn of its
+    k-leg term from word k - 1 of the next draw of lane 0, and its legs
+    from sample_lb_block, so its draws are a function of (seed, i) alone
+    and a fixed seed means bit-identical output.  Chains run in blocks of
+    CHAIN_BLOCK, whose size changes no result.  Chains that reach leg k_max
+    with time left count as truncated: the series misses their later
+    terms.  One warning per call reports the chains whose G series did not
+    converge.
     """
     if series not in ("lb", "new"):
         raise InvalidInputError("series must be 'lb' or 'new'")
@@ -734,52 +748,56 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
     d = model.dim
     mu_q, sd_q = _proposal(a, b) if b is not None else (a.y_center,
                                                         a.y_width + 0.25)
-    contribs = np.zeros(n_samples)
-    kvals = np.zeros(n_samples, dtype=int)
+    # draws of lane 0 holding the initial momentum's normals; the next
+    # draw holds the turns
+    normal_draws = -(-d // 4)
+    terms = np.zeros((n_samples, k_max))
     returns = np.zeros(n_samples)
     flags = np.zeros(n_samples, dtype=bool)
-    unconverged = []
+    tails = np.zeros(n_samples)
+    unconverged = np.zeros(n_samples, dtype=bool)
     for lo in range(0, n_samples, CHAIN_BLOCK):
         idx = np.arange(lo, min(lo + CHAIN_BLOCK, n_samples))
-        u = _uniforms(seed, idx[:, None], 0, np.arange(-(-d // 4)))
-        y1 = mu_q + sd_q * _normals(u.reshape(len(idx), -1))[:, :d]
+        u = _uniforms(seed, idx[:, None], 0, np.arange(normal_draws + 1))
+        y1 = mu_q + sd_q * _normals(
+            u[:, :normal_draws].reshape(len(idx), -1))[:, :d]
         keep = np.linalg.norm(y1, axis=1) >= 1e-9
-        idx, y1 = idx[keep], y1[keep]
+        idx, y1, turns = idx[keep], y1[keep], u[keep, normal_draws]
         q = _proposal_pdf(y1, mu_q, sd_q)
-        block = sample_lb_block(t, y1, model, seed, idx, max_legs=k_max + 1)
-        legs = block.legs
-        flags[idx] = block.truncated | (legs > k_max)
-        ok = ~flags[idx]
-        kvals[idx[ok]] = legs[ok]
-        shift = np.zeros_like(y1)
-        for m in range(k_max + 1):
-            shift += block.times[:, m, None] * block.momenta[:, m]
+        block = sample_lb_block(t, y1, model, seed, idx, max_legs=k_max)
+        flags[idx] = block.truncated
         for k in range(1, k_max + 1):
-            sel = ok & (legs == k)
+            sel = np.nonzero(block.legs >= k)[0]
+            chains = idx[sel]
+            legs = block.momenta[sel, :k]
+            times, mis = _turned_flights(t, block.times[sel, :k],
+                                         block.rates[sel], turns[sel, k - 1])
+            shift = sum(times[:, j, None] * legs[:, j] for j in range(k))
             if series == "lb" or k == 1:
                 # the one-leg terms of the two series coincide
-                contribs[idx[sel]] = _overlap_or_mass(
-                    b, a, shift[sel], y1[sel],
-                    block.momenta[sel, k - 1]) / q[sel]
-            elif sel.any():
-                weights, shares, tails = _new_weights(
-                    b, a, shift[sel], block.momenta[sel, :k],
-                    block.times[sel, :k], model, q[sel])
-                contribs[idx[sel]] = weights
-                returns[idx[sel]] = shares
-                unconverged += tails
+                terms[chains, k - 1] = mis * _overlap_or_mass(
+                    b, a, shift, y1[sel], legs[:, k - 1]) / q[sel]
+            elif sel.size:
+                weights, shares, bad = _new_weights(
+                    b, a, shift, legs, times, model, q[sel])
+                terms[chains, k - 1] = mis * weights
+                returns[chains] += mis * shares
+                for row, tail in bad:
+                    unconverged[chains[row]] = True
+                    tails[chains[row]] = max(tails[chains[row]], tail)
     n = n_samples
+    contribs = terms.sum(axis=1)
     value = float(np.sum(contribs) / n)
     stderr = float(np.std(contribs, ddof=1) / math.sqrt(n))
-    per_k = {k: float(np.sum(contribs[kvals == k])) / n
+    per_k = {k: float(np.sum(terms[:, k - 1])) / n
              for k in range(1, k_max + 1)}
     nz = contribs[contribs != 0]
     ess = float((np.abs(nz).sum() ** 2) / (nz @ nz)) if nz.size else 0.0
     if nz.size and ess < 0.05 * nz.size:
         warnings.warn("effective sample size below 5 percent", stacklevel=2)
-    if unconverged:
-        warnings.warn(f"G series unconverged on {len(unconverged)} of {n} "
-                      f"chains: worst tail estimate {max(unconverged):.2e}",
+    if unconverged.any():
+        warnings.warn(f"G series unconverged on {int(unconverged.sum())} of "
+                      f"{n} chains: worst tail estimate {tails.max():.2e}",
                       stacklevel=2)
     return EstimateResult(
         value=value, stderr=stderr, n_samples=n, per_k=per_k, ess=ess,
@@ -787,23 +805,35 @@ def pair_estimate(series, a: GaussianSymbol, b: GaussianSymbol | None, t,
         truncated_fraction=float(np.sum(flags)) / n)
 
 
+def _turned_flights(t, flights, rates, turns):
+    """Flight times and weights of the k-leg term for m chains that reach
+    leg k: ``flights`` (m, k) holds their first k - 1 flights (the last
+    column is not read), ``rates`` (m,) their collision rates Sigma_tot and
+    ``turns`` (m,) uniforms in [0, 1).
+
+    The last flight is completed to t, u_k = t - (u_1 + ... + u_(k-1)),
+    and the k flights are turned cyclically by floor(k turn) steps.  The
+    memoryless chains that reach leg k have flights with density
+    rate^(k-1) exp(-rate (t - u_k)) on the simplex u_1 + ... + u_k = t, and
+    the k-leg term integrates against rate^(k-1) exp(-rate t); over the k
+    equally likely turns the weight k / sum_j exp(rate u_j) makes each
+    chain an unbiased draw of the term (the balance heuristic of multiple
+    importance sampling).  The turns sample short last flights as often as
+    long first ones.  Returns the flights (m, k) and the weights (m,)."""
+    m, k = flights.shape
+    u = np.array(flights, dtype=float)
+    u[:, -1] = np.maximum(t - u[:, :-1].sum(axis=1), 0.0)
+    steps = np.minimum((k * turns).astype(int), k - 1)
+    u = np.take_along_axis(u, (np.arange(k) + steps[:, None]) % k, axis=1)
+    top = u.max(axis=1, initial=0.0)
+    norm = np.exp(rates[:, None] * (u - top[:, None])).sum(axis=1)
+    return u, k * np.exp(-rates * top) / norm
+
+
 def _overlap_or_mass(b, a, shift, y_b, y_a):
     if b is None:
         return a.x_mass() * a.amplitude * a.y_profile(y_a)
     return pair_overlap(b, a, shift, y_b, y_a)
-
-
-def _t_tables(model: ScatteringModel, legs):
-    """k x k tables T(y_i, y_j) of m on-shell chains, legs (m, k, d), with
-    a zero diagonal: at Born order 1 one broadcast transform of the leg
-    differences (the same values as _t_table), above it _t_table per
-    chain."""
-    if model.born_order > 1:
-        return np.stack([_t_table(model, chain) for chain in legs])
-    tvals = model.coupling * model.born_term(1, legs[:, :, None],
-                                             legs[:, None]) + 0j
-    tvals[:, np.arange(legs.shape[1]), np.arange(legs.shape[1])] = 0.0
-    return tvals
 
 
 def _new_weights(b, a, shift, legs, times, model, q):
@@ -820,13 +850,13 @@ def _new_weights(b, a, shift, legs, times, model, q):
     product of 4 pi^2 |T|^2 along the legs; the return share (ell = m) is
     its j = 0 term.  Row 0 of G is the vectorised closed form at k = 2 and
     one series per chain above it.  Returns (weights, shares, tails), tails
-    holding the tail estimates of the unconverged series; a chain with a
+    holding (row, tail estimate) of the unconverged series; a chain with a
     zero kernel weighs 0.
     """
     m, k = times.shape
     weights = np.zeros(m)
     shares = np.zeros(m)
-    tvals = _t_tables(model, legs)
+    tvals = _t_table(model, legs)
     kernel = np.ones(m)
     for i in range(k - 1):
         kernel = kernel * (4 * math.pi ** 2 * np.abs(tvals[:, i, i + 1]) ** 2)
@@ -841,7 +871,9 @@ def _new_weights(b, a, shift, legs, times, model, q):
         gmats = [g_auto(WeightedCollisionGraph(wc, uc), prefer="series")
                  for wc, uc in zip(w, u)]
         row = np.array([g.entries[0] for g in gmats]).reshape(-1, k)
-        tails = [g.tail_estimate for g in gmats if not g.converged]
+        tails = [(int(r), g.tail_estimate)
+                 for r, g in zip(np.nonzero(live)[0], gmats)
+                 if not g.converged]
     scale = math.factorial(k - 1) * kernel[live] * q[live]
     terms = [np.abs(row[:, j]) ** 2
              * _overlap_or_mass(b, a, shift[live], legs[live, 0],

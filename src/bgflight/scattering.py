@@ -75,6 +75,13 @@ class GaussianPotential:
         return self.amplitude * s ** self.dim * np.exp(
             -np.pi * s ** 2 * (y * y).sum(axis=-1))
 
+    def shell_concentration(self, speeds):
+        """kappa = 4 pi s^2 v^2 at the speeds v: on the sphere |y| = |y'| = v,
+        w_hat(y - y')^2 = w_hat(0)^2 exp(-kappa (1 - cos theta)), theta the
+        angle between y and y'."""
+        s = self.width
+        return 4 * math.pi * s * s * np.asarray(speeds, dtype=float) ** 2
+
 
 # ---------------------------------------------------------------------------
 # theta quadrature machinery
@@ -306,12 +313,25 @@ class ScatteringModel:
 
     def t_matrix_batch(self, y, partners) -> np.ndarray:
         """sum_{n <= born_order} lambda^n T_n(y, p_j) for the rows p_j of
-        ``partners`` (n, d); every Born term builds its theta contour once
-        for all partners.  Real at Born order 1, complex above it."""
+        ``partners`` (n, d), or, for incoming momenta ``y`` (m, d), row i of
+        the result over ``partners[i]`` (m, n, d).  Every Born term builds
+        its theta contour once per incoming momentum; at Born order 1 the m
+        rows are one broadcast transform.  Real at Born order 1, complex
+        above it."""
+        y = np.asarray(y, dtype=float)
         partners = np.asarray(partners, dtype=float)
-        if partners.ndim != 2:
-            raise InvalidInputError("partners must be an (n, d) array")
-        return self._t_sum(y, partners)
+        if y.ndim not in (1, 2) or partners.ndim != y.ndim + 1 \
+                or partners.shape[:-2] != y.shape[:-1]:
+            raise InvalidInputError("partners must be an (n, d) array, or "
+                                    "(m, n, d) for momenta y (m, d)")
+        if y.ndim == 1:
+            return self._t_sum(y, partners)
+        if self.born_order == 1:
+            return self._t_sum(y[:, None], partners)
+        out = np.zeros(partners.shape[:-1], dtype=complex)
+        for i, (y_i, p_i) in enumerate(zip(y, partners)):
+            out[i] = self._t_sum(y_i, p_i)
+        return out
 
     def t_matrix(self, y, yp) -> complex:
         """sum_{n <= born_order} lambda^n T_n(y, y'): the one-partner case
@@ -415,7 +435,7 @@ def sigma_tot_born1_speeds(pot: GaussianPotential, lam, speeds):
     a, s, d = pot.amplitude, pot.width, pot.dim
     if d != 3:
         raise InvalidInputError("closed-form cross section needs d = 3")
-    q = 4 * math.pi * s * s * speeds ** 2
+    q = pot.shell_concentration(speeds)
     integral = 2 * math.pi * a * a * s ** (2 * d) * (1 - np.exp(-2 * q)) / q
     return 4 * math.pi ** 2 * lam ** 2 * speeds * integral
 

@@ -370,6 +370,33 @@ def test_householder_sends_e1_to_axis(axis):
     assert np.allclose(out[1:] @ out[1:].T, x @ x.T, rtol=1e-13, atol=1e-13)
 
 
+def test_turned_flights_weigh_the_stopping_chance():
+    # over the chains that reach leg k, the turned weight integrates the
+    # k-leg path law rate^(k-1) exp(-rate t) on the time simplex: its mean
+    # is the Poisson chance of exactly k - 1 collisions, and with the last
+    # flight as integrand rate^(k-1) exp(-rate t) t^k / k!
+    model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
+    rate = model.sigma_tot(1.0)
+    t, n = 3.0 / rate, 20000
+    block = _block(t, model, 12, n, max_legs=3)
+    turns = kn._uniforms(12, np.arange(n), 0, 0)
+    for k in (1, 2, 3):
+        sel = block.legs >= k
+        u, mis = kn._turned_flights(t, block.times[sel, :k],
+                                    block.rates[sel], turns[sel, k - 1])
+        assert np.allclose(u.sum(axis=1), t, rtol=1e-12)
+        assert np.all(u >= 0)
+        law = math.exp(-rate * t) * rate ** (k - 1)
+        for values, exact in (
+                (mis, law * t ** (k - 1) / math.factorial(k - 1)),
+                (mis * u[:, -1], law * t ** k / math.factorial(k))):
+            total = np.zeros(n)
+            total[sel] = values
+            err = total.std(ddof=1) / math.sqrt(n)
+            # k = 1 has no spread: every chain weighs exp(-rate t)
+            assert abs(total.mean() - exact) <= 4 * err + 1e-12 * exact
+
+
 # ---------------------------------------------------------------------------
 # pairing estimators
 # ---------------------------------------------------------------------------
@@ -404,10 +431,7 @@ def test_pair_estimate_matches_quadrature():
     for series in ("lb", "new"):
         q2 = kn.pair_quadrature(series, A_SYM, B_SYM, t, model, k=2,
                                 y_nodes=12, u_nodes=16, sphere=(10, 20))
-        # the reweighted chains are heavy-tailed (an effective sample of
-        # ~30 per 8000), so the 3-sigma band needs enough chains for the
-        # sample standard error itself to settle
-        est = kn.pair_estimate(series, A_SYM, B_SYM, t, 2, 64000, model,
+        est = kn.pair_estimate(series, A_SYM, B_SYM, t, 2, 8000, model,
                                seed=7)
         assert est.within(q1 + q2, sigmas=3.0)
 

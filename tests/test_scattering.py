@@ -148,6 +148,21 @@ def test_t_matrix_batch_matches_rows_and_reciprocity(order, gamma):
     np.testing.assert_allclose(reverse, rows, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_t_matrix_batch_over_incoming_momenta(order):
+    # y (m, d) with partners (m, n, d): row i is the batch of y[i]
+    rng = np.random.default_rng(40 + order)
+    m = sc.ScatteringModel(POT, coupling=0.3, born_order=order)
+    ys = np.stack([_on_shell(rng, v, 1)[0] for v in (0.7, 1.1, 1.1)])
+    partners = np.stack([_on_shell(rng, np.linalg.norm(y), 5) for y in ys])
+    batch = m.t_matrix_batch(ys, partners)
+    assert batch.shape == (3, 5)
+    for y, p, row in zip(ys, partners, batch):
+        np.testing.assert_array_equal(row, m.t_matrix_batch(y, p))
+    with pytest.raises(InvalidInputError):
+        m.t_matrix_batch(ys, partners[:2])
+
+
 def test_born_terms_scalar_partner_returns_complex():
     yp = np.array([0.0, 0.6, 0.8])
     m = sc.ScatteringModel(POT, coupling=0.3, born_order=3)
