@@ -242,25 +242,22 @@ def _cmd_gmatrix(args, out_dir):
             0 if result.converged else 3)
 
 
-def _build_model(cfg, args):
+def _build_model(cfg):
     pot = sc.GaussianPotential(amplitude=cfg.get("amplitude", 1.0),
                                width=cfg.get("width", 1.0),
                                dim=cfg.get("dim", 3))
-    tol = args.tol if args.tol is not None else cfg.get("tolerance", 1e-11)
     return sc.ScatteringModel(
         pot, coupling=cfg["coupling"], born_order=cfg.get("born_order", 1),
-        gamma=cfg.get("gamma", 0.0), theta_tol=tol,
-        theta_anchor=args.theta_max)
+        gamma=cfg.get("gamma", 0.0))
 
 
 def _cmd_scatter(args, out_dir):
     cfg = _load_config(args.config, {
         "op": True, "coupling": True, "born_order": False, "gamma": False,
         "amplitude": False, "width": False, "dim": False, "y": True,
-        "yp": False, "direction": False, "tolerance": False,
-        "include_third": False,
+        "yp": False, "direction": False, "include_third": False,
     }, {"born_order": 1, "gamma": 0.0, "include_third": False})
-    model = _build_model(cfg, args)
+    model = _build_model(cfg)
     y = _vector(cfg["y"], model.dim, "'y'")
     out = {"op": cfg["op"]}
     if cfg["op"] == "tmat":
@@ -306,10 +303,10 @@ def _cmd_simulate(args, out_dir):
         "series": True, "coupling": True, "born_order": False,
         "amplitude": False, "width": False, "dim": False,
         "a": True, "b": False, "t": True, "k_max": False,
-        "n_samples": False, "seed": False, "tolerance": False,
+        "n_samples": False, "seed": False,
     }, {"born_order": 1, "k_max": 2, "n_samples": 10000, "seed": 0,
         "b": None})
-    model = _build_model(cfg, args)
+    model = _build_model(cfg)
     seed = _seed(args, cfg)
     a = _symbol(cfg["a"], model.dim, "a")
     b = _symbol(cfg["b"], model.dim, "b") if cfg["b"] is not None else None
@@ -426,22 +423,6 @@ def main(argv=None) -> int:
                         help="recorded in the manifest; no effect on "
                              "execution")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="tail tolerance of the theta quadrature of the "
-                             "Born terms of order >= 2 "
-                             "(ScatteringModel.theta_tol), overriding the "
-                             "config key 'tolerance'; it only acts where "
-                             "the contour cannot bend (e.g. incident "
-                             "momentum 0 with Re gamma > 0); read only by "
-                             "scatter and simulate")
-    parser.add_argument("--theta-max", type=float, default=None,
-                        dest="theta_max",
-                        help="point on each theta half-line where the "
-                             "contour of the Born terms of order >= 2 bends "
-                             "into the complex plane "
-                             "(ScatteringModel.theta_anchor; default "
-                             "max(4, 2 width^2)); not a cut-off; read only "
-                             "by scatter and simulate")
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

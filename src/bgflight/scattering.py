@@ -14,15 +14,17 @@ Born sum T = sum_n lambda^n T_n with
                  phase exp(i pi theta_j ||y||^2 - 2 pi gamma theta_j).
 
 On shell (gamma = 0) the theta integrand only decays like theta^(-d/2), so a
-plain truncation is hopeless in d = 3.  Instead each theta half-line is bent
-at a fixed anchor into the upper half-plane, where the phase factor decays
-like exp(-pi ||y||^2 tau); the integrand is analytic in the bent region
-(every alpha_j = 2 s^2 + i theta_j keeps a positive imaginary or real part,
-and the determinant factor is evaluated through a branch-safe product form).
-Gauss-Legendre panels cover the real segment and scaled Gauss-Laguerre nodes
-the vertical leg.  Orders n <= 3 are supported; the quadratic decay estimate
-that motivates this scheme also gives the tail bound used in the pure
-real-axis fallback for Re gamma > 0.
+plain truncation is hopeless in d = 3.  Instead each theta half-line runs
+along the real axis to a fixed anchor and then along the steepest-descent
+ray of the phase exp(beta theta), beta = i pi ||y||^2 - 2 pi gamma: the ray
+leaves the anchor in the direction -conj(beta)/|beta|, where the phase
+decays like exp(-|beta| tau) without oscillating.  On shell the ray is
+vertical, at ||y|| = 0 it is the real axis.  The integrand is analytic in
+the region swept (every alpha_j = 2 s^2 + i theta_j keeps a positive
+imaginary part past the anchor, and the determinant factor is evaluated
+through a branch-safe product form).  Gauss-Legendre panels cover the real
+segment and scaled Gauss-Laguerre nodes the ray.  Orders n <= 3 are
+supported.
 
 The on-shell collision kernel uses the energy-shell convention
 
@@ -90,11 +92,10 @@ class GaussianPotential:
 # complex elements of any partner-batched temporary (128 KB)
 BATCH_ELEMS = 8192
 
-# Gauss-Legendre nodes per real theta panel, Gauss-Laguerre nodes on the
-# vertical leg, and the most panels the real-axis fallback may use
+# Gauss-Legendre nodes per real theta panel and Gauss-Laguerre nodes on the
+# steepest-descent ray
 PANEL_NODES = 20
 LEG_NODES = 64
-PANEL_CAP = 4000
 # polar nodes of the total cross section's sphere integral
 SPHERE_NODES = 64
 
@@ -135,10 +136,18 @@ def _panels(beta, end, panels):
     return nodes.astype(complex), weights
 
 
-def _theta_contour(c, gamma, s, tol, anchor=None):
+def _theta_contour(c, gamma, s):
     """Complex nodes and weights approximating int_0^inf f(theta)
     exp(beta theta) dtheta for f analytic past the anchor, where
     beta = i pi c - 2 pi gamma and c >= 0 is the squared incident speed.
+
+    Gauss-Legendre panels cover [0, anchor], anchor = max(4, 2 s^2); beyond
+    it the path is the steepest-descent ray anchor + direction * t with
+    direction = -conj(beta)/|beta|, on which exp(beta theta) =
+    exp(beta anchor) exp(-|beta| t) decays without oscillating, summed by
+    Gauss-Laguerre nodes scaled by |beta|.  On shell the ray is vertical; at
+    c = 0 it is the real axis.  Raises TailBoundError when |beta| <= 1e-4
+    (e.g. c = 0 on shell), where the integrand barely decays.
 
     Returns (nodes, weights) such that the integral is sum w_j g(node_j)
     with g the *full* integrand including the phase factor; the phase is
@@ -148,36 +157,21 @@ def _theta_contour(c, gamma, s, tol, anchor=None):
     if gamma.real < 0:
         raise InvalidInputError("Re gamma must be non-negative")
     beta = 1j * math.pi * c - 2 * math.pi * gamma
-    rate = math.pi * c + 2 * math.pi * gamma.imag
-    if anchor is None:
-        anchor = max(4.0, 2.0 * s * s)
-    if rate > 1e-4:
-        # bent contour: real panels to the anchor, vertical leg beyond
-        periods = anchor * (c + 2 * abs(gamma)) / 2.0
-        nodes, weights = _panels(beta, anchor,
-                                 max(4, int(math.ceil(periods)) + 2))
-        lx, lw = _rule(laggauss, LEG_NODES)
-        tau = lx / rate
-        leg_weights = (1j * np.exp(beta * anchor) * (lw / rate)
-                       * np.exp(-2j * math.pi * gamma.real * tau))
-        return (np.concatenate([nodes, anchor + 1j * tau]),
-                np.concatenate([weights, leg_weights]))
-    if gamma.real > 0:
-        # decaying real-axis integrand; truncate where the exponential tail
-        # is provably below tolerance
-        decay = 2 * math.pi * gamma.real
-        theta_max = max(anchor, math.log(10.0 / tol) / decay)
-        tail = math.exp(-decay * theta_max) / decay
-        if tail > tol:
-            raise TailBoundError(
-                f"theta tail {tail:.2e} above tolerance {tol:.2e}")
-        periods = theta_max * (c + 2 * abs(gamma)) / 2.0
-        panels = max(8, int(math.ceil(periods)) + 4)
-        if panels > PANEL_CAP:
-            raise TailBoundError("oscillation count beyond quadrature budget")
-        return _panels(beta, theta_max, panels)
-    raise TailBoundError(
-        "on-shell theta integral needs a non-zero incident momentum")
+    rate = abs(beta)
+    if rate <= 1e-4:
+        raise TailBoundError(
+            f"theta phase decays at rate |beta| = {rate:.2e} <= 1e-4 "
+            "(on shell this needs a non-zero incident momentum)")
+    anchor = max(4.0, 2.0 * s * s)
+    periods = anchor * (c + 2 * abs(gamma)) / 2.0
+    nodes, weights = _panels(beta, anchor,
+                             max(4, int(math.ceil(periods)) + 2))
+    direction = -beta.conjugate() / rate
+    lx, lw = _rule(laggauss, LEG_NODES)
+    tau = lx / rate
+    ray_weights = direction * np.exp(beta * anchor) * (lw / rate)
+    return (np.concatenate([nodes, anchor + direction * tau]),
+            np.concatenate([weights, ray_weights]))
 
 
 def _gauss_reduced_sum(y0, partners, prefactor, x0, y_grid, z0, factor):
@@ -219,16 +213,15 @@ def _gauss_reduced_sum(y0, partners, prefactor, x0, y_grid, z0, factor):
     return complex(out[0]) if p.ndim == 1 else out
 
 
-def born_term_2(pot: GaussianPotential, y0, y2, gamma=0.0, tol=1e-11,
-                anchor=None):
-    """Second Born iterate: one bent theta half-line times a closed-form
+def born_term_2(pot: GaussianPotential, y0, y2, gamma=0.0):
+    """Second Born iterate: one theta contour times a closed-form
     Gaussian momentum integral.  ``y2`` is one momentum (complex result) or
     partners (n, d) (array result); the contour depends on |y0| only and is
     built once per call."""
     y0 = np.asarray(y0, dtype=float)
     a, s, d = pot.amplitude, pot.width, pot.dim
     c = float(y0 @ y0)
-    nodes, weights = _theta_contour(c, gamma, s, tol, anchor=anchor)
+    nodes, weights = _theta_contour(c, gamma, s)
     alpha = 2 * s * s + 1j * nodes
     # exponent -pi s^2 (|y0|^2 + |y2|^2) + pi s^4 |y0 + y2|^2 / alpha, split
     # into partner-independent node vectors
@@ -239,9 +232,8 @@ def born_term_2(pot: GaussianPotential, y0, y2, gamma=0.0, tol=1e-11,
         -2j * math.pi)
 
 
-def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0, tol=1e-10,
-                anchor=None):
-    """Third Born iterate: tensor product of two bent theta half-lines; the
+def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0):
+    """Third Born iterate: tensor product of two theta contours; the
     inner double momentum integral closes through a 2x2 Gaussian block whose
     determinant power is taken in the branch-safe product form.  ``y3`` is
     one momentum or partners (n, d), as for born_term_2; the node-grid
@@ -249,12 +241,12 @@ def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0, tol=1e-10,
     y0 = np.asarray(y0, dtype=float)
     a, s, d = pot.amplitude, pot.width, pot.dim
     c = float(y0 @ y0)
-    nodes, weights = _theta_contour(c, gamma, s, tol, anchor=anchor)
+    nodes, weights = _theta_contour(c, gamma, s)
     a1 = (2 * s * s + 1j * nodes)[:, None]
     a2 = (2 * s * s + 1j * nodes)[None, :]
     det = a1 * a2 - s ** 4
     # det^(-d/2) = a1^(-d/2) a2^(-d/2) (1 - s^4/(a1 a2))^(-d/2), each factor
-    # staying clear of the principal branch cut on the bent contour
+    # staying clear of the principal branch cut on the contour
     det_pow = (a1 ** (-d / 2.0) * a2 ** (-d / 2.0)
                * (1.0 - s ** 4 / (a1 * a2)) ** (-d / 2.0))
     # exponent -pi s^2 (|y0|^2 + |y3|^2)
@@ -281,8 +273,6 @@ class ScatteringModel:
     coupling: float = 0.1
     born_order: int = 1
     gamma: complex = 0.0
-    theta_tol: float = 1e-11
-    theta_anchor: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.born_order <= MAX_BORN_ORDER:
@@ -303,11 +293,9 @@ class ScatteringModel:
             t = self.potential.w_hat(np.asarray(y) - np.asarray(yp))
             return complex(t) if np.ndim(t) == 0 else t
         if n == 2:
-            return born_term_2(self.potential, y, yp, self.gamma,
-                               self.theta_tol, anchor=self.theta_anchor)
+            return born_term_2(self.potential, y, yp, self.gamma)
         if n == 3:
-            return born_term_3(self.potential, y, yp, self.gamma,
-                               self.theta_tol, anchor=self.theta_anchor)
+            return born_term_3(self.potential, y, yp, self.gamma)
         raise InvalidInputError(
             f"Born order {n} beyond supported {MAX_BORN_ORDER}")
 

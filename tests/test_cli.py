@@ -164,6 +164,21 @@ def test_scatter_ops(tmp_path):
     assert abs(payload["residual_over_coupling_sq"]) <= 1e-3
 
 
+def test_scatter_tmat_at_zero_momentum(tmp_path, capsys):
+    # off shell the theta ray is the real axis; on shell the integrand does
+    # not decay and the run ends as a numerical failure
+    out = tmp_path / "out"
+    tmat = {"op": "tmat", "coupling": 0.3, "born_order": 3,
+            "y": [0, 0, 0], "yp": [0, 0.5, 0]}
+    cfg = write(tmp_path / "off.json", dict(tmat, gamma=0.3))
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "scatter.json").read_text())
+    assert np.isfinite([payload["t_re"], payload["t_im"]]).all()
+    cfg = write(tmp_path / "on.json", dict(tmat, gamma=0))
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = write(tmp_path / "c.json", {
         "series": "lb", "coupling": 0.4, "t": 0.6, "k_max": 2,
@@ -268,18 +283,24 @@ def test_lattice_outputs(tmp_path):
     assert b"\r" not in (out / "points.csv").read_bytes()
 
 
-def test_help_describes_tol_and_theta_max(capsys):
+@pytest.mark.parametrize("command, config", [
+    ("scatter", {"op": "tmat", "coupling": 0.3, "y": [1, 0, 0],
+                 "yp": [0, 1, 0], "tolerance": 1e-11}),
+    ("simulate", dict(SIMULATE_LB, tolerance=1e-11)),
+], ids=["scatter", "simulate"])
+def test_tolerance_is_unknown_outside_paths(tmp_path, capsys, command,
+                                            config):
+    cfg = write(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "unknown config key: 'tolerance'" in capsys.readouterr().err
+
+
+def test_help_describes_seed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    tol_help = text[text.rindex("--tol TOL"):text.rindex("--theta-max")]
-    anchor_help = text[text.rindex("--theta-max THETA_MAX"):]
-    assert "ScatteringModel.theta_tol" in tol_help
-    assert "ScatteringModel.theta_anchor" in anchor_help
-    assert "bends into the complex plane" in anchor_help
-    for described in (tol_help, anchor_help):
-        assert "read only by scatter and simulate" in described
     seed_help = text[text.rindex("--seed SEED"):text.rindex("--threads")]
     assert "config key 'seed' of paths and simulate" in seed_help
     assert "only record it in the manifest" in seed_help

@@ -66,12 +66,9 @@ def test_first_born_symmetry():
     assert m.t_matrix(y, yp) == pytest.approx(m.t_matrix(yp, y))
 
 
-def test_t2_against_direct_3d_quadrature_off_shell():
-    y0 = np.array([0.8, 0.1, 0.0])
-    y2 = np.array([0.3, -0.5, 0.2])
-    gam = 1.0
-    ours = sc.born_term_2(POT, y0, y2, gamma=gam)
-    n1, L = 48, 5.0
+def _t2_brute(y0, y2, gam, n1, L=5.0):
+    """T_2 as a tensor Gauss-Legendre sum over the momentum cube [-L, L]^3
+    of W_hat(y0 - p) W_hat(p - y2) / (|y0|^2/2 - |p|^2/2 + i gamma)."""
     x, w = leggauss(n1)
     pts = L * x
     X, Y, Z = np.meshgrid(pts, pts, pts, indexing="ij")
@@ -79,8 +76,46 @@ def test_t2_against_direct_3d_quadrature_off_shell():
     g = 1.0 / (0.5 * (y0 @ y0) - 0.5 * np.sum(P * P, axis=-1) + 1j * gam)
     vals = POT.w_hat(y0 - P) * POT.w_hat(P - y2) * g
     W3 = np.einsum("i,j,k->ijk", w, w, w) * L ** 3
-    brute = complex(np.sum(W3 * vals))
-    assert abs(ours - brute) < 2e-6
+    return complex(np.sum(W3 * vals))
+
+
+@pytest.mark.parametrize("y0, gam", [
+    ([0.8, 0.1, 0.0], 1.0),
+    ([0.03, 0.04, 0.0], 0.3),
+    ([0.0, 0.0, 0.0], 0.3),
+], ids=["far", "near", "zero"])
+def test_t2_against_direct_3d_quadrature_off_shell(y0, gam):
+    # the bound is the brute sum's own change from 48 to 64 nodes per axis,
+    # an upper estimate of its error at 64 (1.9e-7 on the first case,
+    # 1.4e-4 on the others, against 6.6e-10 and 3.1e-6 from 64 to 80)
+    y0 = np.array(y0)
+    y2 = np.array([0.3, -0.5, 0.2])
+    ours = sc.born_term_2(POT, y0, y2, gamma=gam)
+    brute = _t2_brute(y0, y2, gam, 64)
+    assert abs(ours - brute) < abs(_t2_brute(y0, y2, gam, 48) - brute)
+
+
+def _real_axis_contour(c, gamma, s):
+    """The undeformed theta half-line, cut where exp(-2 pi Re gamma theta)
+    falls to 1e-13, under 60 Gauss-Legendre panels: a reference for
+    Re gamma > 0 that never leaves the real axis."""
+    gamma = complex(gamma)
+    end = math.log(1e13) / (2 * math.pi * gamma.real)
+    return sc._panels(1j * math.pi * c - 2 * math.pi * gamma, end, 60)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.1, 0.3 + 0.1j, 0.3 - 0.1j])
+@pytest.mark.parametrize("speed", [0.0, 0.1, 0.8])
+def test_born_terms_match_real_axis_off_shell(monkeypatch, speed, gamma):
+    y0 = np.array([0.0, speed, 0.0])
+    partners = np.array([[0.2, -0.3, 0.1], [0.0, 0.5, 0.5]])
+    ours = [sc.born_term_2(POT, y0, partners, gamma),
+            sc.born_term_3(POT, y0, partners, gamma)]
+    monkeypatch.setattr(sc, "_theta_contour", _real_axis_contour)
+    reference = [sc.born_term_2(POT, y0, partners, gamma),
+                 sc.born_term_3(POT, y0, partners, gamma)]
+    for value, ref in zip(ours, reference):
+        np.testing.assert_array_less(np.abs(value - ref), 1e-12)
 
 
 def test_t2_on_shell_imaginary_part():
