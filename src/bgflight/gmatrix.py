@@ -21,8 +21,12 @@ Three evaluation routes are provided (series, contour quadrature, k=2 Bessel
 closed form); their mutual agreement is the module's main correctness check.
 The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``
 under the factorial transform ``paths._borel_weights``: the layers and the
-transform that the path identity of ``paths`` is checked on.  Indices are
-0-based throughout.
+transform that the path identity of ``paths`` is checked on.  One driver,
+``g_series_batch``, sums them for a batch of graphs at once, right-multiplied
+layer by layer, for all rows of G or for one start row (the Monte Carlo
+reweighting reads only row 0), judges convergence per graph and lets
+converged graphs leave the batch; ``g_series`` is its one-graph, all-rows
+case.  Indices are 0-based throughout.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
@@ -39,7 +43,8 @@ import numpy as np
 from scipy import special
 
 from .errors import CapacityError, InvalidInputError, SingularContourError
-from .paths import WeightedCollisionGraph, _borel_weights, _layers
+from .paths import (WeightedCollisionGraph, _borel_weights, _layers,
+                    _power_tables)
 
 # g_series stops once two consecutive layers fall below this fraction of
 # max(1, max |G|)
@@ -103,45 +108,91 @@ def default_radius(graph: WeightedCollisionGraph) -> float:
 # series route: homogeneous layers of the resolvent expansion
 # ---------------------------------------------------------------------------
 
-def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
-    """Truncated series evaluation: accumulate the factorial transform
-    ``paths._borel_weights`` of each homogeneous layer (D(u) W)^n D(u), as
-    ``paths._layers`` yields them, at the vertex times.
+@dataclass
+class SeriesBatch:
+    """Series values of a batch of B graphs: ``entries`` (B, k) for one
+    start row, (B, k, k) for all rows, and per graph the order reached, the
+    tail estimate and the convergence flag."""
 
-    Stops once two consecutive layer contributions fall below SERIES_TOL
-    relative to the running value (two, because parity can zero alternate
-    layers); ``converged`` is cleared when max_order runs out first.  It is
-    also cleared when the largest layer is so much bigger than the result
-    that its rounding error (machine epsilon times that layer) exceeds
+    entries: np.ndarray
+    order: np.ndarray
+    tail_estimate: np.ndarray
+    converged: np.ndarray
+
+
+def g_series_batch(weights, times, row: int | None = None,
+                   max_order: int = 80) -> SeriesBatch:
+    """Truncated series of a batch of graphs (edge weights (B, k, k) with
+    zero diagonals, vertex times (B, k)): accumulate the factorial
+    transform ``paths._borel_weights`` of each homogeneous layer
+    (D(u) W)^n D(u), as ``paths._layers`` yields them, at the vertex times.
+    ``row`` keeps only that start row of G; by default all rows are summed.
+
+    Each graph stops once two consecutive layer contributions fall below
+    SERIES_TOL relative to max(1, max |entry|) over the rows summed (two,
+    because parity can zero alternate layers), and then leaves the batch;
+    ``converged`` is cleared when max_order runs out first.  It is also
+    cleared when the largest layer is so much bigger than the result that
+    its rounding error (machine epsilon times that layer) exceeds
     SERIES_ROUNDING_RTOL of the result's scale: cancellation has then eaten
-    the digits, and the tail estimate reports that rounding error.
+    the digits, and the tail estimate reports that rounding error.  A
+    graph's values do not depend on the other graphs in the batch.
     """
-    k, u = graph.k, graph.times
-    total = np.zeros((k, k), dtype=complex)
-    last_two = [np.inf, np.inf]
-    peak, scale = 0.0, 1.0
-    order_reached = 0
-    converged = False
-    for degree, layer in zip(range(1, max_order + 2), _layers(graph)):
-        bw = _borel_weights(k, degree, u)
-        value = layer @ bw
+    w = np.asarray(weights, dtype=complex)
+    u = np.asarray(times, dtype=float)
+    n, k = u.shape
+    rows = np.arange(k) if row is None else np.array([row])
+    entries = np.zeros((n, len(rows), k), dtype=complex)
+    order = np.zeros(n, dtype=int)
+    tails = np.zeros(n)
+    converged = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+    total = entries.copy()
+    previous = np.full(n, np.inf)
+    peak = np.zeros(n)
+    layers, tables = _layers(w, rows), _power_tables(u)
+    layer, table = next(layers), next(tables)
+    keep = None
+    for degree in range(1, max_order + 2):
+        if not active.size:
+            break
+        if degree > 1:
+            layer, table = layers.send(keep), tables.send(keep)
+        value = (layer @ _borel_weights(table)[:, None, :, None])[..., 0]
         total += value
-        order_reached = degree - 1
-        vmax = float(np.max(np.abs(value)))
-        peak = max(peak, vmax)
-        last_two = [last_two[1], vmax]
-        scale = max(1.0, float(np.max(np.abs(total))))
+        vmax = np.abs(value).max(axis=(1, 2))
+        peak = np.maximum(peak, vmax)
+        last_two = np.maximum(previous, vmax)
+        previous = vmax
+        scale = np.maximum(1.0, np.abs(total).max(axis=(1, 2)))
         # layers below total degree k vanish identically (every exponent
         # must reach 1), so only judge convergence past that point
-        if degree > k and max(last_two) <= SERIES_TOL * scale:
-            converged = True
-            break
-    rounding = np.finfo(float).eps * peak
-    if rounding > SERIES_ROUNDING_RTOL * scale:
-        converged = False
-    return GMatrix(total, "series", order=order_reached,
-                   tail_estimate=max(max(last_two), rounding),
-                   converged=converged)
+        done = (last_two <= SERIES_TOL * scale) & (degree > k)
+        stop = done if degree <= max_order else np.ones_like(done)
+        keep = None
+        if stop.any():
+            out = active[stop]
+            rounding = np.finfo(float).eps * peak[stop]
+            entries[out] = total[stop]
+            order[out] = degree - 1
+            tails[out] = np.maximum(last_two[stop], rounding)
+            converged[out] = done[stop] & (
+                rounding <= SERIES_ROUNDING_RTOL * scale[stop])
+            keep = ~stop
+            active, total = active[keep], total[keep]
+            previous, peak = previous[keep], peak[keep]
+    return SeriesBatch(entries if row is None else entries[:, 0], order,
+                       tails, converged)
+
+
+def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
+    """Truncated series evaluation of one graph: the one-graph, all-rows
+    case of ``g_series_batch``, with its convergence rule."""
+    out = g_series_batch(graph.weights[None], graph.times[None],
+                         max_order=max_order)
+    return GMatrix(out.entries[0], "series", order=int(out.order[0]),
+                   tail_estimate=float(out.tail_estimate[0]),
+                   converged=bool(out.converged[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from . import partitions as pa
-from .gmatrix import _k2_entries, g_auto
+from .gmatrix import _k2_entries, g_auto, g_series_batch
 from .paths import WeightedCollisionGraph, partition_to_path
 from .scattering import ScatteringModel
 
@@ -849,9 +849,10 @@ def _new_weights(b, a, shift, legs, times, model, q):
     sum_j |g_0j|^2 ov(leg j) / ((k-1)! kernel q), the kernel being the
     product of 4 pi^2 |T|^2 along the legs; the return share (ell = m) is
     its j = 0 term.  Row 0 of G is the vectorised closed form at k = 2 and
-    one series per chain above it.  Returns (weights, shares, tails), tails
-    holding (row, tail estimate) of the unconverged series; a chain with a
-    zero kernel weighs 0.
+    one batched series over all m chains above it (g_series_batch from
+    start row 0, each chain judged converged on that row).  Returns
+    (weights, shares, tails), tails holding (row, tail estimate) of the
+    unconverged series; a chain with a zero kernel weighs 0.
     """
     m, k = times.shape
     weights = np.zeros(m)
@@ -868,12 +869,11 @@ def _new_weights(b, a, shift, legs, times, model, q):
         g00, g01, _, _ = _k2_entries(u[:, 0], u[:, 1], w[:, 0, 1], w[:, 1, 0])
         row = np.stack([g00, g01], axis=1)
     else:
-        gmats = [g_auto(WeightedCollisionGraph(wc, uc), prefer="series")
-                 for wc, uc in zip(w, u)]
-        row = np.array([g.entries[0] for g in gmats]).reshape(-1, k)
-        tails = [(int(r), g.tail_estimate)
-                 for r, g in zip(np.nonzero(live)[0], gmats)
-                 if not g.converged]
+        series = g_series_batch(w, u, row=0)
+        row = series.entries
+        bad = ~series.converged
+        tails = list(zip(np.nonzero(live)[0][bad].tolist(),
+                         series.tail_estimate[bad].tolist()))
     scale = math.factorial(k - 1) * kernel[live] * q[live]
     terms = [np.abs(row[:, j]) ** 2
              * _overlap_or_mass(b, a, shift[live], legs[live, 0],

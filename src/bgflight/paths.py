@@ -17,9 +17,13 @@ engine behind the generating matrix function computed in ``gmatrix``.
 A polynomial in the vertex times is stored in one layout: a dense array of
 coefficients over the exponent vectors ``_monomials(k, degree)``.
 ``_layers`` is the one implementation of the layers [D(u) W]^n D(u) and
-``_borel_weights`` the one implementation of L, both in that layout:
-``gmatrix.g_series`` sums the layers with those weights, and the path
-identity compares path sums with the same layers under the same L.
+``_borel_weights`` the one implementation of L, both in that layout and
+both batched over graphs: the layers are right-multiplied, layer n + 1 =
+layer n W D(u), for a batch of weight matrices and a choice of start rows,
+and L reads a power table of the vertex times that grows by one column per
+degree (``_power_tables``).  ``gmatrix.g_series_batch`` sums the layers
+with those weights, and the path identity compares path sums with the same
+layers under the same L.
 """
 
 from __future__ import annotations
@@ -174,50 +178,84 @@ def _monomial_index(k: int, degree: int, expo) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shift_sources(k: int, degree: int) -> np.ndarray:
-    """For each axis i, the layer-(degree-1) index of monomial - e_i,
-    or -1 when the exponent on axis i vanishes."""
+    """For each axis j, the source of every monomial of ``_monomials(k,
+    degree)`` in a (k, M + 1) block flattened row by row, M the monomial
+    count of degree - 1: row j, column of monomial - e_j, or row j, column
+    M (an appended zero column) when the exponent on axis j vanishes."""
     monos = _monomials(k, degree)
+    width = math.comb(degree + k - 2, k - 1) + 1
     shifted = monos[None, :, :] - np.eye(k, dtype=np.int64)[:, None, :]
     src = _monomial_index(k, degree - 1, shifted)
-    src[monos.T == 0] = -1
+    src[monos.T == 0] = width - 1
+    src += width * np.arange(k)[:, None]
     src.setflags(write=False)
     return src
 
 
-def _layers(graph: WeightedCollisionGraph):
-    """Yield [D(u) W]^n D(u) for n = 0, 1, 2, ... as a (k, k, M) array of
-    coefficients over the M monomials ``_monomials(k, n + 1)``.  Row i of
-    layer n + 1 is u_i sum_l w_il (row l of layer n): one matrix product
-    on the gathered rows, then an index shift."""
-    k, w = graph.k, graph.weights
+def _layers(weights, rows=None):
+    """Yield [D(u) W]^n D(u) for n = 0, 1, 2, ... for a batch of B graphs
+    with edge weights ``weights`` (B, k, k): a (B, r, k, M) array of
+    coefficients over the M monomials ``_monomials(k, n + 1)`` of the rows
+    ``rows`` (all k rows by default).  Right-multiplied: column j of layer
+    n + 1 is u_j sum_l (column l of layer n) w_lj, one matmul over the batch
+    and the rows, then one gather through ``_shift_sources`` from the
+    product with a zero column appended to each of its k rows.
+
+    Sending a boolean mask over the current batch, instead of calling
+    next(), keeps only those graphs in the layers that follow."""
+    w = np.asarray(weights, dtype=complex)
+    k = w.shape[-1]
+    rows = np.arange(k) if rows is None else np.asarray(rows)
+    # wt[b, 0, j, l] = w[b, l, j]: the batch matmul contracts over l
+    wt = np.ascontiguousarray(np.swapaxes(w, 1, 2))[:, None]
     # layer 0 is D(u): entry (i, i) is the monomial u_i
-    expo = _monomials(k, 1).T
-    layer = np.eye(k)[:, :, None] * expo[:, None, :] + 0j
+    diag = np.eye(k)[:, :, None] * _monomials(k, 1).T[:, None, :]
+    layer = np.broadcast_to(diag[rows], (len(w), len(rows), k, k)) + 0j
     degree = 1
     while True:
-        yield layer
+        keep = yield layer
+        if keep is not None:
+            layer, wt = layer[keep], wt[keep]
         degree += 1
-        src = _shift_sources(k, degree)
-        new = np.zeros((k, k, src.shape[1]), dtype=complex)
-        for i in range(k):
-            valid = src[i] >= 0
-            gathered = layer[:, :, src[i, valid]]
-            new[i][:, valid] = (w[i] @ gathered.reshape(k, -1)).reshape(k, -1)
-        layer = new
+        prod = wt @ layer
+        zero = np.zeros(prod.shape[:-1] + (1,), dtype=complex)
+        padded = np.concatenate([prod, zero], axis=-1)
+        layer = np.take(padded.reshape(prod.shape[:2] + (-1,)),
+                        _shift_sources(k, degree), axis=-1)
 
 
-def _borel_weights(k: int, degree: int, u: np.ndarray) -> np.ndarray:
+def _power_tables(times):
+    """Yield the power tables of the factorial transform at a batch of
+    vertex times ``times`` (B, k), for degree 1, 2, ...: (B, k, degree + 1)
+    arrays whose column e >= 1 holds u^(e - 1) / (e - 1)! and whose column 0
+    is zero.  Each degree appends one column, the last one times u / (e - 1).
+
+    Sending a boolean mask over the current batch, instead of calling
+    next(), keeps only those graphs in the tables that follow."""
+    u = np.asarray(times, dtype=float)
+    table = np.zeros(u.shape + (2,))
+    table[..., 1] = 1.0
+    degree = 1
+    while True:
+        keep = yield table
+        if keep is not None:
+            table, u = table[keep], u[keep]
+        degree += 1
+        column = table[..., -1] * u / (degree - 1)
+        table = np.concatenate([table, column[..., None]], axis=-1)
+
+
+def _borel_weights(table: np.ndarray) -> np.ndarray:
     """The factorial transform L on the monomials ``_monomials(k, degree)``,
-    evaluated at the vertex times: prod_i u_i^(nu_i - 1) / (nu_i - 1)! per
-    monomial, zero if any nu_i = 0.  A coefficient array over those
-    monomials, dotted with these weights, is L of its polynomial at u."""
+    evaluated at the vertex times of a power table (..., k, degree + 1) of
+    ``_power_tables``: prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial,
+    zero if any nu_i = 0.  A coefficient array over those monomials, dotted
+    with these weights, is L of its polynomial at u."""
+    k, degree = table.shape[-2], table.shape[-1] - 1
     expo = _monomials(k, degree)
-    pw = np.zeros((k, degree + 1))
-    for e in range(1, degree + 1):
-        pw[:, e] = u ** (e - 1) / math.factorial(e - 1)
-    out = np.ones(len(expo))
-    for i in range(k):
-        out *= pw[i, expo[:, i]]
+    out = table[..., 0, expo[:, 0]]
+    for i in range(1, k):
+        out = out * table[..., i, expo[:, i]]
     return out
 
 
@@ -240,12 +278,20 @@ def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
     return out
 
 
-def _identity_residual(graph, layer, n, start, end, cap):
+def _unit_layers(graph: WeightedCollisionGraph):
+    """Yield (layer n of ``_layers``, the ``_borel_weights`` on its
+    monomials at u = 1) for the one graph, n = 0, 1, 2, ..."""
+    pairs = zip(_layers(graph.weights[None]),
+                _power_tables(np.ones((1, graph.k))))
+    for layer, table in pairs:
+        yield layer[0], _borel_weights(table[0])
+
+
+def _identity_residual(graph, layer, bw, n, start, end, cap):
     """Max coefficient modulus of L(surjective path sum) - L(entry
     (start, end) of ``layer``), layer n of ``_layers``, with L applied as
-    the ``_borel_weights`` at u = 1 that ``g_series`` uses."""
+    the Borel weights ``bw`` at u = 1."""
     lhs = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
-    bw = _borel_weights(graph.k, n + 1, np.ones(graph.k))
     diff = lhs * bw - layer[start, end] * bw
     # the modulus as complex scalar abs takes it; a vector loop for the
     # complex abs may round differently
@@ -261,8 +307,8 @@ def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,
     Exact up to rounding."""
     if n < 1:
         raise InvalidInputError("identity needs n >= 1")
-    layer = next(itertools.islice(_layers(graph), n, None))
-    return _identity_residual(graph, layer, n, start, end, cap)
+    layer, bw = next(itertools.islice(_unit_layers(graph), n, None))
+    return _identity_residual(graph, layer, bw, n, start, end, cap)
 
 
 def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
@@ -271,9 +317,9 @@ def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
     n = 1..n_max and every pair of vertices, in that order, from one pass
     of ``_layers``."""
     k = graph.k
-    layers = itertools.islice(_layers(graph), 1, n_max + 1)
-    return [(n, i, j, _identity_residual(graph, layer, n, i, j, cap))
-            for n, layer in enumerate(layers, start=1)
+    layers = itertools.islice(_unit_layers(graph), 1, n_max + 1)
+    return [(n, i, j, _identity_residual(graph, layer, bw, n, i, j, cap))
+            for n, (layer, bw) in enumerate(layers, start=1)
             for i in range(k) for j in range(k)]
 
 

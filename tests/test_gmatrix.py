@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from bgflight import gmatrix as gm
+from bgflight import kinetic as kn
+from bgflight import scattering as sc
 from bgflight.errors import InvalidInputError, SingularContourError
 from bgflight.paths import WeightedCollisionGraph, _monomials, path_sum_table
 
@@ -316,3 +318,87 @@ def test_g_auto_dispatch():
     spec = gm.ContourSpec(nodes=32)
     assert gm.g_auto(g3, spec=spec).method == "contour"
     assert gm.g_auto(g3, prefer="series").method == "series"
+
+
+# ---------------------------------------------------------------------------
+# batched series engine
+# ---------------------------------------------------------------------------
+
+def engine_graphs(k, n, seed):
+    """n edge-weight matrices (n, k, k) and vertex times (n, k): the first
+    half uniform weights of modulus up to 0.2..2, the second half chain
+    graphs of the Born-order-1 estimator at coupling 0.4 (w = -2 pi i T
+    between on-shell legs of speed 0.6..1.4, flights summing to t = 1)."""
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    w = rng.uniform(-1, 1, (half, k, k)) + 1j * rng.uniform(-1, 1,
+                                                           (half, k, k))
+    w *= rng.uniform(0.2, 2.0, (half, 1, 1)) / np.max(
+        np.abs(w), axis=(1, 2), keepdims=True)
+    w[:, np.arange(k), np.arange(k)] = 0
+    u = rng.uniform(0.05, 1.0, (half, k))
+    model = sc.ScatteringModel(sc.GaussianPotential(), coupling=0.4,
+                               born_order=1)
+    dirs = rng.normal(size=(n - half, k, 3))
+    legs = rng.uniform(0.6, 1.4, (n - half, 1, 1)) * dirs / np.linalg.norm(
+        dirs, axis=2, keepdims=True)
+    w_chain = -2j * math.pi * kn._t_table(model, legs)
+    u_chain = rng.dirichlet(np.ones(k), n - half)
+    return np.concatenate([w, w_chain]), np.concatenate([u, u_chain])
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_batched_row_matches_g_series(k):
+    w, u = engine_graphs(k, 64, seed=40 + k)
+    rows = gm.g_series_batch(w, u, row=0)
+    assert rows.entries.shape == (64, k)
+    for b in range(64):
+        ref = gm.g_series(WeightedCollisionGraph(w[b], u[b]))
+        assert rows.converged[b] and ref.converged
+        # the row is judged on its own entries, whose layers fall below the
+        # tolerance no later than those of the whole matrix: it may stop
+        # one layer earlier, a layer below SERIES_TOL of the scale
+        assert ref.order - 1 <= rows.order[b] <= ref.order
+        row = ref.entries[0]
+        scale = max(1.0, np.max(np.abs(row)))
+        assert np.max(np.abs(rows.entries[b] - row)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_batched_row_does_not_depend_on_the_batch(k):
+    w, u = engine_graphs(k, 256, seed=50 + k)
+    rows = gm.g_series_batch(w, u, row=0)
+    for b in range(0, 256, 5):
+        one = gm.g_series_batch(w[b:b + 1], u[b:b + 1], row=0)
+        assert np.array_equal(one.entries[0], rows.entries[b])
+        assert one.order[0] == rows.order[b]
+        assert one.tail_estimate[0] == rows.tail_estimate[b]
+        assert one.converged[0] == rows.converged[b]
+
+
+def test_batch_flags_only_the_graph_that_cannot_converge():
+    w, u = engine_graphs(3, 16, seed=60)
+    w[5] *= 40 / np.max(np.abs(w[5]))
+    rows = gm.g_series_batch(w, u, row=0, max_order=40)
+    assert np.flatnonzero(~rows.converged).tolist() == [5]
+    assert rows.order[5] == 40 and rows.tail_estimate[5] > 1e-3
+    for b in (0, 8, 15):
+        one = gm.g_series_batch(w[b:b + 1], u[b:b + 1], row=0, max_order=40)
+        assert np.array_equal(one.entries[0], rows.entries[b])
+
+
+def test_empty_batch():
+    for row in (0, None):
+        out = gm.g_series_batch(np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                                row=row)
+        assert out.entries.shape == ((0, 3) if row == 0 else (0, 3, 3))
+        assert out.order.shape == out.converged.shape == (0,)
+
+
+def test_all_rows_batch_is_g_series():
+    w, u = engine_graphs(4, 8, seed=70)
+    full = gm.g_series_batch(w, u)
+    for b in range(8):
+        ref = gm.g_series(WeightedCollisionGraph(w[b], u[b]))
+        assert np.array_equal(full.entries[b], ref.entries)
+        assert full.order[b] == ref.order

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -482,14 +481,14 @@ def _permuted_weight(b, a, shift, chain, model, q):
 def test_new_weight_matches_permuted_definition(born_order, monkeypatch):
     model = sc.ScatteringModel(POT, coupling=0.5, born_order=born_order)
     rng = np.random.default_rng(17)
-    evals = []
-    original = kn.g_auto
+    batches = []
+    original = kn.g_series_batch
 
-    def counted(*args, **kwargs):
-        evals.append(1)
-        return original(*args, **kwargs)
+    def counted(weights, times, *args, **kwargs):
+        batches.append(len(times))
+        return original(weights, times, *args, **kwargs)
 
-    monkeypatch.setattr(kn, "g_auto", counted)
+    monkeypatch.setattr(kn, "g_series_batch", counted)
     for k in (2, 3):
         chains = []
         for _ in range(4):
@@ -502,17 +501,41 @@ def test_new_weight_matches_permuted_definition(born_order, monkeypatch):
         times = np.array([c.times for c in chains])
         shift = np.sum(times[..., None] * legs, axis=1)
         q = rng.uniform(0.2, 2.0, 4)
-        evals.clear()
+        batches.clear()
         weights, shares, tails = kn._new_weights(B_SYM, A_SYM, shift, legs,
                                                  times, model, q)
-        # row 0 of G: the vectorised closed form at k = 2, one series per
-        # chain above it
-        assert len(evals) == (0 if k == 2 else 4) and tails == []
+        # row 0 of G: the vectorised closed form at k = 2, one series
+        # engine call over all four chains above it
+        assert batches == ([] if k == 2 else [4]) and tails == []
         for i, chain in enumerate(chains):
             ref, ref_share = _permuted_weight(B_SYM, A_SYM, shift[i], chain,
                                               model, q[i])
             assert weights[i] == pytest.approx(ref, rel=1e-12)
             assert shares[i] == pytest.approx(ref_share, rel=1e-12)
+
+
+def test_new_weights_with_every_kernel_zero(monkeypatch):
+    # at zero coupling no chain is live: the series engine gets an empty
+    # batch and every weight is 0
+    model = sc.ScatteringModel(POT, coupling=0.0, born_order=1)
+    batches = []
+    original = kn.g_series_batch
+
+    def counted(weights, times, *args, **kwargs):
+        out = original(weights, times, *args, **kwargs)
+        batches.append(out.entries.shape)
+        return out
+
+    monkeypatch.setattr(kn, "g_series_batch", counted)
+    rng = np.random.default_rng(3)
+    legs = rng.normal(size=(5, 3, 3))
+    legs /= np.linalg.norm(legs, axis=2, keepdims=True)
+    times = rng.uniform(0.1, 0.5, (5, 3))
+    shift = np.sum(times[..., None] * legs, axis=1)
+    weights, shares, tails = kn._new_weights(B_SYM, A_SYM, shift, legs,
+                                             times, model, np.ones(5))
+    assert batches == [(0, 3)] and tails == []
+    assert not weights.any() and not shares.any()
 
 
 def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
@@ -522,22 +545,25 @@ def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
         warnings.simplefilter("always")
         kn.pair_estimate(*args, seed=9)
     assert not [w for w in caught if "unconverged" in str(w.message)]
-    original = kn.g_auto
-    evals = []
+    original = kn.g_series_batch
+    results = []
 
-    def unconverged(*a, **kw):
-        evals.append(1)
-        return dataclasses.replace(original(*a, **kw), converged=False,
-                                   tail_estimate=3e-9 * len(evals))
+    def truncated(*a, **kw):
+        # three orders cannot converge at k = 3: the first nonzero layers
+        # are degrees 3 and 4
+        results.append(original(*a, **dict(kw, max_order=3)))
+        return results[-1]
 
-    monkeypatch.setattr(kn, "g_auto", unconverged)
+    monkeypatch.setattr(kn, "g_series_batch", truncated)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         kn.pair_estimate(*args, seed=9)
     hits = [str(w.message) for w in caught if "unconverged" in str(w.message)]
-    assert evals and hits == [
-        f"G series unconverged on {len(evals)} of 40 chains: worst tail "
-        f"estimate {3e-9 * len(evals):.2e}"]
+    bad = sum(int(np.sum(~r.converged)) for r in results)
+    worst = max(float(np.max(r.tail_estimate, initial=0.0)) for r in results)
+    assert results and bad == sum(len(r.converged) for r in results) > 0
+    assert hits == [f"G series unconverged on {bad} of 40 chains: worst "
+                    f"tail estimate {worst:.2e}"]
 
 
 def test_k2_closed_form_vectorised_against_scalar():

@@ -105,7 +105,7 @@ def test_zero_edge_kills_weight():
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 4), (4, 3)])
 def test_path_sums_match_matrix_power_entries(k, n):
     g = make_graph(k, seed=k * 10 + n)
-    layer = next(itertools.islice(gp._layers(g), n, None))
+    layer = next(itertools.islice(gp._layers(g.weights[None]), n, None))[0]
     powers = np.prod(g.times ** gp._monomials(k, n + 1), axis=1)
     for i in range(k):
         for j in range(k):
@@ -119,11 +119,18 @@ def test_path_sums_match_matrix_power_entries(k, n):
 # factorial transform
 # ---------------------------------------------------------------------------
 
+def _borel_weights_at(u, degree):
+    # the power table of that degree at one set of times, then L
+    tables = gp._power_tables(np.asarray(u)[None])
+    return gp._borel_weights(
+        next(itertools.islice(tables, degree - 1, None))[0])
+
+
 def test_borel_drops_constant_directions():
     # L maps C u^nu to C u^(nu - 1) / prod (nu_i - 1)!: u0 u1 goes to the
     # constant 1, and a monomial missing some u_i goes to 0
     u = np.array([0.7, 1.9])
-    weights = gp._borel_weights(2, 2, u)
+    weights = _borel_weights_at(u, 2)
     for expo, value in (((1, 1), 1.0), ((2, 0), 0.0), ((0, 2), 0.0)):
         row = gp._monomial_index(2, 2, expo)
         assert weights[row] == pytest.approx(value)
@@ -131,10 +138,10 @@ def test_borel_drops_constant_directions():
 
 def test_borel_explicit_factorials():
     u = np.array([0.7, 1.9])
-    w3 = gp._borel_weights(2, 3, u)
+    w3 = _borel_weights_at(u, 3)
     assert w3[gp._monomial_index(2, 3, (2, 1))] == pytest.approx(u[0])
     assert w3[gp._monomial_index(2, 3, (3, 0))] == 0
-    w5 = gp._borel_weights(2, 5, u)
+    w5 = _borel_weights_at(u, 5)
     assert w5[gp._monomial_index(2, 5, (3, 2))] == pytest.approx(
         u[0] ** 2 * u[1] / 2.0)
 
@@ -142,8 +149,8 @@ def test_borel_explicit_factorials():
 def test_borel_kills_degree_one_diagonal():
     # the n = 0 matrix D(u) has single-variable entries: transform is zero
     g = make_graph(3, seed=1)
-    layer = next(gp._layers(g))
-    bw = gp._borel_weights(3, 1, np.ones(3))
+    layer = next(gp._layers(g.weights[None]))[0]
+    bw = _borel_weights_at(np.ones(3), 1)
     for i in range(3):
         for j in range(3):
             assert not np.any(layer[i, j] * bw)
