@@ -4,8 +4,8 @@ partition and path combinatorics, and lattice-point statistics."""
 
 __version__ = "0.1.0"
 
-from .gmatrix import (ContourSpec, GMatrix, g_auto, g_bessel_k2, g_contour,
-                      g_series)
+from .gmatrix import (GBatch, GMatrix, g_auto, g_bessel_k2, g_contour,
+                      g_rows, g_series)
 from .kinetic import (ChainBlock, CollisionChain, DensityValue,
                       EstimateResult, GaussianSymbol, f_term, pair_estimate,
                       pair_quadrature, rho_combinatorial, rho_lb, rho_new,
@@ -22,7 +22,7 @@ from .scattering import (GaussianPotential, RadiusEstimate, ScatteringModel,
                          radius_estimate, schwartz_norm)
 
 __all__ = [
-    "ContourSpec", "GMatrix", "g_auto", "g_bessel_k2", "g_contour",
+    "GBatch", "GMatrix", "g_auto", "g_bessel_k2", "g_contour", "g_rows",
     "g_series", "ChainBlock", "CollisionChain", "DensityValue",
     "EstimateResult", "GaussianSymbol", "f_term", "pair_estimate",
     "pair_quadrature", "rho_combinatorial", "rho_lb", "rho_new",

@@ -86,16 +86,21 @@ def _checked(cfg, schema, defaults, name):
     return merged
 
 
-def _vector(value, dim, name):
-    """``value`` as a float vector of ``dim`` components."""
+def _array(value, shape, name):
+    """``value`` (config key ``name``) as a float array of ``shape``, from a
+    JSON number or nested lists of numbers; anything else is refused."""
+    def numbers(v):
+        return (all(map(numbers, v)) if isinstance(v, list) else
+                isinstance(v, (int, float)) and not isinstance(v, bool))
+
     try:
-        vec = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.shape != (dim,):
-        raise ConfigError(f"{name} must be a list of {dim} numbers, "
-                          f"not {value!r}")
-    return vec
+        arr = np.asarray(value, dtype=float) if numbers(value) else None
+    except ValueError:  # ragged lists
+        arr = None
+    if arr is None or arr.shape != shape:
+        what = "x".join(map(str, shape)) + " numbers" if shape else "a number"
+        raise ConfigError(f"{name} must be {what}, not {value!r}")
+    return arr
 
 
 def _seed(args, cfg):
@@ -117,14 +122,8 @@ def _write_csv(path, header, rows):
 
 
 def _np_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
@@ -211,14 +210,17 @@ def _cmd_gmatrix(args, out_dir):
     }, {"w_im": None, "method": "auto", "max_order": 80, "nodes": 256,
         "radius": None})
     k = cfg["k"]
-    w = np.asarray(cfg["w_re"], dtype=float).astype(complex)
+    w = _array(cfg["w_re"], (k, k), "'w_re'").astype(complex)
     if cfg["w_im"] is not None:
-        w += 1j * np.asarray(cfg["w_im"], dtype=float)
-    graph = gp.WeightedCollisionGraph(w, np.asarray(cfg["u"], dtype=float))
+        w += 1j * _array(cfg["w_im"], (k, k), "'w_im'")
+    radius = cfg["radius"]
+    if radius is not None:
+        radius = _array(radius, (k,) if isinstance(radius, list) else (),
+                        "'radius'")
+    graph = gp.WeightedCollisionGraph(w, _array(cfg["u"], (k,), "'u'"))
     method = None if cfg["method"] == "auto" else cfg["method"]
     result = gm.g_auto(graph, prefer=method, max_order=cfg["max_order"],
-                       spec=gm.ContourSpec(radius=cfg["radius"],
-                                           nodes=cfg["nodes"]))
+                       nodes=cfg["nodes"], radius=radius)
     payload = {
         "k": k,
         "method": result.method,
@@ -258,17 +260,17 @@ def _cmd_scatter(args, out_dir):
         "yp": False, "direction": False, "include_third": False,
     }, {"born_order": 1, "gamma": 0.0, "include_third": False})
     model = _build_model(cfg)
-    y = _vector(cfg["y"], model.dim, "'y'")
+    y = _array(cfg["y"], (model.dim,), "'y'")
     out = {"op": cfg["op"]}
     if cfg["op"] == "tmat":
         if "yp" not in cfg:
             raise ConfigError("missing required config key: 'yp'")
-        t = model.t_matrix(y, _vector(cfg["yp"], model.dim, "'yp'"))
+        t = model.t_matrix(y, _array(cfg["yp"], (model.dim,), "'yp'"))
         out.update({"t_re": t.real, "t_im": t.imag})
     elif cfg["op"] == "sigma":
         if "direction" in cfg:
             out["sigma"] = model.sigma_kernel(
-                y, _vector(cfg["direction"], model.dim, "'direction'"))
+                y, _array(cfg["direction"], (model.dim,), "'direction'"))
         out["sigma_tot"] = model.sigma_tot(y)
     elif cfg["op"] == "optical":
         res = model.optical_residual(y, cfg["include_third"])
@@ -292,8 +294,8 @@ def _symbol(spec, dim, name):
     }, {"x_width": 1.0, "y_width": 1.0, "amplitude": 1.0},
         f"observable {name!r}")
     return kn.GaussianSymbol(
-        x_center=_vector(spec["x_center"], dim, f"'{name}.x_center'"),
-        y_center=_vector(spec["y_center"], dim, f"'{name}.y_center'"),
+        x_center=_array(spec["x_center"], (dim,), f"'{name}.x_center'"),
+        y_center=_array(spec["y_center"], (dim,), f"'{name}.y_center'"),
         x_width=spec["x_width"], y_width=spec["y_width"],
         amplitude=spec["amplitude"])
 
@@ -313,8 +315,7 @@ def _cmd_simulate(args, out_dir):
     est = kn.pair_estimate(cfg["series"], a, b, cfg["t"], cfg["k_max"],
                            cfg["n_samples"], model, seed=seed)
     csv_path = os.path.join(out_dir, "simulate.csv")
-    rows = [(k, v) for k, v in sorted(est.per_k.items())]
-    _write_csv(csv_path, ["k", "contribution"], rows)
+    _write_csv(csv_path, ["k", "contribution"], sorted(est.per_k.items()))
     diag = {
         "series": cfg["series"],
         "value": est.value,
@@ -337,9 +338,10 @@ def _cmd_lattice(args, out_dir):
         "gap_bins": False, "theta_bins": False, "cap": False,
     }, {"shift": list(la.DEFAULT_SHIFT), "basis": [[1, 0], [0, 1]],
         "gap_bins": 8, "theta_bins": 8, "cap": la.DEFAULT_POINT_CAP})
-    window = la.LatticeWindow(r_max=cfg["r_max"], width=cfg["width"],
-                              shift=tuple(cfg["shift"]),
-                              basis=np.asarray(cfg["basis"], dtype=float))
+    window = la.LatticeWindow(
+        r_max=cfg["r_max"], width=cfg["width"],
+        shift=tuple(_array(cfg["shift"], (2,), "'shift'")),
+        basis=_array(cfg["basis"], (2, 2), "'basis'"))
     sample = la.generate(window, cap=cfg["cap"])
     pts_path = os.path.join(out_dir, "points.csv")
     _write_csv(pts_path, ["lambda", "theta"],
@@ -349,11 +351,9 @@ def _cmd_lattice(args, out_dir):
     _write_csv(gaps_path, ["gap", "theta"], zip(g.tolist(), th.tolist()))
     h, ge, te = la.histogram2d(sample, theta_bins=cfg["theta_bins"])
     hist_path = os.path.join(out_dir, "hist2d.csv")
-    hrows = []
-    for i in range(h.shape[0]):
-        for j in range(h.shape[1]):
-            hrows.append((float(ge[i]), float(ge[i + 1]), float(te[j]),
-                          float(te[j + 1]), float(h[i, j])))
+    hrows = [(float(ge[i]), float(ge[i + 1]), float(te[j]), float(te[j + 1]),
+              float(h[i, j]))
+             for i in range(h.shape[0]) for j in range(h.shape[1])]
     _write_csv(hist_path, ["gap_lo", "gap_hi", "theta_lo", "theta_hi",
                            "density"], hrows)
     report = la.joint_test(sample, gap_bins=cfg["gap_bins"],

@@ -23,10 +23,14 @@ The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``
 under the factorial transform ``paths._borel_weights``: the layers and the
 transform that the path identity of ``paths`` is checked on.  One driver,
 ``g_series_batch``, sums them for a batch of graphs at once, right-multiplied
-layer by layer, for all rows of G or for one start row (the Monte Carlo
-reweighting reads only row 0), judges convergence per graph and lets
-converged graphs leave the batch; ``g_series`` is its one-graph, all-rows
-case.  Indices are 0-based throughout.
+layer by layer, for all rows of G or for one start row, judges convergence
+per graph and lets converged graphs leave the batch; ``g_series`` is its
+one-graph, all-rows case.  Indices are 0-based throughout.
+
+``g_rows``, the closed form at k = 2 and the batched series above it, is
+the one route to G for the Monte Carlo reweighting, the limit-process
+density and the default of ``g_auto``; the contour runs only on request,
+and an unconverged series is reported, never replaced.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
@@ -87,31 +91,14 @@ class GMatrix:
         return complex(self.entries[ell, m])
 
 
-@dataclass
-class ContourSpec:
-    """Quadrature layout: one circle per coordinate.
-
-    ``radius`` may be a scalar or per-coordinate sequence; None picks
-    1.0 + 1.1 r0.  ``nodes`` is the trapezoid count per circle; the error
-    estimate compares against a half-node run.
-    """
-
-    radius: object = None
-    nodes: int = 256
-
-
-def default_radius(graph: WeightedCollisionGraph) -> float:
-    return 1.0 + 1.1 * graph.r0
-
-
 # ---------------------------------------------------------------------------
 # series route: homogeneous layers of the resolvent expansion
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SeriesBatch:
-    """Series values of a batch of B graphs: ``entries`` (B, k) for one
-    start row, (B, k, k) for all rows, and per graph the order reached, the
+class GBatch:
+    """G of a batch of B graphs: ``entries`` (B, k) for one start row,
+    (B, k, k) for all rows, and per graph the series order reached, the
     tail estimate and the convergence flag."""
 
     entries: np.ndarray
@@ -121,7 +108,7 @@ class SeriesBatch:
 
 
 def g_series_batch(weights, times, row: int | None = None,
-                   max_order: int = 80) -> SeriesBatch:
+                   max_order: int = 80) -> GBatch:
     """Truncated series of a batch of graphs (edge weights (B, k, k) with
     zero diagonals, vertex times (B, k)): accumulate the factorial
     transform ``paths._borel_weights`` of each homogeneous layer
@@ -181,15 +168,19 @@ def g_series_batch(weights, times, row: int | None = None,
             keep = ~stop
             active, total = active[keep], total[keep]
             previous, peak = previous[keep], peak[keep]
-    return SeriesBatch(entries if row is None else entries[:, 0], order,
-                       tails, converged)
+    return GBatch(entries if row is None else entries[:, 0], order, tails,
+                  converged)
 
 
 def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
     """Truncated series evaluation of one graph: the one-graph, all-rows
     case of ``g_series_batch``, with its convergence rule."""
-    out = g_series_batch(graph.weights[None], graph.times[None],
-                         max_order=max_order)
+    return _series_value(g_series_batch(
+        graph.weights[None], graph.times[None], max_order=max_order))
+
+
+def _series_value(out: GBatch) -> GMatrix:
+    """The first graph of an all-rows series batch as a GMatrix."""
     return GMatrix(out.entries[0], "series", order=int(out.order[0]),
                    tail_estimate=float(out.tail_estimate[0]),
                    converged=bool(out.converged[0]))
@@ -275,39 +266,35 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
     return (m[:, None, None] * adj_c.reshape(-1, k, k)).sum(axis=0)
 
 
-def g_contour(graph: WeightedCollisionGraph, spec: ContourSpec | None = None,
-              error_estimate: bool = True) -> GMatrix:
-    """Iterated trapezoid over k circles of (D(z) - W)^{-1} exp(u . z).
-
-    The trapezoid rule is exponentially accurate here (periodic analytic
-    integrand).  The reported quadrature error compares the result against a
-    half-node run, i.e. the conservative estimate for the doubling step that
-    produced the returned value.
+def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
+              radius=None, error_estimate: bool = True) -> GMatrix:
+    """Iterated trapezoid over k circles of (D(z) - W)^{-1} exp(u . z),
+    ``nodes`` per circle, of radius ``radius`` (scalar or per coordinate;
+    None picks 1 + 1.1 r0).  The trapezoid rule is exponentially accurate
+    here (periodic analytic integrand).  The reported quadrature error
+    compares the result against a half-node run, i.e. the conservative
+    estimate for the doubling step that produced the returned value.
     """
-    spec = spec or ContourSpec()
     k = graph.k
-    if spec.radius is None:
-        radius = np.full(k, default_radius(graph))
-    else:
-        radius = np.broadcast_to(np.asarray(spec.radius, dtype=float),
-                                 (k,)).copy()
+    radius = np.broadcast_to(np.asarray(
+        1.0 + 1.1 * graph.r0 if radius is None else radius, dtype=float),
+        (k,)).copy()
     if np.any(radius <= graph.r0):
         raise InvalidInputError(
             f"radius must exceed r0 = {graph.r0:.6g} on every coordinate")
-    if spec.nodes < 4:
+    if nodes < 4:
         raise InvalidInputError("need at least 4 nodes per circle")
-    if spec.nodes ** k > CONTOUR_GRID_CAP:
+    if nodes ** k > CONTOUR_GRID_CAP:
         raise CapacityError(
-            f"contour grid of {spec.nodes}^{k} points exceeds the cap of "
+            f"contour grid of {nodes}^{k} points exceeds the cap of "
             f"{CONTOUR_GRID_CAP}; lower nodes")
     coef = _contour_coefficients(graph.weights)
-    fine = _contour_sum(graph.times, radius, spec.nodes, *coef)
+    fine = _contour_sum(graph.times, radius, nodes, *coef)
     err = None
     if error_estimate:
-        half = _contour_sum(graph.times, radius, max(4, spec.nodes // 2),
-                            *coef)
+        half = _contour_sum(graph.times, radius, max(4, nodes // 2), *coef)
         err = float(np.max(np.abs(fine - half)))
-    return GMatrix(fine, "contour", nodes=spec.nodes, quad_error=err)
+    return GMatrix(fine, "contour", nodes=nodes, quad_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +322,44 @@ def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
     vanishes and the off-diagonal reduces to the edge weights themselves."""
     if u1 < 0 or u2 < 0:
         raise InvalidInputError("times must be non-negative")
-    g00, g01, g10, g11 = _k2_entries(u1, u2, w12, w21)
-    return GMatrix(np.array([[g00, g01], [g10, g11]], dtype=complex),
-                   "bessel_k2")
+    g = np.array(_k2_entries(u1, u2, w12, w21), dtype=complex)
+    return GMatrix(g.reshape(2, 2), "bessel_k2")
+
+
+def g_rows(weights, times, row: int | None = None,
+           max_order: int = 80) -> GBatch:
+    """G of a batch of graphs (weights (B, k, k), times (B, k)), all rows or
+    start row ``row``: ``_k2_entries`` at k = 2 (order 0, tail 0,
+    converged) and ``g_series_batch`` above it, with no fallback.  Both are
+    read as module globals, so replacing one here reaches every caller."""
+    w, u = np.asarray(weights, dtype=complex), np.asarray(times, dtype=float)
+    n, k = u.shape
+    if k != 2:
+        return g_series_batch(w, u, row=row, max_order=max_order)
+    g = np.stack(_k2_entries(u[:, 0], u[:, 1], w[:, 0, 1], w[:, 1, 0]),
+                 axis=1).reshape(n, 2, 2)
+    return GBatch(g if row is None else g[:, row], np.zeros(n, dtype=int),
+                  np.zeros(n), np.ones(n, dtype=bool))
 
 
 def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
-           max_order: int = 80, spec: ContourSpec | None = None) -> GMatrix:
-    """Dispatch: Bessel closed form for k = 2, contour otherwise, unless a
-    method is forced.  ``max_order`` reaches the series route and ``spec``
-    the contour route only when that route is the one taken."""
-    method = prefer or ("bessel_k2" if graph.k == 2 else "contour")
-    if method == "bessel_k2":
+           max_order: int = 80, *, nodes: int = 256,
+           radius=None) -> GMatrix:
+    """G of one graph through ``g_rows``, unless ``prefer`` names a route:
+    "bessel_k2", "series" or "contour" (which alone reads ``nodes`` and
+    ``radius``)."""
+    if prefer is None:
+        out = g_rows(graph.weights[None], graph.times[None],
+                     max_order=max_order)
+        return (GMatrix(out.entries[0], "bessel_k2") if graph.k == 2
+                else _series_value(out))
+    if prefer == "bessel_k2":
         if graph.k != 2:
             raise InvalidInputError("closed form only exists for k = 2")
         w = graph.weights
         return g_bessel_k2(graph.times[0], graph.times[1], w[0, 1], w[1, 0])
-    if method == "series":
+    if prefer == "series":
         return g_series(graph, max_order=max_order)
-    if method == "contour":
-        return g_contour(graph, spec)
-    raise InvalidInputError(f"unknown method {method!r}")
+    if prefer == "contour":
+        return g_contour(graph, nodes=nodes, radius=radius)
+    raise InvalidInputError(f"unknown method {prefer!r}")

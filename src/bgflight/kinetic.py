@@ -43,9 +43,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidInputError
+from . import gmatrix as gm
 from . import partitions as pa
-from .gmatrix import _k2_entries, g_auto, g_series_batch
-from .paths import WeightedCollisionGraph, partition_to_path
+from .paths import partition_to_path
 from .scattering import ScatteringModel
 
 ON_SHELL_RTOL = 1e-9
@@ -192,14 +192,15 @@ def rho_lb(u, momenta, model: ScatteringModel) -> DensityValue:
     return DensityValue(damping * kernel * shell, kernel, damping, shell)
 
 
-def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed, d,
-                        method=None, spec=None) -> DensityValue:
+def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed,
+                        d) -> DensityValue:
     """Limit-process density from precomputed on-shell T values.
 
     ``tvals`` is the k x k matrix T(y_i, y_j) (diagonal ignored) and
-    ``sigma_tots`` the per-leg total cross sections.  k = 2 uses the Bessel
-    closed form, larger k the contour integral with ContourSpec ``spec``,
-    unless ``method`` overrides.
+    ``sigma_tots`` the per-leg total cross sections.  Row ``ell`` of G comes
+    from ``gmatrix.g_rows``: the closed form at k = 2, the series above it.
+    Its tail estimate is reported in ``tail_estimate``, and a series that
+    does not converge is warned about.
     """
     u = np.asarray(u, dtype=float)
     k = len(u)
@@ -212,21 +213,26 @@ def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed, d,
     if k == 1:
         return DensityValue(damping, 1.0, damping, 1.0)
     w = -2j * math.pi * np.asarray(tvals, dtype=complex)
+    if w.shape != (k, k):
+        raise InvalidInputError("need a k x k matrix of T values")
     np.fill_diagonal(w, 0.0)
-    graph = WeightedCollisionGraph(w, u)
-    gmat = g_auto(graph, prefer=method, spec=spec)
-    amp = abs(gmat.entry(ell, m)) ** 2
-    return DensityValue(amp * damping * shell, amp, damping, shell)
+    out = gm.g_rows(w[None], u[None], row=ell)
+    tail = float(out.tail_estimate[0])
+    if not out.converged[0]:
+        warnings.warn(f"G series unconverged at order {int(out.order[0])}: "
+                      f"tail estimate {tail:.2e}", stacklevel=2)
+    amp = abs(complex(out.entries[0, m])) ** 2
+    return DensityValue(amp * damping * shell, amp, damping, shell,
+                        tail_estimate=tail)
 
 
-def rho_new(ell, m, u, momenta, model: ScatteringModel,
-            method=None) -> DensityValue:
+def rho_new(ell, m, u, momenta, model: ScatteringModel) -> DensityValue:
     """Limit-process density rho_{ell m} on a sampled chain configuration."""
     speed = _check_on_shell(momenta)
     k = len(momenta)
     sig = model.sigma_tot(speed)
     return rho_new_from_values(ell, m, u, _t_table(model, momenta),
-                               [sig] * k, speed, model.dim, method=method)
+                               [sig] * k, speed, model.dim)
 
 
 def _t_table(model: ScatteringModel, momenta):
@@ -410,7 +416,7 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
         # 10 <-> 01), cancelling the 1/2! factor: two terms remain.  On
         # shell T(p, y) = T(y, p), so one batch gives both edge weights.
         w = -2j * math.pi * tv
-        g00, g01, _, _ = _k2_entries(u1, u2, w, w)
+        g00, g01, _, _ = gm._k2_entries(u1, u2, w, w)
         inner = (np.abs(g00) ** 2 * observable(shift, y)
                  + np.abs(g01) ** 2 * observable(shift, partners)) * shell
     # equal speeds: survival depends on t only
@@ -848,9 +854,9 @@ def _new_weights(b, a, shift, legs, times, model, q):
     assignment g_{0 pos(m)} of one G, so the weight is
     sum_j |g_0j|^2 ov(leg j) / ((k-1)! kernel q), the kernel being the
     product of 4 pi^2 |T|^2 along the legs; the return share (ell = m) is
-    its j = 0 term.  Row 0 of G is the vectorised closed form at k = 2 and
-    one batched series over all m chains above it (g_series_batch from
-    start row 0, each chain judged converged on that row).  Returns
+    its j = 0 term.  Row 0 of G comes from one ``gmatrix.g_rows`` call
+    over all m chains (the vectorised closed form at k = 2, one batched
+    series above it, each chain judged converged on that row).  Returns
     (weights, shares, tails), tails holding (row, tail estimate) of the
     unconverged series; a chain with a zero kernel weighs 0.
     """
@@ -862,20 +868,12 @@ def _new_weights(b, a, shift, legs, times, model, q):
     for i in range(k - 1):
         kernel = kernel * (4 * math.pi ** 2 * np.abs(tvals[:, i, i + 1]) ** 2)
     live = kernel != 0.0
-    w = -2j * math.pi * tvals[live]
-    u = times[live]
-    tails = []
-    if k == 2:
-        g00, g01, _, _ = _k2_entries(u[:, 0], u[:, 1], w[:, 0, 1], w[:, 1, 0])
-        row = np.stack([g00, g01], axis=1)
-    else:
-        series = g_series_batch(w, u, row=0)
-        row = series.entries
-        bad = ~series.converged
-        tails = list(zip(np.nonzero(live)[0][bad].tolist(),
-                         series.tail_estimate[bad].tolist()))
+    out = gm.g_rows(-2j * math.pi * tvals[live], times[live], row=0)
+    bad = ~out.converged
+    tails = list(zip(np.nonzero(live)[0][bad].tolist(),
+                     out.tail_estimate[bad].tolist()))
     scale = math.factorial(k - 1) * kernel[live] * q[live]
-    terms = [np.abs(row[:, j]) ** 2
+    terms = [np.abs(out.entries[:, j]) ** 2
              * _overlap_or_mass(b, a, shift[live], legs[live, 0],
                                 legs[live, j]) / scale
              for j in range(k)]

@@ -11,7 +11,9 @@ import pytest
 
 from bgflight import acceptance as acc
 from bgflight import gmatrix as gm
+from bgflight import kinetic as kn
 from bgflight import paths as gp
+from bgflight import scattering as sc
 
 
 def _report(result):
@@ -34,13 +36,31 @@ def test_criterion_01_reference_holds_at_large_arguments(seed):
     assert _report(acc.check_01_bessel_series_equivalence(seed=seed)).passed
 
 
+def _k2_new_weights():
+    """Monte Carlo reweighting of four two-leg chains."""
+    rng = np.random.default_rng(4)
+    legs = rng.normal(size=(4, 2, 3))
+    legs /= np.linalg.norm(legs, axis=2, keepdims=True)
+    times = rng.uniform(0.1, 1.0, (4, 2))
+    model = sc.ScatteringModel(sc.GaussianPotential(), coupling=0.4,
+                               born_order=1)
+    a = kn.GaussianSymbol(x_center=[0.0, 0, 0], y_center=[1.0, 0, 0])
+    shift = np.sum(times[..., None] * legs, axis=1)
+    return kn._new_weights(a, a, shift, legs, times, model, np.ones(4))[0]
+
+
 def test_criterion_01_checks_the_library_closed_form(monkeypatch):
     # a 1e-6 relative error in the k = 2 entries G is computed from must
-    # show, so the closed-form side cannot be a private copy
+    # show, so the closed-form side cannot be a private copy; the same
+    # entries weigh the estimator's two-leg chains
     exact = gm._k2_entries
+    before = _k2_new_weights()
     monkeypatch.setattr(gm, "_k2_entries", lambda *args: tuple(
         e * (1 + 1e-6) for e in exact(*args)))
     assert not acc.check_01_bessel_series_equivalence().passed
+    after = _k2_new_weights()
+    assert np.all(before > 0)
+    assert after == pytest.approx(before * (1 + 1e-6) ** 2, rel=1e-12)
 
 
 def test_criterion_02_three_way_agreement():
@@ -111,6 +131,20 @@ def test_criterion_06_optical_theorem():
 def test_criterion_07_density_identities_positivity():
     r = _report(acc.check_07_density_identities_positivity())
     assert r.passed
+
+
+def test_criterion_07_checks_the_series_rows(monkeypatch):
+    # a 1e-6 relative error in the series rows that g_rows returns above
+    # k = 2 (the rows the densities and the estimator read) must show
+    exact = gm.g_series_batch
+
+    def scaled(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        out.entries = out.entries * (1 + 1e-6)
+        return out
+
+    monkeypatch.setattr(gm, "g_series_batch", scaled)
+    assert not acc.check_07_density_identities_positivity().passed
 
 
 def test_criterion_08_combinatorial_vs_analytic():

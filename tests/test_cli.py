@@ -115,7 +115,7 @@ def test_gmatrix_k4_default_nodes_exceeds_grid_cap(tmp_path, capsys):
     cfg = write(tmp_path / "c.json", {
         "k": 4, "u": [0.5, 0.5, 0.5, 0.5],
         "w_re": [[0, 0.2, 0, 0], [0.1, 0, 0.3, 0], [0, 0.2, 0, 0.1],
-                 [0.3, 0, 0.1, 0]]})
+                 [0.3, 0, 0.1, 0]], "method": "contour"})
     started = time.perf_counter()
     assert main(["gmatrix", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 4
@@ -144,6 +144,68 @@ def test_gmatrix_series_cancellation_exits_3(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 3
     assert "not converged" in capsys.readouterr().err
+
+
+# a k = 3 graph on which the 256-node contour is off by orders of magnitude
+# (its quad_error exceeds its largest entry) while the series converges
+G3_WIDE = {"k": 3, "u": [2.0, 2.5, 3.0],
+           "w_re": [[0, -0.312, -1.905], [-1.518, 0, 0.595],
+                    [0.466, -0.47, 0]],
+           "w_im": [[0, 0.75, 0.608], [0.761, 0, -1.474], [0.895, 0.102, 0]]}
+
+
+def test_gmatrix_k3_default_is_the_series(tmp_path, capsys):
+    out, ref = tmp_path / "auto", tmp_path / "series"
+    assert main(["gmatrix", "--config", write(tmp_path / "a.json", G3_WIDE),
+                 "--out", str(out)]) == 0
+    assert main(["gmatrix", "--config",
+                 write(tmp_path / "s.json", dict(G3_WIDE, method="series")),
+                 "--out", str(ref)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert summary["method"] == "series"
+    assert summary["max_abs"] == pytest.approx(8.04, abs=5e-3)
+    assert (out / "gmatrix.json").read_bytes() == \
+        (ref / "gmatrix.json").read_bytes()
+    assert json.loads((out / "gmatrix.json").read_text())["converged"]
+
+
+def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
+    # scaled to max |w| = 3 the series reaches its order cap; the default
+    # reports that rather than falling back to the contour
+    w = np.array(G3_WIDE["w_re"]) + 1j * np.array(G3_WIDE["w_im"])
+    w *= 3 / np.max(np.abs(w))
+    cfg = write(tmp_path / "c.json", dict(
+        G3_WIDE, w_re=w.real.tolist(), w_im=w.imag.tolist()))
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 3
+    assert "not converged at order 80" in capsys.readouterr().err
+    payload = json.loads((out / "gmatrix.json").read_text())
+    assert payload["method"] == "series" and payload["converged"] is False
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("gmatrix", dict(G3_WIDE, method="contour", radius=[20, 20]),
+     "'radius' must be 3 numbers"),
+    ("gmatrix", dict(G3_WIDE, method="contour", radius="20"),
+     "'radius' must be a number"),
+    ("gmatrix", dict(G3_WIDE, w_re=[[0, "1", 0], [0, 0, 0], [0, 0, 0]]),
+     "'w_re' must be 3x3 numbers"),
+    ("gmatrix", dict(G3_WIDE, w_im=[[0, 1], [1, 0]]),
+     "'w_im' must be 3x3 numbers"),
+    ("gmatrix", dict(G3_WIDE, k=2), "'w_re' must be 2x2 numbers"),
+    ("gmatrix", dict(G3_WIDE, u=[1.0, True, 2.0]), "'u' must be 3 numbers"),
+    ("lattice", {"r_max": 50000.0, "width": 2000.0, "shift": [0.1, 0.2, 0]},
+     "'shift' must be 2 numbers"),
+    ("lattice", {"r_max": 50000.0, "width": 2000.0, "shift": "0.1"},
+     "'shift' must be 2 numbers"),
+], ids=["gmatrix_radius_length", "gmatrix_radius_string",
+        "gmatrix_w_re_string", "gmatrix_w_im_shape", "gmatrix_k_mismatch",
+        "gmatrix_u_bool", "lattice_shift_length", "lattice_shift_string"])
+def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
+    cfg = write(tmp_path / "c.json", config)
+    assert main([command, "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_scatter_ops(tmp_path):

@@ -92,7 +92,7 @@ def test_series_nonconvergence_flag():
 def test_contour_k2_decoupled_edge():
     w = np.array([[0, 0.7 + 0.2j], [0, 0]])
     g = WeightedCollisionGraph(w, [0.8, 1.2])
-    out = gm.g_contour(g, gm.ContourSpec(nodes=128))
+    out = gm.g_contour(g, nodes=128)
     assert out.entries[0, 1] == pytest.approx(w[0, 1], abs=1e-12)
     assert abs(out.entries[0, 0]) < 1e-12
     assert abs(out.entries[1, 1]) < 1e-12
@@ -102,7 +102,7 @@ def test_contour_matches_bessel_k2():
     for seed in range(12):
         g = rand_graph(2, umax=2.0, seed=seed)
         w = g.weights
-        cont = gm.g_contour(g, gm.ContourSpec(nodes=256))
+        cont = gm.g_contour(g, nodes=256)
         bes = gm.g_bessel_k2(g.times[0], g.times[1], w[0, 1], w[1, 0])
         assert np.max(np.abs(cont.entries - bes.entries)) < 1e-10
 
@@ -113,7 +113,7 @@ def test_contour_matches_series_k3_default_example():
     w /= np.max(np.abs(w))
     np.fill_diagonal(w, 0)
     g = WeightedCollisionGraph(w, [1.0, 1.0, 1.0])
-    cont = gm.g_contour(g, gm.ContourSpec(nodes=256), error_estimate=False)
+    cont = gm.g_contour(g, nodes=256, error_estimate=False)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-8
 
@@ -121,7 +121,7 @@ def test_contour_matches_series_k3_default_example():
 def test_contour_radius_validation():
     g = rand_graph(3, seed=5)
     with pytest.raises(InvalidInputError):
-        gm.g_contour(g, gm.ContourSpec(radius=0.5 * g.r0))
+        gm.g_contour(g, radius=0.5 * g.r0)
 
 
 def test_contour_singular_guard():
@@ -134,7 +134,7 @@ def test_contour_singular_guard():
         g = WeightedCollisionGraph(w, np.ones(k))
         nodes = 64 if k == 2 else 16
         with pytest.raises((SingularContourError, InvalidInputError)):
-            gm.g_contour(g, gm.ContourSpec(radius=1.0, nodes=nodes))
+            gm.g_contour(g, radius=1.0, nodes=nodes)
         coef = gm._contour_coefficients(g.weights)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -144,20 +144,20 @@ def test_contour_singular_guard():
 
 def test_contour_error_estimate_reported():
     g = rand_graph(2, seed=6)
-    out = gm.g_contour(g, gm.ContourSpec(nodes=64))
+    out = gm.g_contour(g, nodes=64)
     assert out.quad_error is not None and out.quad_error < 1e-8
 
 
 def test_contour_generic_k4_matches_series():
     g = rand_graph(4, umax=0.6, seed=3, wscale=0.5)
-    cont = gm.g_contour(g, gm.ContourSpec(nodes=32), error_estimate=False)
+    cont = gm.g_contour(g, nodes=32, error_estimate=False)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
 
 
 def test_contour_matches_series_k5():
     g = rand_graph(5, umax=0.6, seed=4, wscale=0.3)
-    cont = gm.g_contour(g, gm.ContourSpec(nodes=16), error_estimate=False)
+    cont = gm.g_contour(g, nodes=16, error_estimate=False)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
 
@@ -280,7 +280,7 @@ def test_three_way_agreement_randomized():
         g = rand_graph(2, umax=2.0, seed=2000 + trial)
         w = g.weights
         ser = gm.g_series(g, max_order=80)
-        con = gm.g_contour(g, gm.ContourSpec(nodes=256), error_estimate=False)
+        con = gm.g_contour(g, nodes=256, error_estimate=False)
         bes = gm.g_bessel_k2(g.times[0], g.times[1], w[0, 1], w[1, 0])
         assert np.max(np.abs(ser.entries - con.entries)) < 1e-10
         assert np.max(np.abs(ser.entries - bes.entries)) < 1e-10
@@ -301,7 +301,7 @@ def test_value_at_zero_times():
     # surjective paths (for k = 2 the edge weights themselves)
     g = WeightedCollisionGraph(
         np.array([[0, 0.4 + 0.1j], [-0.2j, 0]]), [0.0, 0.0])
-    for out in (gm.g_series(g), gm.g_contour(g, gm.ContourSpec(nodes=128))):
+    for out in (gm.g_series(g), gm.g_contour(g, nodes=128)):
         assert abs(out.entries[0, 0]) < 1e-12
         assert abs(out.entries[1, 1]) < 1e-12
         assert out.entries[0, 1] == pytest.approx(0.4 + 0.1j, abs=1e-12)
@@ -312,12 +312,18 @@ def test_value_at_zero_times():
 
 
 def test_g_auto_dispatch():
+    # the default is g_rows: the closed form at k = 2, the series above;
+    # the contour runs only on request
     g = rand_graph(2, seed=10)
     assert gm.g_auto(g).method == "bessel_k2"
     g3 = rand_graph(3, seed=10)
-    spec = gm.ContourSpec(nodes=32)
-    assert gm.g_auto(g3, spec=spec).method == "contour"
-    assert gm.g_auto(g3, prefer="series").method == "series"
+    auto = gm.g_auto(g3)
+    assert auto.method == "series"
+    series = gm.g_auto(g3, prefer="series")
+    assert np.array_equal(auto.entries, series.entries)
+    assert (auto.order, auto.tail_estimate, auto.converged) == (
+        series.order, series.tail_estimate, series.converged)
+    assert gm.g_auto(g3, "contour", nodes=32).method == "contour"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from bgflight import gmatrix as gm
 from bgflight import kinetic as kn
 from bgflight import scattering as sc
 from bgflight.errors import InvalidInputError
+from bgflight.paths import WeightedCollisionGraph
 
 POT = sc.GaussianPotential()
 MODEL = sc.ScatteringModel(POT, coupling=0.3, born_order=1)
@@ -124,8 +125,7 @@ def test_rho_new_positive_random_draws():
         momenta = [speed * d for d in dirs]
         u = rng.uniform(0.0, 2.0, k)
         ell, m = rng.integers(0, k), rng.integers(0, k)
-        val = kn.rho_new(ell, m, u, momenta, MODEL,
-                         method="series" if k > 2 else None)
+        val = kn.rho_new(ell, m, u, momenta, MODEL)
         assert np.isfinite(val.value) and val.value >= 0
 
 
@@ -177,12 +177,12 @@ def test_rho_combinatorial_matches_contour_k3():
     u = np.array([0.4, 0.3, 0.6])
     sig = MODEL.sigma_tot(1.0)
     tv = tmat(MODEL, momenta)
-    ref = kn.rho_new_from_values(0, 2, u, tv, [sig] * 3, 1.0, 3,
-                                 method="contour",
-                                 spec=gm.ContourSpec(nodes=64))
+    cont = gm.g_contour(WeightedCollisionGraph(-2j * math.pi * tv, u),
+                        nodes=64)
+    ref = abs(cont.entry(0, 2)) ** 2 * math.exp(-sig * np.sum(u))
     com = kn.rho_combinatorial("off", u, tv, [sig] * 3, 1.0, 3, n_max=14)
-    assert com.value == pytest.approx(ref.value, rel=1e-10)
-    assert com.tail_estimate < 1e-12 * math.sqrt(max(ref.value, 1e-300))
+    assert com.value == pytest.approx(ref, rel=1e-10)
+    assert com.tail_estimate < 1e-12 * math.sqrt(max(ref, 1e-300))
 
 
 def test_rho_combinatorial_tail_warning():
@@ -468,7 +468,7 @@ def _permuted_weight(b, a, shift, chain, model, q):
         for m in range(k):
             dens = kn.rho_new_from_values(
                 ell, m, u[pos], tvals[np.ix_(pos, pos)], [sig] * k, speed,
-                model.dim, method="bessel_k2" if k == 2 else "series")
+                model.dim)
             ov = kn._overlap_or_mass(b, a, shift, legs[0], legs[pos[m]])
             term = dens.value / dens_lb * ov / math.factorial(k) / q
             total += term
@@ -482,13 +482,13 @@ def test_new_weight_matches_permuted_definition(born_order, monkeypatch):
     model = sc.ScatteringModel(POT, coupling=0.5, born_order=born_order)
     rng = np.random.default_rng(17)
     batches = []
-    original = kn.g_series_batch
+    original = gm.g_series_batch
 
     def counted(weights, times, *args, **kwargs):
         batches.append(len(times))
         return original(weights, times, *args, **kwargs)
 
-    monkeypatch.setattr(kn, "g_series_batch", counted)
+    monkeypatch.setattr(gm, "g_series_batch", counted)
     for k in (2, 3):
         chains = []
         for _ in range(4):
@@ -519,14 +519,14 @@ def test_new_weights_with_every_kernel_zero(monkeypatch):
     # batch and every weight is 0
     model = sc.ScatteringModel(POT, coupling=0.0, born_order=1)
     batches = []
-    original = kn.g_series_batch
+    original = gm.g_series_batch
 
     def counted(weights, times, *args, **kwargs):
         out = original(weights, times, *args, **kwargs)
         batches.append(out.entries.shape)
         return out
 
-    monkeypatch.setattr(kn, "g_series_batch", counted)
+    monkeypatch.setattr(gm, "g_series_batch", counted)
     rng = np.random.default_rng(3)
     legs = rng.normal(size=(5, 3, 3))
     legs /= np.linalg.norm(legs, axis=2, keepdims=True)
@@ -545,7 +545,7 @@ def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
         warnings.simplefilter("always")
         kn.pair_estimate(*args, seed=9)
     assert not [w for w in caught if "unconverged" in str(w.message)]
-    original = kn.g_series_batch
+    original = gm.g_series_batch
     results = []
 
     def truncated(*a, **kw):
@@ -554,7 +554,7 @@ def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
         results.append(original(*a, **dict(kw, max_order=3)))
         return results[-1]
 
-    monkeypatch.setattr(kn, "g_series_batch", truncated)
+    monkeypatch.setattr(gm, "g_series_batch", truncated)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         kn.pair_estimate(*args, seed=9)
@@ -564,6 +564,30 @@ def test_pair_estimate_warns_on_unconverged_g(monkeypatch):
     assert results and bad == sum(len(r.converged) for r in results) > 0
     assert hits == [f"G series unconverged on {bad} of 40 chains: worst "
                     f"tail estimate {worst:.2e}"]
+
+
+def test_rho_new_from_values_warns_on_unconverged_g(monkeypatch):
+    # the density takes row ell of G from g_rows with no fallback: a series
+    # that cannot converge is warned about and its tail reported
+    tv = tmat(MODEL, [Y1, Y2, Y3])
+    u, sig = [0.4, 0.3, 0.6], [MODEL.sigma_tot(1.0)] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        good = kn.rho_new_from_values(1, 2, u, tv, sig, 1.0, 3)
+    assert good.tail_estimate < 1e-15
+    original = gm.g_series_batch
+    results = []
+
+    def truncated(*a, **kw):
+        results.append(original(*a, **dict(kw, max_order=3)))
+        return results[-1]
+
+    monkeypatch.setattr(gm, "g_series_batch", truncated)
+    with pytest.warns(UserWarning, match="G series unconverged at order 3"):
+        bad = kn.rho_new_from_values(1, 2, u, tv, sig, 1.0, 3)
+    assert len(results) == 1 and not results[0].converged[0]
+    assert bad.tail_estimate == results[0].tail_estimate[0] > 1e-6
+    assert bad.value != good.value
 
 
 def test_k2_closed_form_vectorised_against_scalar():
