@@ -358,10 +358,11 @@ def check_08_combinatorial_vs_analytic(seed=808, draws=100, rtol=1e-10):
     for _ in range(30):
         u = rng.uniform(0.01, 1.2, 3)
         tv = _draw_tvals(rng, 3, lam=0.1)
-        cont = gm.g_contour(gp.WeightedCollisionGraph(-2j * math.pi * tv, u),
-                            nodes=64)
-        damp_shell = math.exp(-0.25 * float(np.sum(u))) * SPEED
+        w = -2j * math.pi * tv
         for kind, (ell, m) in (("diag", (0, 0)), ("off", (0, 2))):
+            graph = gp.WeightedCollisionGraph(w, u)
+            cont = gm.g_contour(graph, nodes=64)
+            damp_shell = math.exp(-0.25 * float(np.sum(u))) * SPEED
             ref = abs(cont.entry(ell, m)) ** 2 * damp_shell
             com = kn.rho_combinatorial(kind, u, tv, [0.25] * 3, SPEED, DIM,
                                        n_max=14, tail_tol=np.inf)

@@ -122,8 +122,14 @@ def _write_csv(path, header, rows):
 
 
 def _np_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
         return obj.tolist()
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
     raise TypeError(f"not JSON serialisable: {type(obj)}")
 
 
@@ -315,7 +321,8 @@ def _cmd_simulate(args, out_dir):
     est = kn.pair_estimate(cfg["series"], a, b, cfg["t"], cfg["k_max"],
                            cfg["n_samples"], model, seed=seed)
     csv_path = os.path.join(out_dir, "simulate.csv")
-    _write_csv(csv_path, ["k", "contribution"], sorted(est.per_k.items()))
+    rows = [(k, v) for k, v in sorted(est.per_k.items())]
+    _write_csv(csv_path, ["k", "contribution"], rows)
     diag = {
         "series": cfg["series"],
         "value": est.value,
@@ -351,9 +358,11 @@ def _cmd_lattice(args, out_dir):
     _write_csv(gaps_path, ["gap", "theta"], zip(g.tolist(), th.tolist()))
     h, ge, te = la.histogram2d(sample, theta_bins=cfg["theta_bins"])
     hist_path = os.path.join(out_dir, "hist2d.csv")
-    hrows = [(float(ge[i]), float(ge[i + 1]), float(te[j]), float(te[j + 1]),
-              float(h[i, j]))
-             for i in range(h.shape[0]) for j in range(h.shape[1])]
+    hrows = []
+    for i in range(h.shape[0]):
+        for j in range(h.shape[1]):
+            hrows.append((float(ge[i]), float(ge[i + 1]), float(te[j]),
+                          float(te[j + 1]), float(h[i, j])))
     _write_csv(hist_path, ["gap_lo", "gap_hi", "theta_lo", "theta_hi",
                            "density"], hrows)
     report = la.joint_test(sample, gap_bins=cfg["gap_bins"],

@@ -27,10 +27,9 @@ layer by layer, for all rows of G or for one start row, judges convergence
 per graph and lets converged graphs leave the batch; ``g_series`` is its
 one-graph, all-rows case.  Indices are 0-based throughout.
 
-``g_rows``, the closed form at k = 2 and the batched series above it, is
-the one route to G for the Monte Carlo reweighting, the limit-process
-density and the default of ``g_auto``; the contour runs only on request,
-and an unconverged series is reported, never replaced.
+``g_rows`` (closed form at k = 2, batched series above, no fallback) gives G
+to the Monte Carlo reweighting and the density, as ``g_auto`` does by
+default; the contour runs only on request.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
@@ -175,12 +174,8 @@ def g_series_batch(weights, times, row: int | None = None,
 def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
     """Truncated series evaluation of one graph: the one-graph, all-rows
     case of ``g_series_batch``, with its convergence rule."""
-    return _series_value(g_series_batch(
-        graph.weights[None], graph.times[None], max_order=max_order))
-
-
-def _series_value(out: GBatch) -> GMatrix:
-    """The first graph of an all-rows series batch as a GMatrix."""
+    out = g_series_batch(graph.weights[None], graph.times[None],
+                         max_order=max_order)
     return GMatrix(out.entries[0], "series", order=int(out.order[0]),
                    tail_estimate=float(out.tail_estimate[0]),
                    converged=bool(out.converged[0]))
@@ -322,8 +317,9 @@ def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
     vanishes and the off-diagonal reduces to the edge weights themselves."""
     if u1 < 0 or u2 < 0:
         raise InvalidInputError("times must be non-negative")
-    g = np.array(_k2_entries(u1, u2, w12, w21), dtype=complex)
-    return GMatrix(g.reshape(2, 2), "bessel_k2")
+    g00, g01, g10, g11 = _k2_entries(u1, u2, w12, w21)
+    return GMatrix(np.array([[g00, g01], [g10, g11]], dtype=complex),
+                   "bessel_k2")
 
 
 def g_rows(weights, times, row: int | None = None,
@@ -332,12 +328,11 @@ def g_rows(weights, times, row: int | None = None,
     start row ``row``: ``_k2_entries`` at k = 2 (order 0, tail 0,
     converged) and ``g_series_batch`` above it, with no fallback.  Both are
     read as module globals, so replacing one here reaches every caller."""
-    w, u = np.asarray(weights, dtype=complex), np.asarray(times, dtype=float)
-    n, k = u.shape
+    n, k = np.shape(times)
     if k != 2:
-        return g_series_batch(w, u, row=row, max_order=max_order)
-    g = np.stack(_k2_entries(u[:, 0], u[:, 1], w[:, 0, 1], w[:, 1, 0]),
-                 axis=1).reshape(n, 2, 2)
+        return g_series_batch(weights, times, row=row, max_order=max_order)
+    g = np.stack(_k2_entries(times[:, 0], times[:, 1], weights[:, 0, 1],
+                             weights[:, 1, 0]), axis=1).reshape(n, 2, 2)
     return GBatch(g if row is None else g[:, row], np.zeros(n, dtype=int),
                   np.zeros(n), np.ones(n, dtype=bool))
 
@@ -345,21 +340,18 @@ def g_rows(weights, times, row: int | None = None,
 def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
            max_order: int = 80, *, nodes: int = 256,
            radius=None) -> GMatrix:
-    """G of one graph through ``g_rows``, unless ``prefer`` names a route:
-    "bessel_k2", "series" or "contour" (which alone reads ``nodes`` and
-    ``radius``)."""
-    if prefer is None:
-        out = g_rows(graph.weights[None], graph.times[None],
-                     max_order=max_order)
-        return (GMatrix(out.entries[0], "bessel_k2") if graph.k == 2
-                else _series_value(out))
-    if prefer == "bessel_k2":
+    """Dispatch as ``g_rows`` does: Bessel closed form for k = 2, series
+    otherwise, unless ``prefer`` names a route ("bessel_k2", "series" or
+    "contour", which alone reads ``nodes`` and ``radius``).  The series is
+    never replaced by the contour when it does not converge."""
+    method = prefer or ("bessel_k2" if graph.k == 2 else "series")
+    if method == "bessel_k2":
         if graph.k != 2:
             raise InvalidInputError("closed form only exists for k = 2")
         w = graph.weights
         return g_bessel_k2(graph.times[0], graph.times[1], w[0, 1], w[1, 0])
-    if prefer == "series":
+    if method == "series":
         return g_series(graph, max_order=max_order)
-    if prefer == "contour":
+    if method == "contour":
         return g_contour(graph, nodes=nodes, radius=radius)
-    raise InvalidInputError(f"unknown method {prefer!r}")
+    raise InvalidInputError(f"unknown method {method!r}")

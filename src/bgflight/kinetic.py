@@ -198,9 +198,8 @@ def rho_new_from_values(ell, m, u, tvals, sigma_tots, speed,
 
     ``tvals`` is the k x k matrix T(y_i, y_j) (diagonal ignored) and
     ``sigma_tots`` the per-leg total cross sections.  Row ``ell`` of G comes
-    from ``gmatrix.g_rows``: the closed form at k = 2, the series above it.
-    Its tail estimate is reported in ``tail_estimate``, and a series that
-    does not converge is warned about.
+    from ``gmatrix.g_rows``; an unconverged series is warned about, and its
+    tail estimate is reported in ``tail_estimate``.
     """
     u = np.asarray(u, dtype=float)
     k = len(u)

@@ -311,18 +311,27 @@ def test_value_at_zero_times():
     assert np.max(np.abs(np.diag(out3.entries))) < 1e-12
 
 
+def test_g_rows_closed_form_at_k2_series_above():
+    for k, route in ((2, "bessel_k2"), (3, "series")):
+        graphs = [rand_graph(k, seed=20 + s) for s in range(3)]
+        w = np.stack([g.weights for g in graphs])
+        u = np.stack([g.times for g in graphs])
+        full = gm.g_rows(w, u)
+        assert full.converged.all()
+        for g, entries in zip(graphs, full.entries):
+            ref = gm.g_auto(g, route).entries
+            assert np.max(np.abs(entries - ref)) < 1e-13
+        one = gm.g_rows(w, u, row=1)
+        assert np.max(np.abs(one.entries - full.entries[:, 1])) < 1e-13
+
+
 def test_g_auto_dispatch():
-    # the default is g_rows: the closed form at k = 2, the series above;
-    # the contour runs only on request
+    # as in g_rows: the closed form at k = 2, the series above; the contour
+    # runs only on request
     g = rand_graph(2, seed=10)
     assert gm.g_auto(g).method == "bessel_k2"
     g3 = rand_graph(3, seed=10)
-    auto = gm.g_auto(g3)
-    assert auto.method == "series"
-    series = gm.g_auto(g3, prefer="series")
-    assert np.array_equal(auto.entries, series.entries)
-    assert (auto.order, auto.tail_estimate, auto.converged) == (
-        series.order, series.tail_estimate, series.converged)
+    assert gm.g_auto(g3).method == "series"
     assert gm.g_auto(g3, "contour", nodes=32).method == "contour"
 
 
