@@ -271,9 +271,11 @@ def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
     estimate for the doubling step that produced the returned value.
     """
     k = graph.k
-    radius = np.broadcast_to(np.asarray(
-        1.0 + 1.1 * graph.r0 if radius is None else radius, dtype=float),
-        (k,)).copy()
+    radius = np.asarray(1.0 + 1.1 * graph.r0 if radius is None else radius,
+                        dtype=float)
+    if radius.shape not in ((), (k,)):
+        raise InvalidInputError(f"radius must be a number or {k} numbers")
+    radius = np.broadcast_to(radius, (k,)).copy()
     if np.any(radius <= graph.r0):
         raise InvalidInputError(
             f"radius must exceed r0 = {graph.r0:.6g} on every coordinate")

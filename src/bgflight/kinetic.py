@@ -24,9 +24,13 @@ of arrays (sample_lb_block) from a counter-based stream: Philox4x64-10
 under the key (seed, 0), draw j of lane l of chain i at the counter
 (j + 1, i, l, 0), with seeds and chain indices in [0, 2**64).  A chain's
 draws are a function of (seed, chain index) alone, so results do not
-depend on how chains are grouped into blocks.  Every chain that reaches
-leg k gives the k-leg term, its flight times turned cyclically and weighed
-by the balance heuristic over the turns (_turned_flights).
+depend on how chains are grouped into blocks.  Scattering directions are
+drawn exactly, with no rejection: from the closed-form von Mises-Fisher law
+at Born order 1 in d = 3, and otherwise by the inverse CDF of the block's
+shell table (ScatteringModel.shell_table), which comes from the same |T|^2
+values as the collision rates.  Every chain that reaches leg k gives the
+k-leg term, its flight times turned cyclically and weighed by the balance
+heuristic over the turns (_turned_flights).
 
 All leg indices are 0-based.  Momenta are stored as full d-vectors of a
 common norm; a relative tolerance of 1e-9 decides on-shell membership.
@@ -49,10 +53,11 @@ from .paths import partition_to_path
 from .scattering import ScatteringModel
 
 ON_SHELL_RTOL = 1e-9
-# direction proposals per rejection batch of the chain sampler
-PROPOSAL_BATCH = 64
 # chains per block of pair_estimate; no result depends on it
 CHAIN_BLOCK = 256
+# the chain sampler warns when a shell table's error estimate for a chain
+# that scatters exceeds this
+SHELL_TOL = 1e-6
 # (draw, distinct term) pairs per chunk of the combinatorial amplitudes
 COMB_CHUNK_ELEMS = 1 << 16
 
@@ -510,6 +515,21 @@ def _from_axis(axis, x):
     return coef * v - x
 
 
+def _polar_directions(axis, c, v):
+    """Unit vectors at the cosines ``c`` (m,) to the unit vectors ``axis``
+    (m, d), rows of v (m, d - 1) giving the unit vector of the orthogonal
+    complement: the Householder image of (c, sqrt(1 - c^2) v)."""
+    s = np.sqrt(1.0 - c * c)
+    return _from_axis(axis, np.concatenate([c[:, None], s[:, None] * v],
+                                           axis=1))
+
+
+def _azimuths(u_phi):
+    """Unit vectors of the plane at the azimuths 2 pi u_phi."""
+    phi = 2 * math.pi * u_phi
+    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
 def _born1_directions(axis, kappa, u_cos, u_phi):
     """Exact Born-1 scattering directions in d = 3, one per row: on shell
     |T|^2 is proportional to exp(-kappa (1 - cos theta)), kappa =
@@ -520,62 +540,19 @@ def _born1_directions(axis, kappa, u_cos, u_phi):
     is 2 pi u_phi."""
     c = np.clip(1.0 + np.log1p(u_cos * np.expm1(-2 * kappa)) / kappa,
                 -1.0, 1.0)
-    s = np.sqrt(1.0 - c * c)
-    phi = 2 * math.pi * u_phi
-    local = np.stack([c, s * np.cos(phi), s * np.sin(phi)], axis=-1)
-    return _from_axis(axis, local)
+    return _polar_directions(axis, c, _azimuths(u_phi))
 
 
-def _direction_bound(model: ScatteringModel, speed: float) -> float:
-    """Rejection bound on |T|^2 over the shell directions at ``speed``: a
-    513-point polar scan plus 5%, run once per chain that scatters (each
-    chain has its own speed) and checked against every accepted
-    proposal."""
-    return 1.05 * float(np.max(
-        model.polar_abs2(speed, np.linspace(-1, 1, 513))))
-
-
-def _rejection_directions(model, seed, chains, lane, cur, bounds):
-    """Unit directions after the momenta ``cur`` (n, d), one chain per row,
-    by rejection of uniform sphere proposals against |T|^2 / ``bounds``.
-    Chain i draws its batches in order from draws 1, 2, ... of its
-    ``lane``: PROPOSAL_BATCH proposals of d Box-Muller normals and one
-    acceptance uniform each.  Every round evaluates T for all pending
-    chains in one t_matrix_batch call.  Returns the directions, the
-    proposals spent per row and the worst |T|^2 / bound among the accepted
-    proposals."""
-    n, d = cur.shape
-    per = 2 * -(-d // 2) + 1
-    draws = -(-PROPOSAL_BATCH * per // 4)
-    speed = np.linalg.norm(cur, axis=1)
-    out = np.empty((n, d))
-    spent = np.zeros(n, dtype=int)
-    worst = 0.0
-    pending = np.arange(n)
-    first = 1
-    while pending.size:
-        u = _uniforms(seed, chains[pending, None], lane,
-                      np.arange(first, first + draws))
-        u = u.reshape(len(pending), -1)[:, :PROPOSAL_BATCH * per].reshape(
-            len(pending), PROPOSAL_BATCH, per)
-        props = _normals(u[..., :per - 1])[..., :d]
-        props /= np.linalg.norm(props, axis=-1, keepdims=True)
-        ratio = np.abs(model.t_matrix_batch(
-            cur[pending], speed[pending, None, None] * props)) ** 2 \
-            / bounds[pending, None]
-        hits = u[..., -1] < ratio
-        found = hits.any(axis=1)
-        pick = hits.argmax(axis=1)[found]
-        if found.any():
-            # proposals before the accepted one have ratio < uacc < 1,
-            # so only an accepted proposal can exceed the bound
-            worst = max(worst, float(ratio[found, pick].max()))
-        out[pending[found]] = props[found, pick]
-        spent[pending[found]] += pick + 1
-        spent[pending[~found]] += PROPOSAL_BATCH
-        pending = pending[~found]
-        first += draws
-    return out, spent, worst
+def _complements(seed, chains, lane, u_phi, d):
+    """Uniform unit vectors of the orthogonal complement, one per chain: in
+    d = 3 the azimuths of ``u_phi``, in d > 3 d - 1 Box-Muller normals from
+    draws 1, 2, ... of ``lane``, normalised."""
+    if d == 3:
+        return _azimuths(u_phi)
+    draws = -(-(d - 1) // 4)
+    u = _uniforms(seed, chains[:, None], lane, np.arange(1, draws + 1))
+    z = _normals(u.reshape(len(chains), -1))[:, :d - 1]
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -604,14 +581,20 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     Stream layout (Philox4x64-10, key (seed, 0); draw j of lane l of chain
     i is counter (j + 1, i, l, 0)): lane 0 is left to the caller (the
     initial momentum and the turns of pair_estimate); leg m reads lane
-    m + 1, whose draw 0 gives the flight time -log1p(-u_0)/Sigma_tot and,
-    at Born order 1 in d = 3, the exact direction (u_1, u_2) of the next
-    leg.  At Born order >= 2, or d > 3, directions come by rejection from
-    draws 1, 2, ... of that lane, against the bound of _direction_bound; a
-    warning fires when some chain spends more than 100 proposals per
-    accepted direction, and one when an accepted proposal's |T|^2 exceeds
-    the bound: it was accepted with probability 1 instead of |T|^2/bound,
-    so the sampled directions do not follow the kernel.
+    m + 1, whose draw 0 gives the flight time -log1p(-u_0)/Sigma_tot and
+    the direction of the next leg: the scattering angle at the CDF level
+    u_1, and the azimuth 2 pi u_2 in d = 3 or, in d > 3, a uniform unit
+    vector of the orthogonal complement from draws 1, 2, ... of the lane
+    (_complements).
+
+    At Born order 1 in d = 3 the total cross section is the closed form and
+    the angle follows the von Mises-Fisher law of |T|^2 exactly
+    (_born1_directions).  Every other (d, Born order) evaluates |T|^2 once
+    per chain at the polar nodes of the total cross section: the block's
+    ShellTable gives the rates and the angles by the exact inverse CDF of
+    the interpolated kernel, with no bound and no rejection.  One warning
+    per block reports the chains that scatter with a table error estimate
+    above SHELL_TOL, and the worst estimate.
     """
     seed = _check_seed(seed)
     y0 = np.asarray(y0, dtype=float)
@@ -628,7 +611,12 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     n, d = y0.shape
     lanes = np.arange(1, max_legs + 1)
     first = _uniforms(seed, chains[:, None], lanes, 0)
-    rates = model.sigma_tot_speeds(speed)
+    exact = model.born_order == 1 and d == 3
+    if exact:
+        rates = model.sigma_tot_speeds(speed)
+    else:
+        table = model.shell_table(speed)
+        rates = table.rates
     dt = -np.log1p(-first[..., 0]) / rates[:, None]
     elapsed = np.cumsum(dt, axis=1)
     ends = elapsed >= t
@@ -642,35 +630,25 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     times[done, last] = t - np.where(last > 0, elapsed[done, last - 1], 0.0)
     momenta = np.zeros((n, max_legs, d))
     momenta[:, 0] = y0
-    exact = model.born_order == 1 and d == 3
-    if not exact:
-        # only chains that scatter need a bound
-        bounds = np.zeros(n)
-        bounds[legs > 1] = [_direction_bound(model, float(v))
-                            for v in speed[legs > 1]]
-        proposals = np.zeros(n, dtype=int)
-        worst = 0.0
     for leg in range(int(legs.max(initial=1)) - 1):
         sel = rows[legs > leg + 1]
-        cur = momenta[sel, leg]
+        axis = momenta[sel, leg] / speed[sel, None]
+        u_cos, u_phi = first[sel, leg, 1], first[sel, leg, 2]
         if exact:
             kappa = model.potential.shell_concentration(speed[sel])
-            new = _born1_directions(cur / speed[sel, None], kappa,
-                                    first[sel, leg, 1], first[sel, leg, 2])
+            new = _born1_directions(axis, kappa, u_cos, u_phi)
         else:
-            new, spent, bad = _rejection_directions(
-                model, seed, chains[sel], leg + 1, cur, bounds[sel])
-            proposals[sel] += spent
-            worst = max(worst, bad)
+            new = _polar_directions(
+                axis, table.cosines(sel, u_cos),
+                _complements(seed, chains[sel], leg + 1, u_phi, d))
         momenta[sel, leg + 1] = speed[sel, None] * new
     if not exact:
-        # one accepted direction per leg after the first
-        if np.any(proposals > 100 * (legs - 1)):
-            warnings.warn("direction rejection efficiency below 1 percent",
-                          stacklevel=2)
-        if worst > 1.0:
-            warnings.warn(f"direction rejection bound exceeded: worst "
-                          f"|T|^2 / bound = {worst:.4g}", stacklevel=2)
+        poor = (legs > 1) & (table.error > SHELL_TOL)
+        if poor.any():
+            warnings.warn(
+                f"shell table error estimate above {SHELL_TOL:.0e} on "
+                f"{int(poor.sum())} of {n} chains: worst "
+                f"{table.error[poor].max():.2e}", stacklevel=2)
     return ChainBlock(times, momenta, legs, truncated, rates)
 
 

@@ -32,15 +32,20 @@ The on-shell collision kernel uses the energy-shell convention
         = ||y||^(d-2) int_{S^{d-1}} f(||y|| w) dw,
 
 so sigma(y, w) = 4 pi^2 ||y||^(d-2) |T(y, ||y|| w)|^2 and the total cross
-section is its spherical integral.
+section is its spherical integral.  On shell |T|^2 depends on the scattering
+angle only: ScatteringModel.shell_table evaluates it once per speed at the
+polar nodes of that integral and gives both the total cross section and
+the law of the angle (ShellTable), which the chain sampler inverts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
@@ -96,8 +101,14 @@ BATCH_ELEMS = 8192
 # steepest-descent ray
 PANEL_NODES = 20
 LEG_NODES = 64
-# polar nodes of the total cross section's sphere integral
+# polar nodes of the total cross section's sphere integral, and of the
+# shell table that samples scattering angles from the same |T|^2 values
 SPHERE_NODES = 64
+# equal cells of [0, pi] on which the shell table brackets its inverse-CDF
+# solves, and the Newton-or-bisection steps after which a solve stops
+SHELL_GRID = 2 * SPHERE_NODES
+SHELL_STEPS = 64
+_SHELL_ANGLES = np.linspace(0.0, math.pi, SHELL_GRID + 1)
 
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -371,17 +382,33 @@ class ScatteringModel:
         polar rule per speed.  Computed on every call; flight times are
         drawn at continuously distributed speeds, so a per-speed memo would
         almost never see a speed twice."""
-        speeds = np.asarray(speeds, dtype=float)
-        if np.any(speeds <= 0):
-            raise InvalidInputError("total cross section undefined at y = 0")
-        d = self.dim
-        if self.born_order == 1 and d == 3:
+        speeds = _positive_speeds(speeds)
+        if self.born_order == 1 and self.dim == 3:
             return sigma_tot_born1_speeds(self.potential, self.coupling,
                                           speeds)
-        cnodes, cweights = _polar_rule(d, SPHERE_NODES)
-        sphere = _lower_sphere_area(d) * np.array(
-            [float(np.sum(cweights * self.polar_abs2(v, cnodes)))
-             for v in speeds])
+        return self._sigma_from_shell(speeds, self._shell_values(speeds))
+
+    def shell_table(self, speeds) -> ShellTable:
+        """The ShellTable of a 1-d array of positive speeds: one polar_abs2
+        call per speed at the SPHERE_NODES nodes of the polar rule gives the
+        total cross sections (bit for bit those of sigma_tot_speeds, except
+        at Born order 1 in d = 3, where that takes the closed form) and the
+        law of the scattering angle."""
+        speeds = _positive_speeds(speeds)
+        values = self._shell_values(speeds)
+        return ShellTable.from_values(
+            self.dim, self._sigma_from_shell(speeds, values), values)
+
+    def _shell_values(self, speeds):
+        """|T|^2 at the polar nodes, one row per speed."""
+        cnodes, _ = _polar_rule(self.dim, SPHERE_NODES)
+        return np.array([self.polar_abs2(v, cnodes) for v in speeds]
+                        ).reshape(len(speeds), SPHERE_NODES)
+
+    def _sigma_from_shell(self, speeds, values):
+        d = self.dim
+        _, cweights = _polar_rule(d, SPHERE_NODES)
+        sphere = _lower_sphere_area(d) * np.sum(cweights * values, axis=1)
         return 4 * math.pi ** 2 * speeds ** (d - 2) * sphere
 
     # -- optical theorem ----------------------------------------------------
@@ -408,6 +435,13 @@ class ScatteringModel:
         return float(im_t + first.sigma_tot(y) / (4 * math.pi))
 
 
+def _positive_speeds(speeds):
+    speeds = np.asarray(speeds, dtype=float)
+    if np.any(speeds <= 0):
+        raise InvalidInputError("total cross section undefined at y = 0")
+    return speeds
+
+
 def _lower_sphere_area(d) -> float:
     """Area of S^(d-2), the azimuthal factor of the polar-angle reduction."""
     return 2 * math.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
@@ -426,6 +460,143 @@ def sigma_tot_born1_speeds(pot: GaussianPotential, lam, speeds):
     q = pot.shell_concentration(speeds)
     integral = 2 * math.pi * a * a * s ** (2 * d) * (1 - np.exp(-2 * q)) / q
     return 4 * math.pi ** 2 * lam ** 2 * speeds * integral
+
+
+# ---------------------------------------------------------------------------
+# shell table: the law of the scattering angle
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=8)
+def _shell_basis(d):
+    """Linear maps from |T|^2 at the SPHERE_NODES nodes of _polar_rule(d)
+    to the coefficients of a ShellTable.
+
+    The interpolant p of degree SPHERE_NODES - 1 through the nodes has the
+    Chebyshev coefficients inv(chebvander(nodes)) |T|^2.  With c = cos theta
+    the scattering angle theta has the density p(cos theta) sin^(d-2) theta
+    on [0, pi], whose integral from 0 closes as
+
+        G(theta) = alpha theta + sum_k a_k (1 - cos k theta) + b_k sin k theta:
+
+    for odd d it is Q(1) - Q(cos theta), Q the Chebyshev antiderivative of
+    p(c) (1 - c^2)^((d-3)/2) (alpha = b = 0); for even d, the term-wise
+    integral of the cosine series of p(c) (1 - c^2)^((d-2)/2) (a = 0).
+    Returns the maps (node axis first) to alpha, a, b, G at the SHELL_GRID
+    + 1 angles of the grid, and the two top Chebyshev coefficients of p."""
+    nodes, _ = _polar_rule(d, SPHERE_NODES)
+    to_cheb = np.linalg.inv(cheb.chebvander(nodes, SPHERE_NODES - 1))
+    weight = cheb.chebpow([0.5, 0.0, -0.5], (d - 2) // 2)
+    dens = np.array([cheb.chebmul(col, weight) for col in to_cheb.T])
+    if d % 2:
+        a = cheb.chebint(dens, axis=1)[:, 1:]
+        alpha, b = np.zeros(len(nodes)), np.zeros_like(a)
+    else:
+        alpha, b = dens[:, 0], dens[:, 1:] / np.arange(1, dens.shape[1])
+        a = np.zeros_like(b)
+    kt = np.outer(np.arange(1, a.shape[1] + 1), _SHELL_ANGLES)
+    grid = (np.outer(alpha, kt[0]) + a @ (1.0 - np.cos(kt))
+            + b @ np.sin(kt))
+    return alpha, a, b, grid, to_cheb[-2:].T
+
+
+@dataclass(frozen=True)
+class ShellTable:
+    """The on-shell kernel at n speeds, from |T|^2 at the SPHERE_NODES nodes
+    of the polar rule: the total cross sections ``rates`` (n,) and the law
+    of the scattering angle theta, whose density is |T|^2(cos theta)
+    sin^(d-2) theta with |T|^2 replaced by its interpolant through the
+    nodes.  Row i holds the integral of that density from 0,
+    G(theta) = alpha theta + sum_k a_k (1 - cos k theta) + b_k sin k theta
+    (_shell_basis), in ``alpha`` (n,), ``a`` and ``b`` (n, K), and its
+    values at SHELL_GRID + 1 equal angles of [0, pi] in ``grid``.
+
+    ``error`` (n,) estimates the L1 error of the sampled law, relative to
+    its mass: the two top Chebyshev coefficients of the interpolant and its
+    rounding (SPHERE_NODES ulps of max |T|^2) over the mean of |T|^2 on the
+    sphere, plus the share of the mass lost where G falls between grid
+    angles, that is, where the interpolant dips below 0."""
+
+    rates: np.ndarray
+    alpha: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    grid: np.ndarray
+    error: np.ndarray
+
+    @classmethod
+    def from_values(cls, d, rates, values):
+        """The table of |T|^2 ``values`` (n, SPHERE_NODES) at the polar
+        nodes and the total cross sections ``rates`` (n,).  The maps of
+        _shell_basis are applied by einsum, which sums each row in the same
+        order however many rows there are (a BLAS product need not), so a
+        chain's table does not depend on its block."""
+        alpha, a, b, grid, top = (np.einsum("ij,j...->i...", values, m)
+                                  for m in _shell_basis(d))
+        _, cweights = _polar_rule(d, SPHERE_NODES)
+        rounding = SPHERE_NODES * np.finfo(float).eps * values.max(
+            axis=1, initial=0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            error = ((np.abs(top).sum(axis=1) + rounding) * cweights.sum()
+                     / np.einsum("ij,j->i", values, cweights)
+                     + np.maximum(0.0, -np.diff(grid, axis=1)).sum(axis=1)
+                     / grid[:, -1])
+        return cls(rates, alpha, a, b, grid, error)
+
+    def cosines(self, rows, u):
+        """cos theta for the rows ``rows`` of the table at the levels ``u``
+        in [0, 1), one per row: theta solves G(theta) = u G(pi), the exact
+        inverse CDF of the tabled law.  The grid brackets the root; from
+        the secant of its cell, Newton steps that leave the bracket are
+        replaced by bisection.  Each solve stops on its own once a step
+        moves theta by at most 1e-13, once a Newton step is no shorter than
+        the one before (the rounding of G), or after SHELL_STEPS steps, so
+        a row's result does not depend on the other rows."""
+        rows = np.asarray(rows)
+        grid = self.grid[rows]
+        tau = np.asarray(u, dtype=float) * grid[:, -1]
+        cell = np.maximum(1, np.argmax(grid >= tau[:, None], axis=1))
+        at = np.arange(len(rows))
+        lo, hi = _SHELL_ANGLES[cell - 1], _SHELL_ANGLES[cell]
+        g_lo, g_hi = grid[at, cell - 1], grid[at, cell]
+        rise = np.where(g_hi > g_lo, g_hi - g_lo, 1.0)
+        theta = lo + (hi - lo) * np.clip((tau - g_lo) / rise, 0.0, 1.0)
+        coef = self.alpha[rows], self.a[rows], self.b[rows]
+        done = np.zeros(len(rows), dtype=bool)
+        last = np.full(len(rows), np.inf)
+        for _ in range(SHELL_STEPS):
+            if done.all():
+                break
+            g, dg = _shell_integral(*coef, theta)
+            gap = g - tau
+            lo = np.where(gap < 0, theta, lo)
+            hi = np.where(gap < 0, hi, theta)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                delta = gap / dg
+            new = theta - delta
+            newton = (new >= lo) & (new <= hi)
+            # a Newton step no shorter than the one before has reached the
+            # rounding of G
+            step = np.abs(delta)
+            stalled = newton & (step >= last)
+            new = np.where(newton, new, 0.5 * (lo + hi))
+            new = np.where(done | stalled | (gap == 0), theta, new)
+            done |= stalled | (np.abs(new - theta) <= 1e-13)
+            last = np.where(newton, step, np.inf)
+            theta = new
+        return np.cos(theta)
+
+
+def _shell_integral(alpha, a, b, theta):
+    """G(theta) of ShellTable and its derivative, one angle per row of the
+    coefficients; 1 - cos k theta is taken as 2 sin^2(k theta / 2), which
+    keeps its digits at small angles."""
+    k = np.arange(1, a.shape[1] + 1)
+    half = 0.5 * theta[:, None] * k
+    sin, cos = np.sin(half), np.cos(half)
+    one_minus, sine = 2 * sin * sin, 2 * sin * cos
+    g = alpha * theta + np.sum(a * one_minus + b * sine, axis=1)
+    dg = alpha + np.sum(k * (a * sine + b * (1.0 - one_minus)), axis=1)
+    return g, dg
 
 
 # ---------------------------------------------------------------------------

@@ -407,3 +407,35 @@ def test_simulate_chain_block_invariance(tmp_path, monkeypatch, series):
                           for name in ("simulate.csv", "simulate.json")])
     assert artifacts[0] == artifacts[1] == artifacts[2]
     assert json.loads(artifacts[0][1])["value"] > 0
+
+
+# a few proposal chains start above |y| = 3, where the table warns; the
+# warning is tested in test_kinetic.py
+@pytest.mark.filterwarnings("ignore:shell table error estimate")
+@pytest.mark.parametrize("dim, born_order", [(3, 2), (4, 1)])
+def test_simulate_shell_table_invariance(tmp_path, monkeypatch, dim,
+                                         born_order):
+    # above Born order 1, or in d > 3, directions come from the shell
+    # table, which treats each chain's row alone: neither the block size
+    # nor --threads changes a byte of the artifacts
+    from bgflight import kinetic
+    pad = [0.0] * (dim - 3)
+    cfg = write(tmp_path / "c.json", {
+        "series": "new", "coupling": 0.4, "t": 1.0, "k_max": 3,
+        "n_samples": 120, "seed": 5, "born_order": born_order, "dim": dim,
+        "a": {"x_center": [0, 0, 0] + pad, "y_center": [1, 0, 0] + pad,
+              "x_width": 1.2, "y_width": 0.8},
+        "b": {"x_center": [0.9, 0.2, 0] + pad,
+              "y_center": [0.9, 0.1, 0] + pad}})
+    artifacts = []
+    for block, threads in ((1, 1), (7, 2), (256, 1), (256, 2)):
+        monkeypatch.setattr(kinetic, "CHAIN_BLOCK", block)
+        out = tmp_path / f"o{block}.{threads}"
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--threads", str(threads)]) == 0
+        artifacts.append([(out / name).read_bytes()
+                          for name in ("simulate.csv", "simulate.json")])
+    assert all(a == artifacts[0] for a in artifacts[1:])
+    # chains scattered: the two-leg term is there
+    rows = artifacts[0][0].decode().split()
+    assert float(rows[2].split(",")[1]) != 0.0

@@ -122,6 +122,13 @@ def test_contour_radius_validation():
     g = rand_graph(3, seed=5)
     with pytest.raises(InvalidInputError):
         gm.g_contour(g, radius=0.5 * g.r0)
+    # a radius per coordinate needs k of them
+    for radius in ([2.0 * g.r0] * 2, [[2.0 * g.r0] * 3]):
+        with pytest.raises(InvalidInputError, match="3 numbers"):
+            gm.g_contour(g, radius=radius, nodes=8)
+    per_axis = gm.g_contour(g, radius=[2.0 * g.r0] * 3, nodes=8)
+    assert np.array_equal(per_axis.entries,
+                          gm.g_contour(g, radius=2.0 * g.r0, nodes=8).entries)
 
 
 def test_contour_singular_guard():

@@ -314,18 +314,139 @@ def test_chain_truncation_flag():
     assert np.all(block.legs[block.truncated] == 2)
 
 
-def test_chain_warns_when_rejection_bound_fails(monkeypatch):
-    model = sc.ScatteringModel(POT, coupling=0.5, born_order=2)
-    t = 20.0 / model.sigma_tot(1.0)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        _block(t, model, 6, 1, max_legs=16)
-    assert not [w for w in caught if "bound exceeded" in str(w.message)]
-    true_bound = kn._direction_bound
-    monkeypatch.setattr(kn, "_direction_bound",
-                        lambda m, v: 0.5 * true_bound(m, v))
-    with pytest.warns(UserWarning, match=r"bound exceeded: worst .* = 1\.\d"):
-        _block(t, model, 6, 1, max_legs=16)
+def _exact_cosine_cdf(model, speed, points=513):
+    """CDF of the scattering cosine c at ``speed`` by dense quadrature of
+    polar_abs2 times the Jacobi weight (1 - c^2)^((d-3)/2): a cumulative
+    trapezoid in the angle theta, where the density is |T|^2 sin^(d-2)."""
+    theta = np.linspace(0.0, math.pi, points)
+    dens = model.polar_abs2(speed, np.cos(theta)) \
+        * np.sin(theta) ** (model.dim - 2)
+    mass = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(theta))])
+    mass /= mass[-1]
+    return lambda c: 1.0 - np.interp(np.arccos(np.clip(c, -1.0, 1.0)),
+                                     theta, mass)
+
+
+def _shell_model(dim, order, coupling):
+    return sc.ScatteringModel(sc.GaussianPotential(dim=dim),
+                              coupling=coupling, born_order=order)
+
+
+@pytest.mark.parametrize("dim, order, coupling, speed",
+                         [(3, 2, 0.2, v) for v in (0.4, 1.0, 1.8)]
+                         + [(3, 3, 0.1, v) for v in (0.4, 1.0, 1.8)]
+                         + [(4, 1, 0.5, 1.0), (4, 2, 0.2, 1.0)])
+def test_shell_cosines_follow_exact_law(dim, order, coupling, speed):
+    from scipy import stats
+    model = _shell_model(dim, order, coupling)
+    u = kn._uniforms(15, np.arange(4000), 1, 0)[:, 1]
+    c = model.shell_table([speed]).cosines(np.zeros(4000, dtype=int), u)
+    assert np.all(np.abs(c) <= 1.0)
+    assert stats.kstest(c, _exact_cosine_cdf(model, speed)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("speed", [0.4, 1.0, 1.8])
+def test_shell_cosines_match_born1_closed_form(speed):
+    # at Born order 1 in d = 3 the table inverts the von Mises-Fisher CDF
+    # that _born1_directions inverts in closed form, at the same level
+    model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
+    u = kn._uniforms(15, np.arange(1000), 1, 0)
+    c = model.shell_table([speed]).cosines(np.zeros(1000, dtype=int),
+                                           u[:, 1])
+    exact = kn._born1_directions(np.tile(Y1, (1000, 1)),
+                                 POT.shell_concentration(speed), u[:, 1],
+                                 u[:, 2])[:, 0]
+    assert np.max(np.abs(c - exact)) < 1e-10
+
+
+@pytest.mark.parametrize("dim, order, coupling",
+                         [(3, 2, 0.2), (4, 1, 0.5), (4, 2, 0.2)])
+def test_shell_directions_in_chains(dim, order, coupling):
+    # the first scattering of chains from a fixed momentum keeps the speed,
+    # draws cos theta from the exact law and the rest of the direction
+    # uniformly: in d = 3 a uniform azimuth, in d = 4 a uniform unit vector
+    # of the complement (a sphere in R^3, whose coordinates are uniform on
+    # [-1, 1])
+    from scipy import stats
+    model = _shell_model(dim, order, coupling)
+    y0 = np.zeros(dim)
+    y0[0] = 1.0
+    n = 1000
+    block = kn.sample_lb_block(40.0 / model.sigma_tot(1.0),
+                               np.tile(y0, (n, 1)), model, 16,
+                               np.arange(n), max_legs=2)
+    assert np.all(block.legs == 2)
+    out = block.momenta[:, 1]
+    assert np.allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-13)
+    assert stats.kstest(out[:, 0], _exact_cosine_cdf(model, 1.0)
+                        ).pvalue > 0.01
+    perp = out[:, 1:] / np.linalg.norm(out[:, 1:], axis=1, keepdims=True)
+    if dim == 3:
+        samples = [(np.arctan2(perp[:, 1], perp[:, 0]),
+                    stats.uniform(-math.pi, 2 * math.pi))]
+    else:
+        samples = [(perp[:, j], stats.uniform(-1.0, 2.0)) for j in range(3)]
+    for x, law in samples:
+        assert stats.kstest(x, law.cdf).pvalue > 0.01
+
+
+@pytest.mark.parametrize("order, coupling", [(2, 0.2), (3, 0.1)])
+def test_block_rates_are_sigma_tot(order, coupling):
+    model = sc.ScatteringModel(POT, coupling=coupling, born_order=order)
+    y0 = np.array([[0.3, 0.4, 0.0], [0.0, 0.54, 0.72], [1.04, 0.0, 0.78]])
+    block = kn.sample_lb_block(1.0, y0, model, 3, np.arange(3), max_legs=2)
+    assert np.array_equal(block.rates, model.sigma_tot_speeds(
+        np.linalg.norm(y0, axis=1)))
+
+
+def test_shell_table_error_estimate():
+    # the estimate is at least the L1 error of the interpolated law against
+    # a dense scan of |T|^2; it stays below SHELL_TOL up to |y| = 2 and
+    # exceeds it at |y| = 4, where the forward peak of |T|^2 is too narrow
+    # for the nodes
+    from scipy.interpolate import BarycentricInterpolator
+    nodes, _ = sc._polar_rule(3, sc.SPHERE_NODES)
+    theta = np.linspace(0.0, math.pi, 4001)
+    weight = np.sin(theta)
+
+    def l1_error(values, exact):
+        interp = BarycentricInterpolator(nodes, values)(np.cos(theta))
+        return (np.trapezoid(np.abs(interp - exact) * weight, theta)
+                / np.trapezoid(exact * weight, theta))
+
+    speeds = [0.4, 1.0, 2.0, 4.0]
+    for coupling in (0.2, 0.5):
+        model = sc.ScatteringModel(POT, coupling=coupling, born_order=2)
+        table = model.shell_table(speeds)
+        for v, error in zip(speeds, table.error):
+            assert error >= l1_error(model.polar_abs2(v, nodes),
+                                     model.polar_abs2(v, np.cos(theta)))
+        assert np.all(table.error[:3] <= kn.SHELL_TOL)
+        assert table.error[3] > kn.SHELL_TOL
+    # a kernel far narrower than the nodes: the interpolant dips below 0,
+    # and the estimate counts that mass too
+    peak = np.exp(-400.0 * (1.0 - nodes))
+    table = sc.ShellTable.from_values(3, np.ones(1), peak[None])
+    assert table.error[0] >= l1_error(peak, np.exp(-400.0 * (1.0 - np.cos(
+        theta))))
+    assert np.any(np.diff(table.grid[0]) < 0)
+
+
+def test_chain_warns_when_shell_table_is_poor():
+    model = sc.ScatteringModel(POT, coupling=0.2, born_order=2)
+    for speed in (2.0, 4.0):
+        y0 = np.tile([speed, 0.0, 0.0], (3, 1))
+        t = 40.0 / model.sigma_tot(speed)
+        if speed == 2.0:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                kn.sample_lb_block(t, y0, model, 6, np.arange(3), max_legs=4)
+        else:
+            with pytest.warns(UserWarning, match=r"shell table error "
+                              r"estimate above 1e-06 on 3 of 3 chains: "
+                              r"worst \d\.\d\de-0\d"):
+                kn.sample_lb_block(t, y0, model, 6, np.arange(3), max_legs=4)
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 3])
