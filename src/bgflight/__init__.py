@@ -6,10 +6,10 @@ __version__ = "0.1.0"
 
 from .gmatrix import (GBatch, GMatrix, g_auto, g_bessel_k2, g_contour,
                       g_rows, g_series)
-from .kinetic import (ChainBlock, CollisionChain, DensityValue,
+from .kinetic import (ChainBlock, DensityValue,
                       EstimateResult, GaussianSymbol, f_term, pair_estimate,
                       pair_quadrature, rho_combinatorial, rho_lb, rho_new,
-                      sample_lb_block, sample_lb_chain, symbol_inner)
+                      sample_lb_block, symbol_inner)
 from .lattice import LatticeWindow, PointSample, generate, joint_test
 from .partitions import (MarkedPartition, OrderedPartition, Partition,
                          enumerate_marked, enumerate_partitions, iota_embed,
@@ -18,15 +18,14 @@ from .partitions import (MarkedPartition, OrderedPartition, Partition,
 from .paths import (WeightedCollisionGraph, enumerate_paths,
                     partition_to_path, path_sum_identity_check,
                     path_sum_identity_residuals, total_weight)
-from .scattering import (GaussianPotential, RadiusEstimate, ScatteringModel,
-                         radius_estimate, schwartz_norm)
+from .scattering import GaussianPotential, ScatteringModel
 
 __all__ = [
     "GBatch", "GMatrix", "g_auto", "g_bessel_k2", "g_contour", "g_rows",
-    "g_series", "ChainBlock", "CollisionChain", "DensityValue",
+    "g_series", "ChainBlock", "DensityValue",
     "EstimateResult", "GaussianSymbol", "f_term", "pair_estimate",
     "pair_quadrature", "rho_combinatorial", "rho_lb", "rho_new",
-    "sample_lb_block", "sample_lb_chain", "symbol_inner", "LatticeWindow",
+    "sample_lb_block", "symbol_inner", "LatticeWindow",
     "PointSample",
     "generate", "joint_test", "MarkedPartition", "OrderedPartition",
     "Partition", "enumerate_marked", "enumerate_partitions", "iota_embed",
@@ -34,6 +33,5 @@ __all__ = [
     "WeightedCollisionGraph", "enumerate_paths", "partition_to_path",
     "path_sum_identity_check", "path_sum_identity_residuals",
     "total_weight",
-    "GaussianPotential", "RadiusEstimate", "ScatteringModel",
-    "radius_estimate", "schwartz_norm",
+    "GaussianPotential", "ScatteringModel",
 ]

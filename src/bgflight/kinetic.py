@@ -151,23 +151,6 @@ class DensityValue:
         return self.value
 
 
-@dataclass
-class CollisionChain:
-    """Sampled trajectory: per-leg momenta (equal norms) and flight times."""
-
-    momenta: list
-    times: list
-    truncated: bool = False
-
-    @property
-    def k(self) -> int:
-        return len(self.momenta)
-
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.momenta[0]))
-
-
 def _check_on_shell(momenta):
     speeds = [float(np.linalg.norm(y)) for y in momenta]
     ref = speeds[0]
@@ -650,17 +633,6 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
                 f"{int(poor.sum())} of {n} chains: worst "
                 f"{table.error[poor].max():.2e}", stacklevel=2)
     return ChainBlock(times, momenta, legs, truncated, rates)
-
-
-def sample_lb_chain(t, y0, model: ScatteringModel, seed, index=0,
-                    max_legs=64) -> CollisionChain:
-    """Chain ``index`` of the stream of ``seed`` from the initial momentum
-    ``y0``: the one-chain case of sample_lb_block."""
-    block = sample_lb_block(t, np.asarray(y0, dtype=float)[None], model,
-                            seed, [index], max_legs)
-    k = int(block.legs[0])
-    return CollisionChain(list(block.momenta[0, :k]),
-                          list(block.times[0, :k]), bool(block.truncated[0]))
 
 
 # ---------------------------------------------------------------------------

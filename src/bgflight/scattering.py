@@ -598,122 +598,3 @@ def _shell_integral(alpha, a, b, theta):
     dg = alpha + np.sum(k * (a * sine + b * (1.0 - one_minus)), axis=1)
     return g, dg
 
-
-# ---------------------------------------------------------------------------
-# Schwartz norms and the convergence radius
-# ---------------------------------------------------------------------------
-
-def _axis_poly_derivatives(s, max_order):
-    """Coefficient arrays (ascending powers) of P_a with
-    (d/dx)^a exp(-pi x^2/s^2) = P_a(x) exp(-pi x^2/s^2)."""
-    polys = [np.array([1.0])]
-    for _ in range(max_order):
-        p = polys[-1]
-        dp = np.arange(1, len(p)) * p[1:]
-        xp = np.zeros(len(p) + 1)
-        xp[1:] = p * (-2 * math.pi / s ** 2)
-        new = np.zeros(max(len(dp), len(xp)))
-        new[: len(dp)] += dp
-        new[: len(xp)] += xp
-        polys.append(new)
-    return polys
-
-
-def _gauss_moment_indefinite(j, t, s):
-    """int_{-inf}^t x^j exp(-pi x^2/s^2) dx via the erf/exponential
-    recursion."""
-    b = math.pi / s ** 2
-    if math.isinf(t):
-        expt = 0.0
-        erft = 1.0 if t > 0 else -1.0
-    else:
-        expt = math.exp(-b * t * t)
-        erft = math.erf(math.sqrt(b) * t)
-    if j == 0:
-        return 0.5 * s * (1.0 + erft)
-    if j == 1:
-        return -expt / (2 * b)
-    tpow = 0.0 if math.isinf(t) else t ** (j - 1)
-    return (-tpow * expt / (2 * b)
-            + (j - 1) / (2 * b) * _gauss_moment_indefinite(j - 2, t, s))
-
-
-def _abs_poly_gauss_integral(coeffs, s):
-    """int |P(x)| exp(-pi x^2/s^2) dx, exact up to root finding: split the
-    axis at the real roots of P and integrate each signed piece."""
-    coeffs = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
-    if len(coeffs) == 0:
-        return 0.0
-    roots = np.roots(coeffs[::-1]) if len(coeffs) > 1 else np.array([])
-    cuts = sorted(set(
-        float(r.real) for r in roots if abs(r.imag) < 1e-10))
-    points = [-math.inf] + cuts + [math.inf]
-
-    def piece(lo, hi):
-        total = 0.0
-        for j, cj in enumerate(coeffs):
-            if cj != 0.0:
-                total += cj * (_gauss_moment_indefinite(j, hi, s)
-                               - _gauss_moment_indefinite(j, lo, s))
-        return total
-
-    return sum(abs(piece(lo, hi)) for lo, hi in zip(points[:-1], points[1:]))
-
-
-def schwartz_norm(pot: GaussianPotential, deriv_order, weight_order,
-                  p_exponent=1) -> float:
-    """sup over |alpha| <= deriv_order, |beta| <= weight_order of the L1 norm
-    of x^beta D^alpha W, with D = (2 pi i)^(-1) d/dx per axis.
-
-    The Gaussian factorises, so the norm is a product of per-axis integrals
-    of |polynomial| * Gaussian, each evaluated in closed form.
-    """
-    if p_exponent != 1:
-        raise InvalidInputError("only the L1 norm family is supported")
-    d, s = pot.dim, pot.width
-    polys = _axis_poly_derivatives(s, deriv_order)
-    table = np.empty((deriv_order + 1, weight_order + 1))
-    for a in range(deriv_order + 1):
-        base = polys[a] * (2 * math.pi) ** (-a)
-        for b in range(weight_order + 1):
-            shifted = np.concatenate([np.zeros(b), base])
-            table[a, b] = _abs_poly_gauss_integral(shifted, s)
-    log_t = np.log(table)
-    # maximise the product of per-axis factors over multi-indices by dynamic
-    # programming on the per-axis (derivative, weight) budget
-    cur = {(0, 0): 0.0}
-    for _ in range(d):
-        new = {}
-        for (ua, ub), acc in cur.items():
-            for ea in range(deriv_order - ua + 1):
-                for eb in range(weight_order - ub + 1):
-                    key = (ua + ea, ub + eb)
-                    cand = acc + log_t[ea, eb]
-                    if cand > new.get(key, -math.inf):
-                        new[key] = cand
-        cur = new
-    log_best = max(cur.values())
-    return abs(pot.amplitude) * math.exp(log_best)
-
-
-@dataclass(frozen=True)
-class RadiusEstimate:
-    """Convergence radius up to an unknown dimensional constant (set to 1);
-    never a sharp value."""
-
-    value: float
-    modulo_constant: bool = True
-    constant: float = 1.0
-
-
-def radius_estimate(t, norm, d=3, constant=1.0) -> RadiusEstimate:
-    """(2 pi C <t> ||W|| max(1, int <theta>^(-d/2) dtheta))^(-1) with C set
-    to ``constant``; the theta integral closes via Beta functions."""
-    if d <= 2:
-        raise InvalidInputError("the theta integral needs d > 2")
-    bracket = math.sqrt(1 + t * t)
-    theta_integral = math.sqrt(math.pi) * math.gamma(d / 4.0 - 0.5) \
-        / math.gamma(d / 4.0)
-    value = 1.0 / (2 * math.pi * constant * bracket * norm
-                   * max(1.0, theta_integral))
-    return RadiusEstimate(value=value, constant=constant)

@@ -6,12 +6,15 @@ a strict expected failure: the inequality it asserts is false, with the
 counterexample documented in the check's detail string.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from bgflight import acceptance as acc
 from bgflight import gmatrix as gm
 from bgflight import kinetic as kn
+from bgflight import lattice as la
 from bgflight import paths as gp
 from bgflight import scattering as sc
 
@@ -161,6 +164,25 @@ def test_criterion_10_lattice_statistics():
     r = _report(acc.check_10_lattice_statistics())
     assert r.passed
     assert r.seconds < 60.0
+
+
+@pytest.mark.parametrize("shift, fold", [
+    ((0.5, 0.5), 1), ((1 / 3, 0.0), 1),
+    # angles folded onto half the circle at the headline shift: the gap law
+    # is untouched, so only the angle part of the criterion can see it
+    (None, 2),
+], ids=["shift_half_half", "shift_third_zero", "theta_half_circle"])
+def test_criterion_10_fails_on_a_perturbed_lattice(shift, fold, monkeypatch):
+    exact = la.generate
+
+    def perturbed(window, *args, **kwargs):
+        if shift is not None:
+            window = dataclasses.replace(window, shift=shift)
+        sample = exact(window, *args, **kwargs)
+        return la.PointSample(sample.lam, sample.theta / fold)
+
+    monkeypatch.setattr(la, "generate", perturbed)
+    assert not _report(acc.check_10_lattice_statistics()).passed
 
 
 def test_criterion_11_estimator_consistency():

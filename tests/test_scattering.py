@@ -352,51 +352,3 @@ def test_optical_residual_third_order_scaling():
     assert ratios[1] == pytest.approx(ratios[2], rel=1e-8)
     assert abs(ratios[0]) > 0.1
 
-
-# ---------------------------------------------------------------------------
-# Schwartz norms and radius
-# ---------------------------------------------------------------------------
-
-def test_schwartz_norm_plain_l1():
-    assert sc.schwartz_norm(POT, 0, 0) == pytest.approx(1.0, rel=1e-12)
-    pot2 = sc.GaussianPotential(amplitude=2.0, width=0.5)
-    assert sc.schwartz_norm(pot2, 0, 0) == pytest.approx(2.0 * 0.5 ** 3,
-                                                         rel=1e-12)
-
-
-def test_schwartz_norm_monotone_in_orders():
-    prev = 0.0
-    for m in range(0, 5):
-        val = sc.schwartz_norm(POT, m, m)
-        assert val >= prev - 1e-14
-        prev = val
-    assert sc.schwartz_norm(POT, 2, 3) >= sc.schwartz_norm(POT, 2, 1) - 1e-14
-
-
-def test_schwartz_norm_cell_against_quadrature():
-    # single-axis cell (alpha, beta) = (2, 1): integrate |x D^2 g| numerically
-    s = 1.0
-    xs = np.linspace(-8, 8, 400001)
-    g = np.exp(-math.pi * xs ** 2 / s ** 2)
-    d2 = (4 * math.pi ** 2 * xs ** 2 / s ** 4 - 2 * math.pi / s ** 2) * g
-    integrand = np.abs(xs * d2) / (2 * math.pi) ** 2
-    brute = np.trapezoid(integrand, xs)
-    polys = sc._axis_poly_derivatives(s, 2)
-    ours = sc._abs_poly_gauss_integral(
-        np.concatenate([[0.0], polys[2] * (2 * math.pi) ** (-2)]), s)
-    assert ours == pytest.approx(brute, rel=1e-7)
-
-
-def test_schwartz_norm_rejects_other_exponents():
-    with pytest.raises(InvalidInputError):
-        sc.schwartz_norm(POT, 1, 1, p_exponent=2)
-
-
-def test_radius_estimate():
-    r = sc.radius_estimate(1.0, 1.0, d=4)
-    # theta integral in d = 4 is exactly pi
-    assert r.value == pytest.approx(1.0 / (2 * math.pi * math.sqrt(2.0)
-                                           * math.pi), rel=1e-12)
-    assert r.modulo_constant
-    r3 = sc.radius_estimate(2.0, 3.0, d=3)
-    assert 0 < r3.value < 1
