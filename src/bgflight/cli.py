@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -113,12 +114,18 @@ def _seed(args, cfg):
 
 
 def _write_csv(path, header, rows):
+    """CSV with floats as ``format(v, ".17g")`` and other values as
+    ``str(v)``, by one format string from the first row's value types."""
+    rows = iter(rows)
+    first = next(rows, None)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                format(v, ".17g") if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+        if first is None:
+            return
+        fmt = ",".join("{:.17g}" if isinstance(v, float) else "{}"
+                       for v in first) + "\n"
+        fh.write(fmt.format(*first))
+        fh.writelines(itertools.starmap(fmt.format, rows))
 
 
 def _np_default(obj):
@@ -172,15 +179,19 @@ def _cmd_partitions(args, out_dir):
         items = pa.enumerate_partitions(cfg["n"], cfg["k"], cfg["family"],
                                         ordered=cfg["ordered"],
                                         cap=cfg["cap"])
+    # the bytes of json.dumps(record, sort_keys=True); the keys sort as
+    # blocks, diagram, mark
+    encode = json.JSONEncoder(sort_keys=True).encode
+    diagrams, marked = cfg["diagrams"], cfg["marked"] is not None
+    line = ('{{"blocks": {0}' + (', "diagram": {1}' if diagrams else "")
+            + (', "mark": {2}' if marked else "") + "}}\n").format
     path = os.path.join(out_dir, "partitions.jsonl")
     with open(path, "w", newline="\n") as fh:
-        for item in items:
-            record = {"blocks": [list(b) for b in item.blocks]}
-            if isinstance(item, pa.MarkedPartition):
-                record["mark"] = item.mark
-            if cfg["diagrams"]:
-                record["diagram"] = pa.to_diagram(item)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.writelines(
+            line(encode(item.blocks),
+                 diagrams and encode(pa.to_diagram(item)),
+                 marked and item.mark)
+            for item in items)
     print(json.dumps({"count": len(items)}))
     return cfg, [path], {"count": len(items)}, 0
 

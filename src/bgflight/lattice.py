@@ -75,8 +75,13 @@ class PointSample:
 
 
 def generate(window: LatticeWindow, cap=DEFAULT_POINT_CAP) -> PointSample:
-    """Exact enumeration over integer rows: per row the annulus condition is
-    a quadratic in the second coordinate, giving at most two index ranges."""
+    """Exact enumeration over integer rows n1: per row the annulus condition
+    is a quadratic in the second coordinate n2, giving at most two index
+    ranges.  All rows are solved in one pass and their ranges expanded into
+    one candidate array, in the order rows ascending, the lower range
+    before the upper, n2 ascending; a stable sort by lambda keeps that
+    order among ties.  The cap is checked on the summed range lengths
+    before any point is built."""
     r_out2 = window.r_max / math.pi
     r_in2 = max(window.r_max - window.width, 0.0) / math.pi
     if window.width > cap:
@@ -87,46 +92,41 @@ def generate(window: LatticeWindow, cap=DEFAULT_POINT_CAP) -> PointSample:
     binv = np.linalg.inv(window.basis)
     row_bound = float(np.linalg.norm(binv[0])) * math.sqrt(r_out2) \
         + abs(float(binv[0] @ alpha)) + 1.0
-    n1_lo, n1_hi = -int(math.ceil(row_bound)), int(math.ceil(row_bound))
+    n1_hi = int(math.ceil(row_bound))
     a22 = float(b2 @ b2)
-    pts = []
-    est = 0
-    for n1 in range(n1_lo, n1_hi + 1):
-        base = n1 * b1 + alpha
-        # ||base + n2 b2||^2 in [r_in2, r_out2)
-        bcoef = float(b2 @ base)
-        ccoef = float(base @ base)
-        disc_out = bcoef * bcoef - a22 * (ccoef - r_out2)
-        if disc_out <= 0:
-            continue
-        sq_out = math.sqrt(disc_out)
-        lo, hi = (-bcoef - sq_out) / a22, (-bcoef + sq_out) / a22
-        disc_in = bcoef * bcoef - a22 * (ccoef - r_in2)
-        if disc_in > 0:
-            sq_in = math.sqrt(disc_in)
-            ilo, ihi = (-bcoef - sq_in) / a22, (-bcoef + sq_in) / a22
-            ranges = [(lo, ilo), (ihi, hi)]
-        else:
-            ranges = [(lo, hi)]
-        for seg_lo, seg_hi in ranges:
-            n2 = np.arange(math.ceil(seg_lo - 1e-12),
-                           math.floor(seg_hi + 1e-12) + 1)
-            if n2.size == 0:
-                continue
-            est += n2.size
-            if est > cap:
-                raise CapacityError(f"window holds more than {cap} points")
-            vec = base[None, :] + n2[:, None] * b2[None, :]
-            lam = math.pi * np.sum(vec * vec, axis=1)
-            keep = (lam >= window.r_max - window.width) & (lam < window.r_max)
-            if np.any(keep):
-                vec = vec[keep]
-                pts.append((lam[keep], vec))
-    if not pts:
-        return PointSample(np.empty(0), np.empty(0))
-    lam = np.concatenate([p[0] for p in pts])
-    vecs = np.concatenate([p[1] for p in pts])
-    theta = np.mod(np.arctan2(vecs[:, 1], vecs[:, 0]) / (2 * math.pi), 1.0)
+    base = np.arange(-n1_hi, n1_hi + 1)[:, None] * b1 + alpha
+    # ||base + n2 b2||^2 in [r_in2, r_out2); the stacked products round
+    # each row as a one-row dot product does (base @ b2 would not)
+    rows = base[:, None, :]
+    bcoef = (rows @ b2)[:, 0]
+    ccoef = (rows @ base[:, :, None])[:, 0, 0]
+    disc_out = bcoef * bcoef - a22 * (ccoef - r_out2)
+    hit = disc_out > 0
+    base, bcoef, ccoef = base[hit], bcoef[hit], ccoef[hit]
+    sq_out = np.sqrt(disc_out[hit])
+    lo, hi = (-bcoef - sq_out) / a22, (-bcoef + sq_out) / a22
+    disc_in = bcoef * bcoef - a22 * (ccoef - r_in2)
+    split = disc_in > 0
+    sq_in = np.sqrt(np.where(split, disc_in, 0.0))
+    ilo, ihi = (-bcoef - sq_in) / a22, (-bcoef + sq_in) / a22
+    # column 0: [lo, ilo] on split rows, else [lo, hi]; column 1: [ihi, hi]
+    first = np.ceil(np.column_stack([lo, ihi]) - 1e-12).astype(np.int64)
+    last = np.floor(np.column_stack([np.where(split, ilo, hi), hi])
+                    + 1e-12).astype(np.int64)
+    size = np.maximum(last - first + 1, 0)
+    size[~split, 1] = 0
+    size = size.ravel()
+    total = int(size.sum())
+    if total > cap:
+        raise CapacityError(f"window holds more than {cap} points")
+    offset = np.cumsum(size) - size
+    n2 = np.arange(total) + np.repeat(first.ravel() - offset, size)
+    vec = base[np.repeat(np.arange(size.size) // 2, size)] + n2[:, None] * b2
+    lam = math.pi * np.sum(vec * vec, axis=1)
+    keep = (lam >= window.r_max - window.width) & (lam < window.r_max)
+    lam = lam[keep]
+    vec = vec[keep]
+    theta = np.mod(np.arctan2(vec[:, 1], vec[:, 0]) / (2 * math.pi), 1.0)
     order = np.argsort(lam, kind="stable")
     return PointSample(lam[order], theta[order])
 

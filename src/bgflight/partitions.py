@@ -73,6 +73,19 @@ class _Blocks:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "labels", tuple(labels))
 
+    @classmethod
+    def _unchecked(cls, labels, blocks, **fields):
+        """An instance holding ``blocks`` and their ``labels`` as given,
+        without the constructor's sorting and checks: for the enumerators,
+        whose pairs are valid by construction."""
+        obj = object.__new__(cls)
+        fields.update(blocks=blocks, labels=labels)
+        # in field order, as the constructor sets them: obj.__dict__ would
+        # give every item a dict of its own (about 140 bytes each)
+        for name in cls.__dataclass_fields__:
+            object.__setattr__(obj, name, fields[name])
+        return obj
+
     @property
     def k(self) -> int:
         return len(self.blocks)
@@ -178,33 +191,35 @@ def preceq(finer: Partition, coarser: Partition) -> bool:
 # ---------------------------------------------------------------------------
 
 def _rgs_partitions(n, k, circ=None, nc=False):
-    """Generate label strings a_0..a_n in restricted-growth (lexicographic)
-    order using exactly k labels.  circ=True forces a_n = a_0, circ=False
-    forbids it; nc forbids equal adjacent labels."""
+    """Partitions of {0..n} into exactly k blocks as canonical ``(labels,
+    blocks)`` pairs, built as the recursion goes, in restricted-growth
+    (lexicographic) order of the labels a_0..a_n.  circ=True forces
+    a_n = a_0, circ=False forbids it; nc forbids equal adjacent labels."""
     total = n + 1
-    a = [0] * total
-
-    def rec(j, used):
-        if j == total:
-            if used == k:
-                yield tuple(a)
-            return
-        if used + (total - j) < k:
-            return
-        hi = min(used, k - 1)
-        for lab in range(hi + 1):
-            if nc and a[j - 1] == lab:
-                continue
-            if j == n and circ is True and lab != 0:
-                continue
-            if j == n and circ is False and lab == 0:
-                continue
-            a[j] = lab
-            yield from rec(j + 1, used + (lab == used))
-
     if k < 1 or k > total:
         return
-    yield from rec(1, 1) if total > 1 else iter([(0,)] if k == 1 else [])
+    a = [0] * total
+    blocks = [[0]] + [[] for _ in range(k - 1)]
+
+    def rec(j, used):
+        if used + (total - j) < k:
+            return
+        last = j == n
+        for lab in range(min(used, k - 1) + 1):
+            if nc and a[j - 1] == lab:
+                continue
+            if last and circ is not None and (lab == 0) != circ:
+                continue
+            a[j] = lab
+            blocks[lab].append(j)
+            # the last index yields itself: one generator less per item
+            if not last:
+                yield from rec(j + 1, used + (lab == used))
+            elif used + (lab == used) == k:
+                yield tuple(a), tuple(map(tuple, blocks))
+            blocks[lab].pop()
+
+    yield from rec(1, 1) if total > 1 else iter([((0,), ((0,),))])
 
 
 _FAMILY_FLAGS = {
@@ -217,19 +232,19 @@ _FAMILY_FLAGS = {
 FAMILIES = tuple(_FAMILY_FLAGS)
 
 
-def _labels_to_blocks(labels, k) -> Blocks:
-    blocks = [[] for _ in range(k)]
-    for j, lab in enumerate(labels):
-        blocks[lab].append(j)
-    return tuple(tuple(b) for b in blocks)
-
-
-def _orderings(blocks: Blocks, head: Blocks, tail: Blocks):
-    """``head + perm + tail`` for every permutation of the other blocks, in
-    lexicographic order of the permutation."""
-    rest = tuple(b for b in blocks if b not in head and b not in tail)
+def _orderings(labels, blocks: Blocks, head: tuple, tail: tuple):
+    """``(labels, listing)`` for every listing ``head + perm + tail`` of
+    ``blocks``, with head and tail given as block positions and perm running
+    over the permutations of the other positions in lexicographic order;
+    ``labels`` is relabelled to each listing."""
+    rest = tuple(i for i in range(len(blocks)) if i not in head + tail)
+    rank = [0] * len(blocks)
     for perm in itertools.permutations(rest):
-        yield head + perm + tail
+        order = head + perm + tail
+        for pos, i in enumerate(order):
+            rank[i] = pos
+        yield (tuple(map(rank.__getitem__, labels)),
+               tuple(blocks[i] for i in order))
 
 
 def _capped(items, cap: int) -> list:
@@ -259,16 +274,15 @@ def enumerate_partitions(n, k, family="all", ordered=False,
     circ, nc = _FAMILY_FLAGS[family]
 
     def items():
-        for labels in _rgs_partitions(n, k, circ=circ, nc=nc):
-            blocks = _labels_to_blocks(labels, k)
+        for labels, blocks in _rgs_partitions(n, k, circ=circ, nc=nc):
             if not ordered:
-                yield Partition(n, blocks)
+                yield Partition._unchecked(labels, blocks, n=n)
                 continue
             # circ and baro list the block of 0 first, baro n's block last
-            head = (blocks[0],) if circ is not None else ()
-            tail = (blocks[labels[n]],) if circ is False else ()
-            for ob in _orderings(blocks, head, tail):
-                yield OrderedPartition(n, ob)
+            head = (0,) if circ is not None else ()
+            tail = (labels[n],) if circ is False else ()
+            for pair in _orderings(labels, blocks, head, tail):
+                yield OrderedPartition._unchecked(*pair, n=n)
 
     return _capped(items(), cap)
 
@@ -288,10 +302,10 @@ def enumerate_marked(n, k, marked_class="all", ordered=False,
         raise InvalidInputError("off-diagonal class requires k >= 2")
 
     def items():
-        for labels in _rgs_partitions(n, k, circ=True, nc=False):
-            blocks = _labels_to_blocks(labels, k)
+        for labels, blocks in _rgs_partitions(n, k, circ=True, nc=False):
             for mark in range(n + 1):
-                mp = MarkedPartition(mark, blocks)
+                mp = MarkedPartition._unchecked(labels, blocks, mark=mark,
+                                                ordered=False, n=n)
                 if not mp.is_admissible():
                     continue
                 if marked_class != "all":
@@ -304,10 +318,10 @@ def enumerate_marked(n, k, marked_class="all", ordered=False,
                 if not ordered:
                     yield mp
                     continue
-                tail = ((blocks[labels[mark]],)
-                        if marked_class == "reduced_off" else ())
-                for ob in _orderings(blocks, (blocks[0],), tail):
-                    yield MarkedPartition(mark, ob, ordered=True)
+                tail = (labels[mark],) if marked_class == "reduced_off" else ()
+                for pair in _orderings(labels, blocks, (0,), tail):
+                    yield MarkedPartition._unchecked(*pair, mark=mark,
+                                                     ordered=True, n=n)
 
     return _capped(items(), cap)
 

@@ -15,6 +15,7 @@ from bgflight import acceptance as acc
 from bgflight import gmatrix as gm
 from bgflight import kinetic as kn
 from bgflight import lattice as la
+from bgflight import partitions as pa
 from bgflight import paths as gp
 from bgflight import scattering as sc
 
@@ -106,6 +107,34 @@ def test_criterion_03_checks_the_factorial_transform(monkeypatch):
 def test_criterion_04_bijection_suite():
     r = _report(acc.check_04_bijection_suite())
     assert r.passed
+
+
+def _swap_first_two(seq):
+    seq = list(seq)
+    seq[:2] = seq[1::-1]
+    return tuple(seq)
+
+
+@pytest.mark.parametrize("module, name, perturb", [
+    # the singletons of the first two gaps re-inserted in each other's place
+    (pa, "expand_marked",
+     lambda exact: lambda red, gaps: exact(red, _swap_first_two(gaps))),
+    # the halves merged into an unordered marked partition
+    (pa, "merge_plus_minus",
+     lambda exact: lambda plus, minus: dataclasses.replace(
+         exact(plus, minus), ordered=False)),
+    # the runs of the first two starters given each other's length
+    (pa, "nc_expand",
+     lambda exact: lambda op, mults: exact(op, _swap_first_two(mults))),
+    # the first two steps of the path swapped
+    (gp, "path_to_partition",
+     lambda exact: lambda path: exact(_swap_first_two(path))),
+], ids=["expand_marked", "merge_plus_minus", "nc_expand",
+        "path_to_partition"])
+def test_criterion_04_fails_on_a_perturbed_bijection(module, name, perturb,
+                                                     monkeypatch):
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    assert not _report(acc.check_04_bijection_suite()).passed
 
 
 @pytest.mark.xfail(strict=True, reason=(

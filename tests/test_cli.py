@@ -4,6 +4,10 @@ import time
 import numpy as np
 import pytest
 
+from bgflight import cli
+from bgflight import kinetic as kn
+from bgflight import lattice as la
+from bgflight import partitions as pa
 from bgflight.cli import main
 from bgflight.gmatrix import bessel_j_quadrature
 
@@ -34,6 +38,78 @@ def test_partitions_marked_with_diagram(tmp_path):
     assert len(lines) == 3
     rec = json.loads(lines[1])
     assert rec["mark"] == 1 and rec["diagram"]["circles"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("config", [
+    {"n": 6, "k": 3, "family": "baro", "ordered": True},
+    {"n": 6, "k": 3, "marked": "reduced_off", "ordered": True},
+    {"n": 5, "k": 2, "marked": "all", "diagrams": True},
+    {"n": 5, "k": 3, "family": "circ", "diagrams": True},
+], ids=["plain", "marked", "marked_diagrams", "diagrams"])
+def test_partitions_jsonl_is_the_sorted_json_of_each_record(tmp_path,
+                                                            config):
+    # oracle: one json.dumps(record, sort_keys=True) line per item
+    if "marked" in config:
+        items = pa.enumerate_marked(config["n"], config["k"],
+                                    config["marked"],
+                                    ordered=config.get("ordered", False))
+    else:
+        items = pa.enumerate_partitions(config["n"], config["k"],
+                                        config["family"],
+                                        ordered=config.get("ordered", False))
+    expected = []
+    for item in items:
+        record = {"blocks": [list(b) for b in item.blocks]}
+        if "marked" in config:
+            record["mark"] = item.mark
+        if config.get("diagrams"):
+            record["diagram"] = pa.to_diagram(item)
+        expected.append(json.dumps(record, sort_keys=True) + "\n")
+    assert len(expected) > 10
+    out = tmp_path / "out"
+    assert main(["partitions", "--config", write(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    assert (out / "partitions.jsonl").read_text() == "".join(expected)
+
+
+def _csv_oracle(header, rows):
+    """CSV text by the cell rule: floats as format(v, ".17g"), else str."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                 for v in row) + "\n" for row in rows)
+
+
+def test_lattice_csv_rows_by_the_cell_rule(tmp_path):
+    config = {"r_max": 50000.0, "width": 2000.0}
+    sample = la.generate(la.LatticeWindow(**config))
+    g, th = la.gaps(sample)
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", write(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    assert (out / "points.csv").read_text() == _csv_oracle(
+        ["lambda", "theta"], zip(sample.lam.tolist(), sample.theta.tolist()))
+    assert (out / "gaps.csv").read_text() == _csv_oracle(
+        ["gap", "theta"], zip(g.tolist(), th.tolist()))
+
+
+def test_simulate_csv_rows_by_the_cell_rule(tmp_path):
+    config = dict(SIMULATE_LB, k_max=3, seed=5)
+    model = cli._build_model(config)
+    est = kn.pair_estimate("lb", cli._symbol(config["a"], 3, "a"), None,
+                           config["t"], 3, config["n_samples"], model,
+                           seed=5)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write(tmp_path / "c.json", config),
+                 "--out", str(out)]) == 0
+    # integer k, float contribution
+    assert (out / "simulate.csv").read_text() == _csv_oracle(
+        ["k", "contribution"], sorted(est.per_k.items()))
+
+
+def test_write_csv_without_rows(tmp_path):
+    path = tmp_path / "empty.csv"
+    cli._write_csv(path, ["a", "b"], iter(()))
+    assert path.read_text() == "a,b\n"
 
 
 def test_unknown_key_exits_2(tmp_path, capsys):

@@ -54,10 +54,38 @@ def test_skew_basis_unimodular():
                          basis=np.array([[2.0, 0.0], [0.0, 1.0]]))
 
 
+def test_rows_keep_the_tie_order_of_the_naive_route():
+    # at shift (0, 0) every lambda is pi times an integer, so both routes
+    # compute it bit for bit; most points tie with a neighbour, and the
+    # stable sort must see them in the same order (rows ascending, n2
+    # ascending) as the box scan
+    w = la.LatticeWindow(r_max=math.pi * 40 ** 2, width=900.0,
+                         shift=(0.0, 0.0))
+    fast, slow = la.generate(w), la.generate_naive(w)
+    assert fast.count == 872
+    assert int(np.sum(np.diff(fast.lam) == 0)) == 793
+    assert np.array_equal(fast.lam, slow.lam)
+    assert np.array_equal(fast.theta, slow.theta)
+
+
 def test_point_cap():
     with pytest.raises(CapacityError):
         la.generate(la.LatticeWindow(r_max=math.pi * 500 ** 2, width=1e4),
                     cap=100)
+
+
+@pytest.mark.parametrize("window, count", [
+    # the twelve points of norm 5 at shift (0, 0), in a window of width 1
+    (la.LatticeWindow(r_max=math.pi * 25 + 0.5, width=1.0, shift=(0.0, 0.0)),
+     12),
+    (la.LatticeWindow(r_max=785398.16, width=1e4), 10011),
+], ids=["norm_five", "headline"])
+def test_point_cap_counts_the_summed_row_ranges(window, count):
+    # the ranges hold exactly the window's points: a cap one below their
+    # summed length is refused, a cap equal to it is not
+    assert la.generate(window, cap=count).count == count
+    with pytest.raises(CapacityError, match=f"more than {count - 1} points"):
+        la.generate(window, cap=count - 1)
 
 
 def test_window_validation():

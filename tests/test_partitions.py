@@ -92,6 +92,37 @@ def test_ordered_counts_match_family_conventions():
             assert ob == ub * math.factorial(k - 2)
 
 
+def _checked_copy(item):
+    """``item`` rebuilt through its validating public constructor."""
+    if isinstance(item, pa.MarkedPartition):
+        return pa.MarkedPartition(item.mark, item.blocks,
+                                  ordered=item.ordered)
+    return type(item)(item.n, item.blocks)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_enumerated_items_equal_their_checked_construction(n):
+    # the enumerators build their items from canonical (labels, blocks)
+    # pairs without the constructors' checks; every item must equal, labels
+    # and hash included, what the validating constructor makes of it
+    items = []
+    for k in range(n + 2):
+        for ordered in (False, True):
+            for family in pa.FAMILIES:
+                items += pa.enumerate_partitions(n, k, family,
+                                                 ordered=ordered)
+            for cls in pa.MARKED_CLASSES:
+                if k >= (2 if cls == "reduced_off" else 1):
+                    items += pa.enumerate_marked(n, k, cls, ordered=ordered)
+    assert {type(item) for item in items} >= {pa.Partition,
+                                              pa.MarkedPartition}
+    for item in items:
+        again = _checked_copy(item)
+        assert item == again
+        assert item.labels == again.labels
+        assert hash(item) == hash(again)
+
+
 # ---------------------------------------------------------------------------
 # marked partitions
 # ---------------------------------------------------------------------------
