@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -170,10 +171,27 @@ def check_03_path_operator_identity(seed=303, tol=1e-12):
             f"max residual {worst:.3e} over k<=4, n<=6", True)
 
 
+def _listing_faults(tag, listed, unordered, unorder, listings, pinned):
+    """How the ordered enumeration ``listed`` breaks its conventions: it
+    must hold ``listings`` listings of each item of ``unordered`` (by
+    ``unorder``) and of nothing else, none twice, each one ``pinned``."""
+    faults = []
+    if len(set(listed)) != len(listed):
+        faults.append(f"duplicate listing {tag}")
+    if Counter(map(unorder, listed)) != dict.fromkeys(unordered, listings):
+        faults.append(f"listing count {tag}")
+    if not all(map(pinned, listed)):
+        faults.append(f"pinned block {tag}")
+    return faults
+
+
 @_timed
 def check_04_bijection_suite(n_max=7):
     """Round trips of the three partition bijections and the path map over
-    every instance with n <= 7, plus the two-block parity counts."""
+    every instance with n <= 7, the listing conventions of the ordered
+    enumerations they draw from (k!, (k-1)! or (k-2)! listings per item,
+    the block of 0 first, the block of n or of the mark last, no listing
+    twice), plus the two-block parity counts."""
     failures = []
     for n in range(1, n_max + 1):
         for k in range(1, n + 2):
@@ -184,20 +202,42 @@ def check_04_bijection_suite(n_max=7):
             for cls in ("reduced_diag", "reduced_off"):
                 if cls == "reduced_off" and k < 2:
                     continue
-                for mp in pa.enumerate_marked(n, k, marked_class=cls,
-                                              ordered=True):
+                off = cls == "reduced_off"
+                listed = pa.enumerate_marked(n, k, marked_class=cls,
+                                             ordered=True)
+                failures += _listing_faults(
+                    f"{cls} n={n} k={k}", listed,
+                    pa.enumerate_marked(n, k, marked_class=cls),
+                    lambda mp: pa.MarkedPartition(mp.mark, mp.blocks),
+                    math.factorial(k - 1 - off),
+                    lambda mp: mp.labels[0] == 0 and (
+                        not off or mp.labels[mp.mark] == k - 1))
+                for mp in listed:
                     plus, minus = pa.split_plus_minus(mp)
                     if pa.merge_plus_minus(plus, minus) != mp:
                         failures.append(f"split n={n}")
         for k in range(1, min(n + 2, 5)):
-            for fam in ("circ", "baro"):
-                for op in pa.enumerate_partitions(n, k, family=fam,
-                                                  ordered=True):
+            for fam, pins in (("circ", 1), ("baro", 2)):
+                listed = pa.enumerate_partitions(n, k, family=fam,
+                                                 ordered=True)
+                failures += _listing_faults(
+                    f"{fam} n={n} k={k}", listed,
+                    pa.enumerate_partitions(n, k, family=fam),
+                    pa.OrderedPartition.unordered,
+                    math.factorial(max(k - pins, 0)),
+                    pa.OrderedPartition.is_baro_ordered if fam == "baro"
+                    else lambda op: op.labels[0] == 0)
+                for op in listed:
                     red, mults = pa.nc_reduce(op)
                     if pa.nc_expand(red, mults) != op:
                         failures.append(f"nc n={n}")
-            for op in pa.enumerate_partitions(n, k, family="all",
-                                              ordered=True):
+            listed = pa.enumerate_partitions(n, k, family="all",
+                                             ordered=True)
+            failures += _listing_faults(
+                f"all n={n} k={k}", listed, pa.enumerate_partitions(n, k),
+                pa.OrderedPartition.unordered, math.factorial(k),
+                lambda op: True)
+            for op in listed:
                 if not op.is_nonconsecutive():
                     continue
                 if gp.path_to_partition(gp.partition_to_path(op)) != op:
@@ -210,7 +250,7 @@ def check_04_bijection_suite(n_max=7):
         if n_baro != (1 if n % 2 == 1 else 0):
             failures.append(f"parity baro n={n}")
     return (4, "bijection suite", not failures,
-            "all round trips exact" if not failures
+            "all round trips exact and all listings as stated" if not failures
             else f"{len(failures)} failures: {failures[:3]}", True)
 
 

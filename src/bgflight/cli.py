@@ -45,6 +45,8 @@ INT_KEYS = frozenset({"n", "k", "n_max", "seed", "max_order", "nodes",
 # config keys whose values must be JSON numbers, in every command
 REAL_KEYS = frozenset({"coupling", "t", "gamma", "amplitude", "width",
                        "tolerance", "r_max", "x_width", "y_width"})
+# config keys whose values must be JSON true or false, in every command
+BOOL_KEYS = frozenset({"ordered", "diagrams", "include_third"})
 
 
 def _load_config(path, schema, defaults):
@@ -64,8 +66,8 @@ def _load_config(path, schema, defaults):
 def _checked(cfg, schema, defaults, name):
     """``defaults`` updated by the JSON object ``cfg`` (called ``name`` in
     messages), once ``cfg`` has only keys of ``schema``, every key that
-    ``schema`` marks required, integers under INT_KEYS and numbers under
-    REAL_KEYS."""
+    ``schema`` marks required, integers under INT_KEYS, numbers under
+    REAL_KEYS and booleans under BOOL_KEYS."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{name} must be a JSON object")
     for key, value in cfg.items():
@@ -78,6 +80,9 @@ def _checked(cfg, schema, defaults, name):
         if key in REAL_KEYS and (not isinstance(value, (int, float))
                                  or isinstance(value, bool)):
             raise ConfigError(f"{name} key {key!r} must be a number, "
+                              f"not {value!r}")
+        if key in BOOL_KEYS and not isinstance(value, bool):
+            raise ConfigError(f"{name} key {key!r} must be true or false, "
                               f"not {value!r}")
     merged = dict(defaults)
     merged.update(cfg)
@@ -166,34 +171,87 @@ def _manifest(out_dir, command, config, seed, threads, outputs, checks,
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _write_partitions(path, rows, marks, diagrams):
+    """``partitions.jsonl`` from the label rows of ``pa.partition_rows`` or
+    ``pa.marked_rows``: per row the bytes of ``json.dumps(record,
+    sort_keys=True)`` for the record ``{"blocks": ..., "diagram": ...,
+    "mark": ...}`` (the diagram when ``diagrams``, the mark when ``marks``
+    is not None), where block i lists the indices of label i in ascending
+    order.  Each piece of a line is a token picked by whole-array indexing,
+    joined ``pa.ROW_CHUNK`` rows at a time."""
+    n = rows.shape[1] - 1
+    index = [str(j) for j in range(n + 1)]
+    # the token of an index by what comes before it (its kind): nothing
+    # (0), an index of its own block (1), or, for the first index of block
+    # b, the last of block b - 1 (b + 1)
+    blocks_token = np.array(
+        [index, [", " + j for j in index], ["], [" + j for j in index]],
+        dtype=object)
+    diagram_token = np.array(
+        [index, [", " + j for j in index]]
+        + [[']}, {"depth": %d, "members": [' % (b + 1) + j for j in index]
+           for b in range(1, n + 1)], dtype=object)
+    index = np.array(index, dtype=object)
+    circles = json.dumps(list(range(n + 1)))
+    with open(path, "w", newline="\n") as fh:
+        for s in range(0, len(rows), pa.ROW_CHUNK):
+            chunk = rows[s:s + pa.ROW_CHUNK]
+            mark = None if marks is None else index[marks[s:s + len(chunk)]]
+            # each row's indices by block, ascending within a block
+            labels, order = np.divmod(np.sort(
+                chunk.astype(np.intp) * (n + 1) + np.arange(n + 1), axis=1),
+                n + 1)
+            kind = np.zeros(order.shape, np.intp)
+            kind[:, 1:] = np.where(labels[:, 1:] == labels[:, :-1], 1,
+                                   labels[:, 1:] + 1)
+            pieces = ['{"blocks": [[', blocks_token[np.minimum(kind, 2),
+                                                    order]]
+            if diagrams:
+                pieces += [
+                    ']], "diagram": {"blocks": [{"depth": 1, "members": [',
+                    diagram_token[kind, order],
+                    ']}], "circles": %s, "mark": ' % circles,
+                    "null" if mark is None else mark, ', "n": %d}' % n]
+            else:
+                pieces.append("]]")
+            if mark is not None:
+                pieces += [', "mark": ', mark]
+            pieces.append("}\n")
+            fh.write(_joined(len(chunk), pieces))
+
+
+def _joined(rows, pieces):
+    """The lines of ``rows`` rows, each the concatenation of ``pieces``: a
+    string shared by every line, or per line one string (a 1-d array) or a
+    run of strings (a 2-d array)."""
+    widths = [1 if isinstance(p, str) or p.ndim == 1 else p.shape[1]
+              for p in pieces]
+    table = np.empty((rows, sum(widths)), dtype=object)
+    col = 0
+    for piece, width in zip(pieces, widths):
+        table[:, col:col + width] = (piece if isinstance(piece, str)
+                                     else piece.reshape(rows, width))
+        col += width
+    return "".join(table.ravel().tolist())
+
+
 def _cmd_partitions(args, out_dir):
     cfg = _load_config(args.config, {
         "n": True, "k": True, "family": False, "ordered": False,
         "marked": False, "diagrams": False, "cap": False,
     }, {"family": "all", "ordered": False, "marked": None,
         "diagrams": False, "cap": pa.DEFAULT_ENUMERATION_CAP})
+    marks = None
     if cfg["marked"] is not None:
-        items = pa.enumerate_marked(cfg["n"], cfg["k"], cfg["marked"],
-                                    ordered=cfg["ordered"], cap=cfg["cap"])
+        rows, marks = pa.marked_rows(cfg["n"], cfg["k"], cfg["marked"],
+                                     ordered=cfg["ordered"], cap=cfg["cap"])
     else:
-        items = pa.enumerate_partitions(cfg["n"], cfg["k"], cfg["family"],
-                                        ordered=cfg["ordered"],
-                                        cap=cfg["cap"])
-    # the bytes of json.dumps(record, sort_keys=True); the keys sort as
-    # blocks, diagram, mark
-    encode = json.JSONEncoder(sort_keys=True).encode
-    diagrams, marked = cfg["diagrams"], cfg["marked"] is not None
-    line = ('{{"blocks": {0}' + (', "diagram": {1}' if diagrams else "")
-            + (', "mark": {2}' if marked else "") + "}}\n").format
+        rows = pa.partition_rows(cfg["n"], cfg["k"], cfg["family"],
+                                 ordered=cfg["ordered"], cap=cfg["cap"])
     path = os.path.join(out_dir, "partitions.jsonl")
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(
-            line(encode(item.blocks),
-                 diagrams and encode(pa.to_diagram(item)),
-                 marked and item.mark)
-            for item in items)
-    print(json.dumps({"count": len(items)}))
-    return cfg, [path], {"count": len(items)}, 0
+    _write_partitions(path, rows, marks, cfg["diagrams"])
+    print(json.dumps({"count": len(rows)}))
+    return cfg, [path], {"count": len(rows)}, 0
 
 
 def _cmd_paths(args, out_dir):

@@ -23,6 +23,18 @@ the block of 0 always comes first; off-diagonal marked partitions also pin
 the mark's block last.  The canonical order of an unordered partition sorts
 blocks by their minimum.
 
+Enumeration works on label rows: an (N, n + 1) integer array with one row
+per item, whose entry j is the position of index j's block in the item's
+listing (for an unordered item, the restricted-growth string a_0..a_n).
+:func:`partition_rows` grows the rows of a family one index at a time, in
+lexicographic order, with the family rules as masks; the ordered listings
+are one relabelling of those rows per block permutation;
+:func:`marked_rows` picks the admissible (row, mark) pairs of a marked class
+by one mask over the ``circ`` rows.  Work proceeds in pieces of at most
+``ROW_CHUNK`` rows, and the cap on the item count is checked before a piece
+past it is built.  :func:`enumerate_partitions` and
+:func:`enumerate_marked` build the partition objects from those rows.
+
 All values are immutable after construction and safe to share across threads.
 """
 
@@ -32,12 +44,18 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import CapacityError, InvalidInputError
 
 MARKED_CLASSES = ("all", "reduced", "reduced_diag", "reduced_off")
 
 #: Hard ceiling on the number of items any enumeration may produce.
 DEFAULT_ENUMERATION_CAP = 10**7
+
+#: Rows per whole-array step of the enumeration core and of the JSONL
+#: writer: what bounds their working memory.
+ROW_CHUNK = 1 << 14
 
 Blocks = tuple[tuple[int, ...], ...]
 
@@ -190,38 +208,6 @@ def preceq(finer: Partition, coarser: Partition) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
-def _rgs_partitions(n, k, circ=None, nc=False):
-    """Partitions of {0..n} into exactly k blocks as canonical ``(labels,
-    blocks)`` pairs, built as the recursion goes, in restricted-growth
-    (lexicographic) order of the labels a_0..a_n.  circ=True forces
-    a_n = a_0, circ=False forbids it; nc forbids equal adjacent labels."""
-    total = n + 1
-    if k < 1 or k > total:
-        return
-    a = [0] * total
-    blocks = [[0]] + [[] for _ in range(k - 1)]
-
-    def rec(j, used):
-        if used + (total - j) < k:
-            return
-        last = j == n
-        for lab in range(min(used, k - 1) + 1):
-            if nc and a[j - 1] == lab:
-                continue
-            if last and circ is not None and (lab == 0) != circ:
-                continue
-            a[j] = lab
-            blocks[lab].append(j)
-            # the last index yields itself: one generator less per item
-            if not last:
-                yield from rec(j + 1, used + (lab == used))
-            elif used + (lab == used) == k:
-                yield tuple(a), tuple(map(tuple, blocks))
-            blocks[lab].pop()
-
-    yield from rec(1, 1) if total > 1 else iter([((0,), ((0,),))])
-
-
 _FAMILY_FLAGS = {
     "all": (None, False),
     "circ": (True, False),
@@ -232,29 +218,187 @@ _FAMILY_FLAGS = {
 FAMILIES = tuple(_FAMILY_FLAGS)
 
 
-def _orderings(labels, blocks: Blocks, head: tuple, tail: tuple):
-    """``(labels, listing)`` for every listing ``head + perm + tail`` of
-    ``blocks``, with head and tail given as block positions and perm running
-    over the permutations of the other positions in lexicographic order;
-    ``labels`` is relabelled to each listing."""
-    rest = tuple(i for i in range(len(blocks)) if i not in head + tail)
-    rank = [0] * len(blocks)
-    for perm in itertools.permutations(rest):
-        order = head + perm + tail
-        for pos, i in enumerate(order):
-            rank[i] = pos
-        yield (tuple(map(rank.__getitem__, labels)),
-               tuple(blocks[i] for i in order))
+def _rgs_chunks(n, k, circ=None, nc=False):
+    """Label rows a_0..a_n of the partitions of {0..n} into exactly k
+    blocks, in restricted-growth (lexicographic) order, as arrays of at most
+    ROW_CHUNK rows.  circ=True forces a_n = a_0, circ=False forbids it; nc
+    forbids equal adjacent labels.
+
+    The rows grow one index at a time, every prefix repeated once per
+    candidate label in label order; a prefix is dropped as soon as too few
+    indices remain to open the missing blocks.  Prefixes are split into
+    pieces before a step would pass ROW_CHUNK rows, so memory stays bounded
+    whatever the number of rows."""
+    if k < 1 or k > n + 1:
+        return
+    dtype = np.min_scalar_type(k)
+
+    def grow(rows, used):
+        j = rows.shape[1]
+        if not len(rows):
+            return
+        if j > n:
+            yield rows
+            return
+        step = max(ROW_CHUNK // k, 1)
+        if len(rows) > step:
+            for s in range(0, len(rows), step):
+                yield from grow(rows[s:s + step], used[s:s + step])
+            return
+        width = np.minimum(used, k - 1) + 1
+        parent = np.repeat(np.arange(len(rows)), width)
+        lab = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width,
+                                                 width)
+        used = used[parent] + (lab == used[parent])
+        # index n opens no block when it must join the block of 0
+        keep = used + (n - j) - (circ is True and j < n) >= k
+        if nc:
+            keep &= lab != rows[parent, j - 1]
+        if circ is not None and j == n:
+            keep &= (lab == 0) == circ
+        if circ and nc and j == n - 1:
+            keep &= lab != 0
+        grown = np.empty((keep.sum(), j + 1), dtype)
+        grown[:, :j] = rows[parent[keep]]
+        grown[:, j] = lab[keep]
+        yield from grow(grown, used[keep])
+
+    yield from grow(np.zeros((1, 1), dtype), np.ones(1, np.intp))
 
 
-def _capped(items, cap: int) -> list:
-    """The list of ``items``; CapacityError once it would pass ``cap``."""
+def _listed(rows, k, head, tail):
+    """Every listing of each row's blocks, item-major, as ``(rows, source)``:
+    the relabelled rows (label = position in the listing) and the index of
+    the row each came from.  A listing is ``head + perm + tail`` in block
+    positions, with head the block of 0 when ``head``, tail the block of
+    label ``tail[i]`` for row i unless ``tail`` is None, and perm running
+    over the permutations of the other blocks in lexicographic order."""
     out = []
-    for item in items:
-        out.append(item)
-        if len(out) > cap:
-            raise CapacityError(f"enumeration exceeds cap {cap}")
+    tails = [None] if tail is None else np.unique(tail).tolist()
+    for t in tails:
+        first = (0,) if head else ()
+        last = () if t is None else (t,)
+        rest = [b for b in range(k) if b not in first + last]
+        orders = np.array([first + perm + last
+                           for perm in itertools.permutations(rest)],
+                          dtype=np.intp).reshape(-1, k)
+        # rank[p, b]: the position of block b in listing p
+        rank = np.argsort(orders, axis=1).astype(rows.dtype)
+        sel = (np.arange(len(rows)) if t is None
+               else np.flatnonzero(tail == t))
+        out.append((sel, rank.T[rows[sel]].transpose(0, 2, 1)))
+    listings = out[0][1].shape[1] if out else 1
+    source = np.repeat(np.arange(len(rows)), listings)
+    listed = np.empty((len(rows), listings, rows.shape[1]), rows.dtype)
+    for sel, relabelled in out:
+        listed[sel] = relabelled
+    return listed.reshape(-1, rows.shape[1]), source
+
+
+def _marked_mask(rows, k, marked_class):
+    """(row, mark) -> whether mark on that circ row is an admissible marked
+    partition of ``marked_class``: every block without the mark is a
+    singleton or straddles it; the reduced classes keep no singleton but
+    the mark's own; diagonal puts the mark in the block of 0."""
+    width = rows.shape[1]
+    # member[r, j, b]: index j lies in block b of row r
+    member = rows[:, :, None] == np.arange(k)
+    size = member.sum(axis=1)[:, None, :]
+    lo = member.argmax(axis=1)[:, None, :]
+    hi = (width - 1 - member[:, ::-1].argmax(axis=1))[:, None, :]
+    mark = np.arange(width)[None, :, None]
+    mask = ((size == 1) | ((lo < mark) & (mark < hi)) | member).all(axis=2)
+    if marked_class != "all":
+        mask &= ((size > 1) | member).all(axis=2)
+    if marked_class == "reduced_diag":
+        mask &= rows == 0
+    elif marked_class == "reduced_off":
+        mask &= rows != 0
+    return mask
+
+
+def _check_cap(count, cap):
+    if count > cap:
+        raise CapacityError(f"enumeration exceeds cap {cap}")
+
+
+def partition_rows(n, k, family="all", ordered=False,
+                   cap=DEFAULT_ENUMERATION_CAP):
+    """Label rows of the partitions of {0..n} into k blocks of ``family``:
+    an (N, n + 1) integer array whose row i gives, for each index, the
+    position of its block in item i's listing.  The rows and their order
+    are those of :func:`enumerate_partitions`; CapacityError beyond ``cap``
+    rows, before any listing past it is built."""
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown family {family!r}")
+    if not 0 <= k <= n + 1:
+        raise InvalidInputError("need 0 <= k <= n+1")
+    circ, nc = _FAMILY_FLAGS[family]
+    parts = [np.zeros((0, n + 1), np.min_scalar_type(k))]
+    if family.startswith("baro") and k < 2:
+        return parts[0]
+    # circ and baro list the block of 0 first, baro n's block last
+    head = circ is not None
+    pinned = head + (circ is False)
+    listings = math.factorial(max(k - pinned, 0)) if ordered else 1
+    count = 0
+    for rows in _rgs_chunks(n, k, circ=circ, nc=nc):
+        count += len(rows) * listings
+        _check_cap(count, cap)
+        if ordered:
+            rows = _listed(rows, k, head, rows[:, n] if circ is False
+                           else None)[0]
+        parts.append(rows)
+    return np.concatenate(parts)
+
+
+def marked_rows(n, k, marked_class="all", ordered=False,
+                cap=DEFAULT_ENUMERATION_CAP):
+    """``(rows, marks)`` of the admissible marked partitions of {0..n} with
+    k blocks in ``marked_class``: label rows as in :func:`partition_rows`
+    and the mark of each, in the order of :func:`enumerate_marked`;
+    CapacityError beyond ``cap`` rows."""
+    if marked_class not in MARKED_CLASSES:
+        raise InvalidInputError(f"unknown marked class {marked_class!r}")
+    if marked_class == "reduced_off" and k < 2:
+        raise InvalidInputError("off-diagonal class requires k >= 2")
+    off = marked_class == "reduced_off"
+    listings = math.factorial(max(k - 1 - off, 0)) if ordered else 1
+    parts = [np.zeros((0, max(n + 1, 0)), np.min_scalar_type(k))]
+    marks = [np.zeros(0, np.intp)]
+    count = 0
+    for rows in _rgs_chunks(n, k, circ=True):
+        item, mark = np.nonzero(_marked_mask(rows, k, marked_class))
+        count += len(item) * listings
+        _check_cap(count, cap)
+        rows = rows[item]
+        if ordered:
+            rows, source = _listed(rows, k, True,
+                                   rows[np.arange(len(rows)), mark]
+                                   if off else None)
+            mark = mark[source]
+        parts.append(rows)
+        marks.append(mark)
+    return np.concatenate(parts), np.concatenate(marks)
+
+
+def _block_tuples(rows, k):
+    """The listing of each label row (a list) as a tuple of blocks: block i
+    holds the indices of label i in ascending order."""
+    out = []
+    for labels in rows:
+        blocks = [[] for _ in range(k)]
+        for j, label in enumerate(labels):
+            blocks[label].append(j)
+        out.append(tuple(map(tuple, blocks)))
     return out
+
+
+def _block_sizes(rows, k):
+    """(N, k) array: the size of each block of each label row."""
+    offset = k * np.arange(len(rows))[:, None]
+    return np.bincount((rows + offset).ravel(),
+                       minlength=len(rows) * k).reshape(len(rows), k)
 
 
 def enumerate_partitions(n, k, family="all", ordered=False,
@@ -265,26 +409,10 @@ def enumerate_partitions(n, k, family="all", ordered=False,
     canonical block listing; ordered results expand each by its admissible
     block permutations.  Raises CapacityError beyond ``cap`` items.
     """
-    if family not in FAMILIES:
-        raise InvalidInputError(f"unknown family {family!r}")
-    if not 0 <= k <= n + 1:
-        raise InvalidInputError("need 0 <= k <= n+1")
-    if family.startswith("baro") and k < 2:
-        return []
-    circ, nc = _FAMILY_FLAGS[family]
-
-    def items():
-        for labels, blocks in _rgs_partitions(n, k, circ=circ, nc=nc):
-            if not ordered:
-                yield Partition._unchecked(labels, blocks, n=n)
-                continue
-            # circ and baro list the block of 0 first, baro n's block last
-            head = (0,) if circ is not None else ()
-            tail = (labels[n],) if circ is False else ()
-            for pair in _orderings(labels, blocks, head, tail):
-                yield OrderedPartition._unchecked(*pair, n=n)
-
-    return _capped(items(), cap)
+    cls = OrderedPartition if ordered else Partition
+    rows = partition_rows(n, k, family, ordered=ordered, cap=cap).tolist()
+    return [cls._unchecked(tuple(labels), blocks, n=n)
+            for labels, blocks in zip(rows, _block_tuples(rows, k))]
 
 
 def enumerate_marked(n, k, marked_class="all", ordered=False,
@@ -296,34 +424,12 @@ def enumerate_marked(n, k, marked_class="all", ordered=False,
     first; the off-diagonal class additionally pins the mark's block last,
     so each unordered item expands to (k-1)! resp. (k-2)! orderings.
     """
-    if marked_class not in MARKED_CLASSES:
-        raise InvalidInputError(f"unknown marked class {marked_class!r}")
-    if marked_class == "reduced_off" and k < 2:
-        raise InvalidInputError("off-diagonal class requires k >= 2")
-
-    def items():
-        for labels, blocks in _rgs_partitions(n, k, circ=True, nc=False):
-            for mark in range(n + 1):
-                mp = MarkedPartition._unchecked(labels, blocks, mark=mark,
-                                                ordered=False, n=n)
-                if not mp.is_admissible():
-                    continue
-                if marked_class != "all":
-                    if not mp.is_reduced():
-                        continue
-                    if marked_class == "reduced_diag" and not mp.is_diagonal():
-                        continue
-                    if marked_class == "reduced_off" and mp.is_diagonal():
-                        continue
-                if not ordered:
-                    yield mp
-                    continue
-                tail = (labels[mark],) if marked_class == "reduced_off" else ()
-                for pair in _orderings(labels, blocks, (0,), tail):
-                    yield MarkedPartition._unchecked(*pair, mark=mark,
-                                                     ordered=True, n=n)
-
-    return _capped(items(), cap)
+    rows, marks = marked_rows(n, k, marked_class, ordered=ordered, cap=cap)
+    rows = rows.tolist()
+    return [MarkedPartition._unchecked(tuple(labels), blocks, mark=mark,
+                                       ordered=ordered, n=n)
+            for labels, blocks, mark in zip(rows, _block_tuples(rows, k),
+                                            marks.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +583,12 @@ def to_diagram(obj) -> dict:
 def weight_bound_pair(n: int, k: int):
     """Left and right side of the factorial weight bound over the circ family:
     sum over partitions of prod 1/|F_i|! against k^(n+1)/(n+1)!."""
-    lhs = 0.0
-    for p in enumerate_partitions(n, k, family="circ"):
-        w = 1.0
-        for b in p.blocks:
-            w /= math.factorial(len(b))
-        lhs += w
+    sizes = _block_sizes(partition_rows(n, k, family="circ"), k)
+    factorials = np.array([math.factorial(m) for m in range(n + 2)], float)
+    # block by block and row by row, as a loop over the items would round
+    w = np.ones(len(sizes))
+    for column in sizes.T:
+        w /= factorials[column]
+    lhs = float(np.cumsum(w)[-1]) if len(w) else 0.0
     rhs = k ** (n + 1) / math.factorial(n + 1)
     return lhs, rhs

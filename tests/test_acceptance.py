@@ -115,6 +115,14 @@ def _swap_first_two(seq):
     return tuple(seq)
 
 
+def _without_last_listing(exact):
+    def listed(rows, k, head, tail):
+        out, source = exact(rows, k, head, tail)
+        last = np.append(source[1:] != source[:-1], True)[:len(source)]
+        return out[~last], source[~last]
+    return listed
+
+
 @pytest.mark.parametrize("module, name, perturb", [
     # the singletons of the first two gaps re-inserted in each other's place
     (pa, "expand_marked",
@@ -129,8 +137,17 @@ def _swap_first_two(seq):
     # the first two steps of the path swapped
     (gp, "path_to_partition",
      lambda exact: lambda path: exact(_swap_first_two(path))),
+    # the ordered enumerations lose the last listing of every item
+    (pa, "_listed", _without_last_listing),
+    # the block of n (baro) or of the mark (reduced_off) no longer last
+    (pa, "_listed",
+     lambda exact: lambda rows, k, head, tail: exact(rows, k, head, None)),
+    # the block of 0 no longer first
+    (pa, "_listed",
+     lambda exact: lambda rows, k, head, tail: exact(rows, k, False, tail)),
 ], ids=["expand_marked", "merge_plus_minus", "nc_expand",
-        "path_to_partition"])
+        "path_to_partition", "drop_last_listing", "unpin_tail",
+        "unpin_head"])
 def test_criterion_04_fails_on_a_perturbed_bijection(module, name, perturb,
                                                      monkeypatch):
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))

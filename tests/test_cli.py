@@ -40,12 +40,33 @@ def test_partitions_marked_with_diagram(tmp_path):
     assert rec["mark"] == 1 and rec["diagram"]["circles"] == [0, 1, 2]
 
 
+# every family and marked class, unordered and ordered, with and without
+# diagrams; n = 7 and k = 3 give each of them more than 10 items
+_JSONL_GRID = [
+    ({"n": 7, "k": 3, "family": family, "ordered": ordered,
+      "diagrams": diagrams}, f"{family}-{kind}-{layout}")
+    for family in pa.FAMILIES
+    for ordered, kind in ((False, "unordered"), (True, "ordered"))
+    for diagrams, layout in ((False, "blocks"), (True, "diagrams"))
+] + [
+    ({"n": 7, "k": 3, "marked": cls, "ordered": ordered,
+      "diagrams": diagrams}, f"marked_{cls}-{kind}-{layout}")
+    for cls in pa.MARKED_CLASSES
+    for ordered, kind in ((False, "unordered"), (True, "ordered"))
+    for diagrams, layout in ((False, "blocks"), (True, "diagrams"))
+]
+
+
 @pytest.mark.parametrize("config", [
     {"n": 6, "k": 3, "family": "baro", "ordered": True},
     {"n": 6, "k": 3, "marked": "reduced_off", "ordered": True},
     {"n": 5, "k": 2, "marked": "all", "diagrams": True},
     {"n": 5, "k": 3, "family": "circ", "diagrams": True},
-], ids=["plain", "marked", "marked_diagrams", "diagrams"])
+    # S(10, 4) = 34105 rows: three write chunks
+    {"n": 9, "k": 4, "family": "all", "diagrams": True},
+] + [config for config, _ in _JSONL_GRID],
+    ids=["plain", "marked", "marked_diagrams", "diagrams", "chunks"]
+    + [name for _, name in _JSONL_GRID])
 def test_partitions_jsonl_is_the_sorted_json_of_each_record(tmp_path,
                                                             config):
     # oracle: one json.dumps(record, sort_keys=True) line per item
@@ -66,6 +87,8 @@ def test_partitions_jsonl_is_the_sorted_json_of_each_record(tmp_path,
             record["diagram"] = pa.to_diagram(item)
         expected.append(json.dumps(record, sort_keys=True) + "\n")
     assert len(expected) > 10
+    if config["k"] == 4:  # "chunks": the last write chunk is partial
+        assert 2 * pa.ROW_CHUNK < len(expected) < 3 * pa.ROW_CHUNK
     out = tmp_path / "out"
     assert main(["partitions", "--config", write(tmp_path / "c.json", config),
                  "--out", str(out)]) == 0
@@ -405,6 +428,21 @@ def test_string_for_real_key_exits_2(tmp_path, capsys, command, config):
     assert main([command, "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 2
     assert "must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("partitions", {"n": 4, "k": 2, "ordered": "false"}),
+    ("partitions", {"n": 4, "k": 2, "diagrams": 1}),
+    ("scatter", {"op": "optical", "coupling": 0.1, "y": [1, 0, 0],
+                 "include_third": "no"}),
+], ids=["ordered", "diagrams", "include_third"])
+def test_non_boolean_flag_exits_2(tmp_path, capsys, command, config):
+    # a truthy string or number used to be taken as true
+    cfg = write(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "must be true or false" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_lattice_outputs(tmp_path):

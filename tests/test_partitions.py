@@ -1,5 +1,8 @@
+import functools
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from bgflight import partitions as pa
@@ -121,6 +124,130 @@ def test_enumerated_items_equal_their_checked_construction(n):
         assert item == again
         assert item.labels == again.labels
         assert hash(item) == hash(again)
+
+
+@functools.lru_cache(maxsize=None)
+def _growth_strings(n, k):
+    """Every vector a_0..a_n of itertools.product with a_j <= j that grows
+    by at most one new label at a time and uses labels 0..k-1; product
+    order is lexicographic."""
+    return [a for a in itertools.product(*(range(min(j, k - 1) + 1)
+                                           for j in range(n + 1)))
+            if max(a) == k - 1
+            and all(a[j] <= max(a[:j]) + 1 for j in range(1, n + 1))]
+
+
+def _rgs_oracle(n, k, family):
+    """Label vectors of the partitions of {0..n} into k blocks of
+    ``family``, by brute force: the growth strings that obey the family
+    rule."""
+    rows = []
+    for a in _growth_strings(n, k):
+        if family.startswith("circ") and a[n] != a[0]:
+            continue
+        if family.startswith("baro") and a[n] == a[0]:
+            continue
+        if family.endswith("_nc") and any(a[j] == a[j + 1]
+                                          for j in range(n)):
+            continue
+        rows.append(list(a))
+    return rows
+
+
+@functools.lru_cache(maxsize=None)
+def _orders(k):
+    """Every permutation of range(k) in lexicographic order, read as the
+    block at each position, with the position of each block."""
+    return [(order, [order.index(b) for b in range(k)])
+            for order in itertools.permutations(range(k))]
+
+
+def _listings_oracle(row, k, head, tail):
+    """``row`` relabelled to each listing of its blocks in :func:`_orders`
+    kept when it puts block 0 first (``head``) and block ``tail`` last."""
+    return [[rank[b] for b in row] for order, rank in _orders(k)
+            if not (head and order[0] != 0)
+            and not (tail is not None and order[-1] != tail)]
+
+
+def _marked_oracle(n, k, cls):
+    """(mark, row) of the admissible marked partitions of ``cls`` straight
+    from the definitions, over the circ rows of the brute-force oracle."""
+    out = []
+    for row in _rgs_oracle(n, k, "circ"):
+        blocks = [[j for j in range(n + 1) if row[j] == b] for b in range(k)]
+        for mark in range(n + 1):
+            if not all(mark in b or len(b) == 1 or b[0] < mark < b[-1]
+                       for b in blocks):
+                continue
+            if cls != "all" and not all(len(b) > 1 or b == [mark]
+                                        for b in blocks):
+                continue
+            if cls == "reduced_diag" and row[mark] != row[0]:
+                continue
+            if cls == "reduced_off" and row[mark] == row[0]:
+                continue
+            out.append((mark, row))
+    return out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_rows_equal_the_brute_force_oracle_in_order(n):
+    for k in range(n + 2):
+        for family in pa.FAMILIES:
+            rows = _rgs_oracle(n, k, family)
+            assert pa.partition_rows(n, k, family).tolist() == rows
+            head = family != "all"
+            listed = [r for row in rows for r in _listings_oracle(
+                row, k, head, row[n] if family.startswith("baro") else None)]
+            assert pa.partition_rows(n, k, family,
+                                     ordered=True).tolist() == listed
+        for cls in pa.MARKED_CLASSES:
+            if cls == "reduced_off" and k < 2:
+                continue
+            pairs = _marked_oracle(n, k, cls)
+            rows, marks = pa.marked_rows(n, k, cls)
+            assert list(zip(marks.tolist(), rows.tolist())) == pairs
+            listed = [(mark, r) for mark, row in pairs
+                      for r in _listings_oracle(
+                          row, k, True,
+                          row[mark] if cls == "reduced_off" else None)]
+            rows, marks = pa.marked_rows(n, k, cls, ordered=True)
+            assert list(zip(marks.tolist(), rows.tolist())) == listed
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_cap_refuses_exactly_the_listings_past_it(ordered):
+    # cap = count passes, cap = count - 1 raises, for every family and
+    # marked class; counts from 2 to 1806
+    n, k = 6, 3
+    for family in pa.FAMILIES:
+        count = len(pa.partition_rows(n, k, family, ordered=ordered))
+        assert count > 1
+        got = pa.enumerate_partitions(n, k, family, ordered=ordered,
+                                      cap=count)
+        assert len(got) == count
+        with pytest.raises(CapacityError):
+            pa.enumerate_partitions(n, k, family, ordered=ordered,
+                                    cap=count - 1)
+    for cls in pa.MARKED_CLASSES:
+        count = len(pa.marked_rows(n, k, cls, ordered=ordered)[0])
+        assert count > 1
+        got = pa.enumerate_marked(n, k, cls, ordered=ordered, cap=count)
+        assert len(got) == count
+        with pytest.raises(CapacityError):
+            pa.enumerate_marked(n, k, cls, ordered=ordered, cap=count - 1)
+
+
+def test_chunked_rows_keep_the_order(monkeypatch):
+    # rows made a few prefixes at a time come out as in one pass
+    whole = pa.partition_rows(8, 4, "all", ordered=True)
+    marked = pa.marked_rows(8, 3, "all", ordered=True)
+    monkeypatch.setattr(pa, "ROW_CHUNK", 16)
+    assert np.array_equal(pa.partition_rows(8, 4, "all", ordered=True),
+                          whole)
+    got = pa.marked_rows(8, 3, "all", ordered=True)
+    assert all(map(np.array_equal, got, marked))
 
 
 # ---------------------------------------------------------------------------
