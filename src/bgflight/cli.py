@@ -419,12 +419,12 @@ def _cmd_lattice(args, out_dir):
         shift=tuple(_array(cfg["shift"], (2,), "'shift'")),
         basis=_array(cfg["basis"], (2, 2), "'basis'"))
     sample = la.generate(window, cap=cfg["cap"])
+    # first, so that its refusals exit before any file is written
+    report = la.joint_test(sample, gap_bins=cfg["gap_bins"],
+                           theta_bins=cfg["theta_bins"])
     pts_path = os.path.join(out_dir, "points.csv")
     _write_csv(pts_path, ["lambda", "theta"],
                zip(sample.lam.tolist(), sample.theta.tolist()))
-    g, th = la.gaps(sample)
-    gaps_path = os.path.join(out_dir, "gaps.csv")
-    _write_csv(gaps_path, ["gap", "theta"], zip(g.tolist(), th.tolist()))
     h, ge, te = la.histogram2d(sample, theta_bins=cfg["theta_bins"])
     hist_path = os.path.join(out_dir, "hist2d.csv")
     hrows = []
@@ -434,12 +434,10 @@ def _cmd_lattice(args, out_dir):
                           float(te[j + 1]), float(h[i, j])))
     _write_csv(hist_path, ["gap_lo", "gap_hi", "theta_lo", "theta_hi",
                            "density"], hrows)
-    report = la.joint_test(sample, gap_bins=cfg["gap_bins"],
-                           theta_bins=cfg["theta_bins"])
     rep_path = os.path.join(out_dir, "lattice_report.json")
     _write_json(rep_path, report)
     print(json.dumps({"count": sample.count, "ks_stat": report["ks_stat"]}))
-    return (cfg, [pts_path, gaps_path, hist_path, rep_path],
+    return (cfg, [pts_path, hist_path, rep_path],
             {k: report[k] for k in ("pass_ks", "pass_theta_uniform",
                                     "pass_independence")}, 0)
 

@@ -24,13 +24,12 @@ of arrays (sample_lb_block) from a counter-based stream: Philox4x64-10
 under the key (seed, 0), draw j of lane l of chain i at the counter
 (j + 1, i, l, 0), with seeds and chain indices in [0, 2**64).  A chain's
 draws are a function of (seed, chain index) alone, so results do not
-depend on how chains are grouped into blocks.  Scattering directions are
-drawn exactly, with no rejection: from the closed-form von Mises-Fisher law
-at Born order 1 in d = 3, and otherwise by the inverse CDF of the block's
-shell table (ScatteringModel.shell_table), which comes from the same |T|^2
-values as the collision rates.  Every chain that reaches leg k gives the
-k-leg term, its flight times turned cyclically and weighed by the balance
-heuristic over the turns (_turned_flights).
+depend on how chains are grouped into blocks.  Collision rates and
+scattering angles both come from the block's ScatteringModel.shell_table,
+and the angles are drawn by its inverse CDF, with no rejection.  Every
+chain that reaches leg k gives the k-leg term, its flight times turned
+cyclically and weighed by the balance heuristic over the turns
+(_turned_flights).
 
 All leg indices are 0-based.  Momenta are stored as full d-vectors of a
 common norm; a relative tolerance of 1e-9 decides on-shell membership.
@@ -40,7 +39,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,7 +47,6 @@ import numpy as np
 from .errors import InvalidInputError
 from . import gmatrix as gm
 from . import partitions as pa
-from .paths import partition_to_path
 from .scattering import ScatteringModel
 
 ON_SHELL_RTOL = 1e-9
@@ -246,24 +243,22 @@ def _t_table(model: ScatteringModel, momenta):
 def _comb_table(kind, k, n_max):
     """The order k-1..n_max partition sum as arrays of distinct terms: order
     (terms,), block sizes (terms, k), edge counts (terms, k, k) of the path
-    and multiplicity (terms,), derived from the non-consecutive ordered
-    partitions.  Partitions with equal order, block sizes and edge counts
-    give equal terms and share one row."""
+    and multiplicity (terms,), from the label rows of the non-consecutive
+    ordered partitions, each row its path.  Partitions with equal order,
+    block sizes and edge counts give equal terms and share one row."""
     family = "circ_nc" if kind == "diag" else "baro_nc"
-    mult = Counter()
+    keys = [np.zeros((0, 1 + k + k * k), dtype=int)]
     for n in range(k - 1, n_max + 1):
-        for op in pa.enumerate_partitions(n, k, family=family, ordered=True):
-            path = partition_to_path(op)
-            cnt = np.zeros((k, k), dtype=int)
-            for i, j in zip(path[:-1], path[1:]):
-                cnt[i, j] += 1
-            sizes = tuple(len(blk) for blk in op.blocks)
-            mult[(n, sizes, tuple(cnt.ravel()))] += 1
-    keys = sorted(mult)
-    return (np.array([key[0] for key in keys], dtype=int),
-            np.array([key[1] for key in keys], dtype=int).reshape(-1, k),
-            np.array([key[2] for key in keys], dtype=int).reshape(-1, k, k),
-            np.array([mult[key] for key in keys], dtype=complex))
+        rows = pa.partition_rows(n, k, family, ordered=True).astype(np.intp)
+        m = len(rows)
+        steps = (rows[:, :-1] * k + rows[:, 1:]
+                 + k * k * np.arange(m)[:, None])
+        counts = np.bincount(steps.ravel(), minlength=m * k * k)
+        keys.append(np.column_stack([np.full(m, n), pa._block_sizes(rows, k),
+                                     counts.reshape(m, k * k)]))
+    keys, mult = np.unique(np.concatenate(keys), axis=0, return_counts=True)
+    return (keys[:, 0], keys[:, 1:k + 1], keys[:, k + 1:].reshape(-1, k, k),
+            mult.astype(complex))
 
 
 def _comb_amplitudes(kind, u, w, n_max):
@@ -498,40 +493,13 @@ def _from_axis(axis, x):
     return coef * v - x
 
 
-def _polar_directions(axis, c, v):
-    """Unit vectors at the cosines ``c`` (m,) to the unit vectors ``axis``
-    (m, d), rows of v (m, d - 1) giving the unit vector of the orthogonal
-    complement: the Householder image of (c, sqrt(1 - c^2) v)."""
-    s = np.sqrt(1.0 - c * c)
-    return _from_axis(axis, np.concatenate([c[:, None], s[:, None] * v],
-                                           axis=1))
-
-
-def _azimuths(u_phi):
-    """Unit vectors of the plane at the azimuths 2 pi u_phi."""
-    phi = 2 * math.pi * u_phi
-    return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-
-
-def _born1_directions(axis, kappa, u_cos, u_phi):
-    """Exact Born-1 scattering directions in d = 3, one per row: on shell
-    |T|^2 is proportional to exp(-kappa (1 - cos theta)), kappa =
-    4 pi s^2 |y|^2, a von Mises-Fisher law about the incoming direction
-    ``axis``.  cos theta inverts its CDF at 1 - u_cos, written
-    1 + log1p(u_cos expm1(-2 kappa))/kappa so that it tends to the uniform
-    1 - 2 u_cos as kappa -> 0 and stays finite for large kappa; the azimuth
-    is 2 pi u_phi."""
-    c = np.clip(1.0 + np.log1p(u_cos * np.expm1(-2 * kappa)) / kappa,
-                -1.0, 1.0)
-    return _polar_directions(axis, c, _azimuths(u_phi))
-
-
 def _complements(seed, chains, lane, u_phi, d):
     """Uniform unit vectors of the orthogonal complement, one per chain: in
     d = 3 the azimuths of ``u_phi``, in d > 3 d - 1 Box-Muller normals from
     draws 1, 2, ... of ``lane``, normalised."""
     if d == 3:
-        return _azimuths(u_phi)
+        phi = 2 * math.pi * u_phi
+        return np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     draws = -(-(d - 1) // 4)
     u = _uniforms(seed, chains[:, None], lane, np.arange(1, draws + 1))
     z = _normals(u.reshape(len(chains), -1))[:, :d - 1]
@@ -570,14 +538,12 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     vector of the orthogonal complement from draws 1, 2, ... of the lane
     (_complements).
 
-    At Born order 1 in d = 3 the total cross section is the closed form and
-    the angle follows the von Mises-Fisher law of |T|^2 exactly
-    (_born1_directions).  Every other (d, Born order) evaluates |T|^2 once
-    per chain at the polar nodes of the total cross section: the block's
-    ShellTable gives the rates and the angles by the exact inverse CDF of
-    the interpolated kernel, with no bound and no rejection.  One warning
-    per block reports the chains that scatter with a table error estimate
-    above SHELL_TOL, and the worst estimate.
+    One ScatteringModel.shell_table call per block gives the collision
+    rates and the law of the scattering angle, drawn by its inverse CDF
+    with no bound and no rejection: the closed form at Born order 1 in
+    d = 3, otherwise the interpolated |T|^2 at the polar nodes of the total
+    cross section.  One warning per block reports the chains that scatter
+    with a table error estimate above SHELL_TOL, and the worst estimate.
     """
     seed = _check_seed(seed)
     y0 = np.asarray(y0, dtype=float)
@@ -594,13 +560,8 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     n, d = y0.shape
     lanes = np.arange(1, max_legs + 1)
     first = _uniforms(seed, chains[:, None], lanes, 0)
-    exact = model.born_order == 1 and d == 3
-    if exact:
-        rates = model.sigma_tot_speeds(speed)
-    else:
-        table = model.shell_table(speed)
-        rates = table.rates
-    dt = -np.log1p(-first[..., 0]) / rates[:, None]
+    table = model.shell_table(speed)
+    dt = -np.log1p(-first[..., 0]) / table.rates[:, None]
     elapsed = np.cumsum(dt, axis=1)
     ends = elapsed >= t
     truncated = ~ends.any(axis=1)
@@ -616,23 +577,19 @@ def sample_lb_block(t, y0, model: ScatteringModel, seed, chains,
     for leg in range(int(legs.max(initial=1)) - 1):
         sel = rows[legs > leg + 1]
         axis = momenta[sel, leg] / speed[sel, None]
-        u_cos, u_phi = first[sel, leg, 1], first[sel, leg, 2]
-        if exact:
-            kappa = model.potential.shell_concentration(speed[sel])
-            new = _born1_directions(axis, kappa, u_cos, u_phi)
-        else:
-            new = _polar_directions(
-                axis, table.cosines(sel, u_cos),
-                _complements(seed, chains[sel], leg + 1, u_phi, d))
-        momenta[sel, leg + 1] = speed[sel, None] * new
-    if not exact:
-        poor = (legs > 1) & (table.error > SHELL_TOL)
-        if poor.any():
-            warnings.warn(
-                f"shell table error estimate above {SHELL_TOL:.0e} on "
-                f"{int(poor.sum())} of {n} chains: worst "
-                f"{table.error[poor].max():.2e}", stacklevel=2)
-    return ChainBlock(times, momenta, legs, truncated, rates)
+        # the Householder image of (cos theta, sin theta v), v a unit
+        # vector of the orthogonal complement
+        c = table.cosines(sel, first[sel, leg, 1])[:, None]
+        v = _complements(seed, chains[sel], leg + 1, first[sel, leg, 2], d)
+        new = np.concatenate([c, np.sqrt(1.0 - c * c) * v], axis=1)
+        momenta[sel, leg + 1] = speed[sel, None] * _from_axis(axis, new)
+    poor = (legs > 1) & (table.error > SHELL_TOL)
+    if poor.any():
+        warnings.warn(
+            f"shell table error estimate above {SHELL_TOL:.0e} on "
+            f"{int(poor.sum())} of {n} chains: worst "
+            f"{table.error[poor].max():.2e}", stacklevel=2)
+    return ChainBlock(times, momenta, legs, truncated, table.rates)
 
 
 # ---------------------------------------------------------------------------

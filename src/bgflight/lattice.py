@@ -187,6 +187,13 @@ def ks_exponential(values, mean=1.0):
     return dist, pval
 
 
+def _check_bins(**bins):
+    """Refuse bin counts below 2: no degree of freedom is left."""
+    for name, count in bins.items():
+        if count < 2:
+            raise InvalidInputError(f"{name} must be at least 2, not {count}")
+
+
 def _chi2_sf(stat, dof) -> float:
     return float(special.gammaincc(dof / 2.0, stat / 2.0))
 
@@ -195,7 +202,8 @@ def joint_test(sample: PointSample, gap_bins=8, theta_bins=8,
                alpha=0.01) -> dict:
     """Gap/angle statistics report: KS of gaps against Exp(1), chi-square
     uniformity of the angles, chi-square independence of (gap, angle) on an
-    equiprobable-gap-quantile by uniform-angle grid."""
+    equiprobable-gap-quantile by uniform-angle grid (2 bins or more each)."""
+    _check_bins(gap_bins=gap_bins, theta_bins=theta_bins)
     if sample.count < 1000:
         raise InvalidInputError("joint test needs at least 1000 points")
     g, th = gaps(sample)
@@ -244,12 +252,12 @@ def joint_test(sample: PointSample, gap_bins=8, theta_bins=8,
     }
 
 
-def histogram2d(sample: PointSample, gap_edges=None, theta_bins=12):
-    """Joint (gap, angle) histogram for export; density normalised."""
+def histogram2d(sample: PointSample, theta_bins=12):
+    """Joint (gap, angle) histogram for export; density normalised, on 24
+    gap bins by ``theta_bins`` (2 or more) angle bins."""
+    _check_bins(theta_bins=theta_bins)
     g, th = gaps(sample)
-    if gap_edges is None:
-        gap_edges = np.linspace(0.0, max(4.0, float(np.quantile(g, 0.995))),
-                                25)
+    gap_edges = np.linspace(0.0, max(4.0, float(np.quantile(g, 0.995))), 25)
     h, ge, te = np.histogram2d(g, th, bins=[gap_edges,
                                             np.linspace(0, 1, theta_bins + 1)],
                                density=True)

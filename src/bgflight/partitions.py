@@ -189,9 +189,6 @@ class MarkedPartition(_Blocks):
         """No singleton block other than possibly the mark's own."""
         return all(len(b) > 1 or b == (self.mark,) for b in self.blocks)
 
-    def is_diagonal(self) -> bool:
-        return self.labels[0] == self.labels[self.mark]
-
 
 def preceq(finer: Partition, coarser: Partition) -> bool:
     """Refinement predicate: every block of ``coarser`` is a union of blocks

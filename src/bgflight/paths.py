@@ -315,8 +315,15 @@ def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
                                 cap=DEFAULT_PATH_CAP):
     """(n, start, end, residual) of path_sum_identity_check for every
     n = 1..n_max and every pair of vertices, in that order, from one pass
-    of ``_layers``."""
+    of ``_layers``.  The run enumerates every path of length 1..n_max, k
+    (k - 1)^n of length n; a CapacityError fires before the first one is
+    built when they number more than ``cap``."""
     k = graph.k
+    total = 0
+    for n in range(1, n_max + 1):
+        total += k * (k - 1) ** n
+        if total > cap:
+            raise CapacityError(f"paths of length 1..{n_max} exceed cap {cap}")
     layers = itertools.islice(_unit_layers(graph), 1, n_max + 1)
     return [(n, i, j, _identity_residual(graph, layer, bw, n, i, j, cap))
             for n, (layer, bw) in enumerate(layers, start=1)

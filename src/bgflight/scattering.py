@@ -33,9 +33,9 @@ The on-shell collision kernel uses the energy-shell convention
 
 so sigma(y, w) = 4 pi^2 ||y||^(d-2) |T(y, ||y|| w)|^2 and the total cross
 section is its spherical integral.  On shell |T|^2 depends on the scattering
-angle only: ScatteringModel.shell_table evaluates it once per speed at the
-polar nodes of that integral and gives both the total cross section and
-the law of the angle (ShellTable), which the chain sampler inverts.
+angle only: ScatteringModel.shell_table gives the total cross sections and
+the law of the angle, which the chain sampler inverts, in closed form at
+Born order 1 in d = 3, else from |T|^2 at the integral's polar nodes.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class GaussianPotential:
             raise InvalidInputError("width must be positive")
         if self.dim < 3:
             raise InvalidInputError("dimension must be at least 3")
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.amplitude * np.exp(
-            -np.pi * np.sum(x * x, axis=-1) / self.width ** 2)
 
     def w_hat(self, y):
         """Fourier transform A s^d exp(-pi s^2 ||y||^2); real, positive,
@@ -347,13 +342,16 @@ class ScatteringModel:
     # -- on-shell kernel ----------------------------------------------------
 
     def sigma_kernel(self, y, direction) -> float:
-        """4 pi^2 ||y||^(d-2) |T(y, ||y|| w)|^2 for unit w."""
+        """4 pi^2 ||y||^(d-2) |T(y, ||y|| w)|^2, w = direction/|direction|."""
         y = np.asarray(y, dtype=float)
         speed = float(np.linalg.norm(y))
         if speed == 0:
             raise InvalidInputError("collision kernel undefined at y = 0")
         w = np.asarray(direction, dtype=float)
-        w = w / np.linalg.norm(w)
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            raise InvalidInputError("scattering direction must be non-zero")
+        w = w / norm
         t = self.t_matrix(y, speed * w)
         return 4 * math.pi ** 2 * speed ** (self.dim - 2) * abs(t) ** 2
 
@@ -376,6 +374,11 @@ class ScatteringModel:
         speed = float(np.linalg.norm(y)) if y.ndim else float(abs(y))
         return float(self.sigma_tot_speeds(np.array([speed]))[0])
 
+    @property
+    def _closed_form(self) -> bool:
+        """Born order 1 in d = 3: the on-shell law is VonMisesShell."""
+        return self.born_order == 1 and self.dim == 3
+
     def sigma_tot_speeds(self, speeds) -> np.ndarray:
         """Total cross sections at a 1-d array of positive speeds: the closed
         form in one call at Born order 1 in d = 3, else a SPHERE_NODES-point
@@ -383,18 +386,22 @@ class ScatteringModel:
         drawn at continuously distributed speeds, so a per-speed memo would
         almost never see a speed twice."""
         speeds = _positive_speeds(speeds)
-        if self.born_order == 1 and self.dim == 3:
+        if self._closed_form:
             return sigma_tot_born1_speeds(self.potential, self.coupling,
                                           speeds)
         return self._sigma_from_shell(speeds, self._shell_values(speeds))
 
-    def shell_table(self, speeds) -> ShellTable:
-        """The ShellTable of a 1-d array of positive speeds: one polar_abs2
-        call per speed at the SPHERE_NODES nodes of the polar rule gives the
-        total cross sections (bit for bit those of sigma_tot_speeds, except
-        at Born order 1 in d = 3, where that takes the closed form) and the
-        law of the scattering angle."""
+    def shell_table(self, speeds) -> ShellTable | VonMisesShell:
+        """The on-shell kernel at a 1-d array of positive speeds: ``rates``,
+        bit for bit sigma_tot_speeds, the law of the scattering angle,
+        ``cosines(rows, u)``, and its ``error``.  The closed form at Born
+        order 1 in d = 3 (VonMisesShell), else one polar_abs2 call per
+        speed at the SPHERE_NODES nodes of the polar rule (ShellTable)."""
         speeds = _positive_speeds(speeds)
+        if self._closed_form:
+            return VonMisesShell(
+                sigma_tot_born1_speeds(self.potential, self.coupling, speeds),
+                self.potential.shell_concentration(speeds))
         values = self._shell_values(speeds)
         return ShellTable.from_values(
             self.dim, self._sigma_from_shell(speeds, values), values)
@@ -463,8 +470,28 @@ def sigma_tot_born1_speeds(pot: GaussianPotential, lam, speeds):
 
 
 # ---------------------------------------------------------------------------
-# shell table: the law of the scattering angle
+# shell laws: the law of the scattering angle
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class VonMisesShell:
+    """The on-shell kernel at n speeds at Born order 1 in d = 3: the closed
+    forms ``rates`` (n,) of sigma_tot_born1_speeds and ``kappa`` (n,) of
+    shell_concentration, with |T|^2 proportional to exp(-kappa (1 - cos
+    theta)), a von Mises-Fisher law of the angle theta.  It is exact."""
+
+    rates: np.ndarray
+    kappa: np.ndarray
+    error = 0.0
+
+    def cosines(self, rows, u):
+        """cos theta for the rows ``rows`` at the levels ``u`` in [0, 1), one
+        per row: the inverse CDF at 1 - u, 1 + log1p(u expm1(-2 kappa))/kappa,
+        uniform as kappa -> 0, finite for large kappa, clipped to [-1, 1]."""
+        kappa = self.kappa[rows]
+        c = 1.0 + np.log1p(u * np.expm1(-2 * kappa)) / kappa
+        return np.clip(c, -1.0, 1.0)
+
 
 @lru_cache(maxsize=8)
 def _shell_basis(d):

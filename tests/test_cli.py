@@ -105,14 +105,11 @@ def _csv_oracle(header, rows):
 def test_lattice_csv_rows_by_the_cell_rule(tmp_path):
     config = {"r_max": 50000.0, "width": 2000.0}
     sample = la.generate(la.LatticeWindow(**config))
-    g, th = la.gaps(sample)
     out = tmp_path / "out"
     assert main(["lattice", "--config", write(tmp_path / "c.json", config),
                  "--out", str(out)]) == 0
     assert (out / "points.csv").read_text() == _csv_oracle(
         ["lambda", "theta"], zip(sample.lam.tolist(), sample.theta.tolist()))
-    assert (out / "gaps.csv").read_text() == _csv_oracle(
-        ["gap", "theta"], zip(g.tolist(), th.tolist()))
 
 
 def test_simulate_csv_rows_by_the_cell_rule(tmp_path):
@@ -161,6 +158,20 @@ def test_capacity_exit_4(tmp_path):
     cfg = write(tmp_path / "c.json", {"n": 11, "k": 5, "cap": 10})
     assert main(["partitions", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("k, n_max", [(6, 9), (8, 12)])
+def test_paths_cap_bounds_the_whole_run(tmp_path, capsys, k, n_max):
+    # each (n, start, end) call stays below the cap, but the run as a whole
+    # enumerates more paths (about 1.5e7 and 1.3e11): it exits 4 before the
+    # first one is built
+    cfg = write(tmp_path / "c.json", {"k": k, "n_max": n_max})
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    assert main(["paths", "--config", cfg, "--out", str(out)]) == 4
+    assert time.perf_counter() - started < 5.0
+    assert "exceed cap 10000000" in capsys.readouterr().err
+    assert not (out / "paths_identity.jsonl").exists()
 
 
 def test_paths_identity(tmp_path):
@@ -402,6 +413,29 @@ def test_simulate_malformed_config_exits_2(tmp_path, capsys, change,
     assert message in capsys.readouterr().err
 
 
+def test_scatter_zero_direction_exits_2(tmp_path, capsys):
+    # the kernel of a zero direction used to be written as NaN
+    cfg = write(tmp_path / "c.json", {
+        "op": "sigma", "coupling": 0.3, "y": [1, 0, 0],
+        "direction": [0, 0, 0]})
+    out = tmp_path / "out"
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 2
+    assert "direction must be non-zero" in capsys.readouterr().err
+    assert not (out / "scatter.json").exists()
+
+
+@pytest.mark.parametrize("key", ["gap_bins", "theta_bins"])
+@pytest.mark.parametrize("bins", [0, -3, 1])
+def test_lattice_bins_below_2_exit_2(tmp_path, capsys, key, bins):
+    # 0 and -3 used to end in a traceback, 1 in NaN p-values and exit 0
+    cfg = write(tmp_path / "c.json",
+                {"r_max": 50000.0, "width": 2000.0, key: bins})
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{key} must be at least 2, not {bins}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_scatter_short_momentum_exits_2(tmp_path, capsys):
     cfg = write(tmp_path / "c.json", {
         "op": "tmat", "coupling": 0.3, "y": [1, 0], "yp": [0, 1, 0]})
@@ -452,7 +486,10 @@ def test_lattice_outputs(tmp_path):
     pts = (out / "points.csv").read_text().splitlines()
     assert pts[0] == "lambda,theta"
     assert abs(len(pts) - 1 - 2000) < 200
-    assert (out / "gaps.csv").exists() and (out / "hist2d.csv").exists()
+    # the gaps are np.diff of the lambda column: no file of their own
+    assert not (out / "gaps.csv").exists() and (out / "hist2d.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == [
+        "points.csv", "hist2d.csv", "lattice_report.json"]
     report = json.loads((out / "lattice_report.json").read_text())
     assert "ks_stat" in report and "independence_p" in report
     # LF endings, no CR

@@ -344,16 +344,19 @@ def test_shell_cosines_follow_exact_law(dim, order, coupling, speed):
 
 @pytest.mark.parametrize("speed", [0.4, 1.0, 1.8])
 def test_shell_cosines_match_born1_closed_form(speed):
-    # at Born order 1 in d = 3 the table inverts the von Mises-Fisher CDF
-    # that _born1_directions inverts in closed form, at the same level
+    # at Born order 1 in d = 3 a table interpolated from |T|^2 at the polar
+    # nodes inverts the von Mises-Fisher CDF that the closed-form law
+    # inverts exactly, at the same level
     model = sc.ScatteringModel(POT, coupling=0.5, born_order=1)
-    u = kn._uniforms(15, np.arange(1000), 1, 0)
-    c = model.shell_table([speed]).cosines(np.zeros(1000, dtype=int),
-                                           u[:, 1])
-    exact = kn._born1_directions(np.tile(Y1, (1000, 1)),
-                                 POT.shell_concentration(speed), u[:, 1],
-                                 u[:, 2])[:, 0]
-    assert np.max(np.abs(c - exact)) < 1e-10
+    nodes, _ = sc._polar_rule(3, sc.SPHERE_NODES)
+    closed = model.shell_table([speed])
+    assert isinstance(closed, sc.VonMisesShell)
+    table = sc.ShellTable.from_values(3, closed.rates,
+                                      model.polar_abs2(speed, nodes)[None])
+    rows = np.zeros(1000, dtype=int)
+    u = kn._uniforms(15, np.arange(1000), 1, 0)[:, 1]
+    assert np.max(np.abs(table.cosines(rows, u)
+                         - closed.cosines(rows, u))) < 1e-10
 
 
 @pytest.mark.parametrize("dim, order, coupling",
@@ -387,10 +390,13 @@ def test_shell_directions_in_chains(dim, order, coupling):
         assert stats.kstest(x, law.cdf).pvalue > 0.01
 
 
-@pytest.mark.parametrize("order, coupling", [(2, 0.2), (3, 0.1)])
-def test_block_rates_are_sigma_tot(order, coupling):
-    model = sc.ScatteringModel(POT, coupling=coupling, born_order=order)
+@pytest.mark.parametrize("dim, order, coupling",
+                         [(3, 2, 0.2), (3, 3, 0.1), (3, 1, 0.5), (4, 1, 0.5)],
+                         ids=["2-0.2", "3-0.1", "born1-d3", "born1-d4"])
+def test_block_rates_are_sigma_tot(dim, order, coupling):
+    model = _shell_model(dim, order, coupling)
     y0 = np.array([[0.3, 0.4, 0.0], [0.0, 0.54, 0.72], [1.04, 0.0, 0.78]])
+    y0 = np.hstack([y0, np.full((3, dim - 3), 0.1)])
     block = kn.sample_lb_block(1.0, y0, model, 3, np.arange(3), max_legs=2)
     assert np.array_equal(block.rates, model.sigma_tot_speeds(
         np.linalg.norm(y0, axis=1)))
@@ -459,10 +465,14 @@ def test_philox_matches_numpy(seed):
 
 @pytest.mark.parametrize("kappa", [0.1, 4 * math.pi, 100.0])
 def test_born1_cosine_follows_exact_law(kappa):
+    # the closed-form law, with the azimuths the sampler draws in d = 3
     from scipy import stats
     u = kn._uniforms(11, np.arange(4000), 1, 0)
-    dirs = kn._born1_directions(np.tile(Y1, (4000, 1)), kappa, u[:, 1],
-                                u[:, 2])
+    law = sc.VonMisesShell(np.ones(1), np.array([kappa]))
+    assert law.error == 0
+    c = law.cosines(np.zeros(4000, dtype=int), u[:, 1])[:, None]
+    v = kn._complements(11, np.arange(4000, dtype=np.uint64), 1, u[:, 2], 3)
+    dirs = np.hstack([c, np.sqrt(1 - c * c) * v])
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-14)
 
     def cdf(c):

@@ -157,6 +157,16 @@ def test_joint_histogram_shapes():
     assert float(np.sum(h * areas)) == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("bins", [1, 0, -3])
+def test_bin_counts_below_2_refused(bins):
+    s = la.poisson_reference(1.0, 2000, seed=1)
+    for call in (lambda: la.histogram2d(s, theta_bins=bins),
+                 lambda: la.joint_test(s, theta_bins=bins),
+                 lambda: la.joint_test(s, gap_bins=bins)):
+        with pytest.raises(InvalidInputError, match="must be at least 2"):
+            call()
+
+
 def test_ks_helper_on_known_input():
     rng = np.random.default_rng(2)
     d, p = la.ks_exponential(rng.exponential(1.0, 20000))

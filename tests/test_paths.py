@@ -44,6 +44,16 @@ def test_path_cap():
         gp.enumerate_paths(6, 12, 0, 0, cap=1000)
 
 
+def test_identity_residuals_cap_counts_the_whole_run():
+    # k = 3, n_max = 4: 3 (2 + 4 + 8 + 16) = 90 paths in all, at most 16 in
+    # any one (n, start, end) call
+    w = np.ones((3, 3)) - np.eye(3)
+    graph = gp.WeightedCollisionGraph(w, np.ones(3))
+    assert len(gp.path_sum_identity_residuals(graph, 4, cap=90)) == 36
+    with pytest.raises(CapacityError, match=r"length 1\.\.4 exceed cap 89"):
+        gp.path_sum_identity_residuals(graph, 4, cap=89)
+
+
 # ---------------------------------------------------------------------------
 # partition <-> path bijection
 # ---------------------------------------------------------------------------

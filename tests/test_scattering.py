@@ -240,6 +240,12 @@ def test_sigma_kernel_forward_first_born():
     assert val == pytest.approx(4 * math.pi ** 2 * 0.01, rel=1e-12)
 
 
+def test_sigma_kernel_refuses_zero_direction():
+    m = sc.ScatteringModel(POT, coupling=0.1, born_order=1)
+    with pytest.raises(InvalidInputError, match="non-zero"):
+        m.sigma_kernel(EY, np.zeros(3))
+
+
 def test_sigma_kernel_azimuthal_isotropy():
     m = sc.ScatteringModel(POT, coupling=0.1, born_order=1)
     c = 0.3
