@@ -24,7 +24,6 @@ import time
 import numpy as np
 
 from . import __version__
-from . import acceptance
 from . import gmatrix as gm
 from . import kinetic as kn
 from . import lattice as la
@@ -443,6 +442,8 @@ def _cmd_lattice(args, out_dir):
 
 
 def _cmd_verify(args, out_dir):
+    from . import acceptance
+
     results = []
     print(f"{'#':>2}  {'status':8} {'time':>8}  criterion")
     for fn in acceptance.ALL_CHECKS:

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import CapacityError, InvalidInputError, SingularContourError
 from .paths import (WeightedCollisionGraph, _borel_weights, _layers,
@@ -307,6 +306,9 @@ def _k2_entries(u1, u2, w01, w10):
     J_0 + J_2 = 2 J_1(z)/z; the form is even in z and finite at z = 0, so
     degenerate times need no special case.
     """
+    # imported here: scipy.special is over half of the CLI's start-up
+    from scipy import special
+
     prod = w01 * w10
     z = 2.0 * np.sqrt(-prod * u1 * u2 + 0j)
     j0 = special.jv(0, z)

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import CapacityError, InvalidInputError
 
@@ -181,6 +180,9 @@ def ks_distance(cdf_at_sorted) -> float:
 def ks_exponential(values, mean=1.0):
     """Kolmogorov-Smirnov distance and asymptotic p-value of ``values``
     against the exponential law with the given mean."""
+    # imported here: scipy.special is over half of the CLI's start-up
+    from scipy import special
+
     x = np.sort(np.asarray(values, dtype=float))
     dist = ks_distance(1.0 - np.exp(-x / mean))
     pval = float(special.kolmogorov(math.sqrt(x.size) * dist))
@@ -195,6 +197,8 @@ def _check_bins(**bins):
 
 
 def _chi2_sf(stat, dof) -> float:
+    from scipy import special  # imported here, as in ks_exponential
+
     return float(special.gammaincc(dof / 2.0, stat / 2.0))
 
 

@@ -48,7 +48,6 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import InvalidInputError, TailBoundError
 
@@ -125,6 +124,9 @@ def _polar_rule(d, n):
     Gauss-Legendre."""
     if d == 3:
         return _rule(leggauss, n)
+    # imported here: scipy.special is over half of the CLI's start-up
+    from scipy.special import roots_jacobi
+
     a = (d - 3) / 2.0
     return _rule(roots_jacobi, n, a, a)
 

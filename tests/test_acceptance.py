@@ -177,6 +177,45 @@ def test_criterion_06_optical_theorem():
     assert r.seconds < 10.0
 
 
+def _imag_scaled(scale):
+    def perturb(exact):
+        def born(*args, **kwargs):
+            t = exact(*args, **kwargs)
+            return t.real + 1j * scale * t.imag
+        return born
+    return perturb
+
+
+def _first_multiplicity_plus_one(kind, k):
+    def perturb(exact):
+        def table(kind_, k_, n_max):
+            orders, sizes, counts, mult = exact(kind_, k_, n_max)
+            if (kind_, k_) == (kind, k):
+                mult = mult.copy()  # the exact table is cached
+                mult[0] += 1
+            return orders, sizes, counts, mult
+        return table
+    return perturb
+
+
+# (criterion, module, library function, perturbation): each criterion must
+# fail at its own seed, size and tolerance when the code it guards is wrong
+@pytest.mark.parametrize("check, module, name, perturb", [
+    # Im T2 off by 1e-3 relative; criterion 6 reads it at |y| = 1 only
+    (acc.check_06_optical_theorem, sc, "born_term_2", _imag_scaled(1 + 1e-3)),
+    # one partition miscounted in the lowest order of a partition sum
+    (acc.check_08_combinatorial_vs_analytic, kn, "_comb_table",
+     _first_multiplicity_plus_one("diag", 3)),
+    (acc.check_08_combinatorial_vs_analytic, kn, "_comb_table",
+     _first_multiplicity_plus_one("off", 2)),
+], ids=["06-born_term_2-imag", "08-comb_table-diag-k3",
+        "08-comb_table-off-k2"])
+def test_criterion_fails_on_a_perturbed_library(check, module, name, perturb,
+                                                monkeypatch):
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    assert not _report(check()).passed
+
+
 def test_criterion_07_density_identities_positivity():
     r = _report(acc.check_07_density_identities_positivity())
     assert r.passed
