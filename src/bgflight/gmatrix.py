@@ -56,8 +56,9 @@ SERIES_TOL = 1e-16
 SERIES_ROUNDING_RTOL = 1e-10
 # g_contour refuses a grid (nodes**k points) beyond this many points
 CONTOUR_GRID_CAP = 1 << 26
-# grid points per chunk of the contour pass
-_CONTOUR_CHUNK = 1 << 20
+# grid points per chunk of the contour pass (512 KiB per complex temporary);
+# a chunk is never less than one row of nodes**(k-1) points along axis 0
+_CONTOUR_CHUNK = 1 << 15
 
 
 def bessel_j_quadrature(n: int, z: complex, nodes: int = 512) -> complex:
@@ -225,21 +226,26 @@ def _on_grid(coef, axes):
 def _moments(t, vecs):
     """sum over the grid of t * prod_i vecs[i][b_i] for every b in {0, 1}^m,
     flattened with b_0 most significant; ``vecs[i]`` has shape (2, len of
-    axis i of t).  Plain ufunc reductions: a BLAS contraction pays thread
-    wake-ups that cost more than the sum itself on these grid sizes."""
-    r = t[..., None]
+    axis i of t).  One einsum per axis, last axis first, each contracting
+    that axis against its two vectors and putting the new index in front;
+    no temporary is larger than t.  The contour pass calls it once per
+    chunk of _CONTOUR_CHUNK grid points (at least one row of nodes^(k-1)),
+    so its memory is O(nodes^(k-1)), not the grid's.  Without ``optimize``
+    einsum calls no BLAS: a BLAS contraction pays thread wake-ups that cost
+    more than the sum itself on these sizes."""
+    r = t
     for v in reversed(vecs):
-        r = (np.swapaxes(r, -1, -2)[..., None, :, :] * v[:, None, :]).sum(
-            axis=-1)
-        r = r.reshape(r.shape[:-2] + (-1,))
-    return r
+        r = np.einsum("...j,bj->b...", r, v)
+    return r.reshape(-1)
 
 
 def _contour_sum(times, radius, nodes, det_c, adj_c):
     """Trapezoid sum of (D(z) - W)^{-1} exp(u . z) over the product of
     circles, as sum_S m_S adj_S with the moments m_S of s/det against
-    prod_{i in S} z_i taken in one pass over the grid, in chunks along
-    axis 0 with det = c0 + z_0 c1."""
+    prod_{i in S} z_i taken in one pass over the grid, in chunks of rows
+    along axis 0 with det = c0 + z_0 c1; the singular guard compares
+    |det|^2 with the squared floor, the same test without the hypot of
+    np.abs."""
     k, n = len(times), nodes
     z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     # per-axis trapezoid factor (z/n) exp(u z)
@@ -247,13 +253,13 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
     vecs = np.stack([s, s * z], axis=1)
     c0, c1 = _on_grid(det_c[0], z[1:]), _on_grid(det_c[1], z[1:])
     z0 = z[0].reshape((-1,) + (1,) * (k - 1))
-    floor = 1e-12 * float(np.prod(radius))
+    floor2 = (1e-12 * float(np.prod(radius))) ** 2
     m = np.zeros(2 ** k, dtype=complex)
     step = max(1, _CONTOUR_CHUNK // n ** (k - 1))
     for start in range(0, n, step):
         sl = slice(start, start + step)
         det = c0 + z0[sl] * c1
-        if np.abs(det).min() < floor:
+        if (det.real ** 2 + det.imag ** 2).min() < floor2:
             raise SingularContourError(
                 "near-singular matrix on the contour; increase the radius")
         m += _moments(1 / det, [vecs[0][:, sl], *vecs[1:]])

@@ -198,9 +198,41 @@ def _first_multiplicity_plus_one(kind, k):
     return perturb
 
 
+def _lowest_borel_weight_scaled(scale):
+    def perturb(exact):
+        def weights(table):
+            out = exact(table)
+            k, degree = table.shape[-2], table.shape[-1] - 1
+            if degree == k:
+                # the one monomial (1, ..., 1) of the lowest layer of G
+                out = out.copy()
+                out[..., (gp._monomials(k, k) == 1).all(axis=1)] *= scale
+            return out
+        return weights
+    return perturb
+
+
+def _first_moment_scaled(scale):
+    def perturb(exact):
+        def moments(t, vecs):
+            m = exact(t, vecs).copy()
+            m[0] *= scale
+            return m
+        return moments
+    return perturb
+
+
 # (criterion, module, library function, perturbation): each criterion must
 # fail at its own seed, size and tolerance when the code it guards is wrong
 @pytest.mark.parametrize("check, module, name, perturb", [
+    # one factorial-transform value that the series sums G with, off by
+    # 1e-7 relative; criterion 3 checks the transform of the paths module
+    (acc.check_02_three_way_agreement, gm, "_borel_weights",
+     _lowest_borel_weight_scaled(1 + 1e-7)),
+    # the moment of the empty axis set, which the contour weighs with
+    # adj(-W), off by 1e-8 relative
+    (acc.check_02_three_way_agreement, gm, "_moments",
+     _first_moment_scaled(1 + 1e-8)),
     # Im T2 off by 1e-3 relative; criterion 6 reads it at |y| = 1 only
     (acc.check_06_optical_theorem, sc, "born_term_2", _imag_scaled(1 + 1e-3)),
     # one partition miscounted in the lowest order of a partition sum
@@ -208,7 +240,8 @@ def _first_multiplicity_plus_one(kind, k):
      _first_multiplicity_plus_one("diag", 3)),
     (acc.check_08_combinatorial_vs_analytic, kn, "_comb_table",
      _first_multiplicity_plus_one("off", 2)),
-], ids=["06-born_term_2-imag", "08-comb_table-diag-k3",
+], ids=["02-borel_weights-degree-k", "02-moments-empty-set",
+        "06-born_term_2-imag", "08-comb_table-diag-k3",
         "08-comb_table-off-k2"])
 def test_criterion_fails_on_a_perturbed_library(check, module, name, perturb,
                                                 monkeypatch):

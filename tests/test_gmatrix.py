@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -147,6 +148,80 @@ def test_contour_singular_guard():
             warnings.simplefilter("error")
             with pytest.raises(SingularContourError):
                 gm._contour_sum(g.times, np.ones(k), nodes, *coef)
+
+
+def test_contour_singular_guard_past_the_first_chunk():
+    # k = 3 with w01 w12 w20 = 1/2 and w12 w21 = 3/2: det(diag(z) - W) =
+    # z0 (z1 z2 - 3/2) - 1/2 vanishes on the unit circles only where
+    # z0 = -1, in row n/2 of axis 0; with chunks of two rows that row is
+    # in the fifth chunk, and the guard must still stop the pass there
+    nodes = 16
+    w = np.zeros((3, 3), dtype=complex)
+    w[0, 1], w[1, 2], w[2, 0], w[2, 1] = 1 / 3, 1.5, 1.0, 1.0
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    grid = np.stack(np.meshgrid(z, z, z, indexing="ij"), axis=-1)
+    det = np.linalg.det(np.eye(3) * grid[..., None, :] - w)
+    assert np.array_equal(np.unique(np.nonzero(np.abs(det) < 1e-12)[0]),
+                          [nodes // 2])
+    g = WeightedCollisionGraph(w, np.ones(3))
+    coef = gm._contour_coefficients(g.weights)
+    for chunk in (2 * nodes ** 2, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gm, "_CONTOUR_CHUNK", chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularContourError):
+                    gm._contour_sum(g.times, np.ones(3), nodes, *coef)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_contour_sum_independent_of_chunking(k, monkeypatch):
+    # a step of 3 rows, which does not divide 16 nodes, and a chunk smaller
+    # than one row of 16^(k - 1) points (step 1) against one whole-grid pass
+    nodes = 16
+    g = rand_graph(k, umax=0.6, seed=40 + k, wscale=0.5)
+    radius = np.full(k, 1.0 + 1.1 * g.r0)
+    coef = gm._contour_coefficients(g.weights)
+    out = {}
+    for chunk in (nodes ** k, 3 * nodes ** (k - 1), nodes ** (k - 1) - 1):
+        monkeypatch.setattr(gm, "_CONTOUR_CHUNK", chunk)
+        out[chunk] = gm._contour_sum(g.times, radius, nodes, *coef)
+    whole = out.pop(nodes ** k)
+    for value in out.values():
+        assert np.max(np.abs(value - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 5, 3), (3, 2, 4, 5)])
+def test_moments_match_the_grid_sum(shape):
+    # every moment against the explicit sum over the grid, b_0 the most
+    # significant bit of its flat index
+    r = np.random.default_rng(len(shape))
+    t = r.normal(size=shape) + 1j * r.normal(size=shape)
+    vecs = [r.normal(size=(2, n)) + 1j * r.normal(size=(2, n))
+            for n in shape]
+    got = gm._moments(t, vecs)
+    assert got.shape == (2 ** len(shape),)
+    for flat, bits in enumerate(np.ndindex(*(2,) * len(shape))):
+        expected = 0j
+        for idx in np.ndindex(*shape):
+            expected += t[idx] * math.prod(
+                v[b, i] for v, b, i in zip(vecs, bits, idx))
+        assert got[flat] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_contour_memory_is_bounded_by_a_chunk():
+    # k = 4 at 32 nodes, error run included: the pass holds O(nodes^(k-1))
+    # points at a time, not the whole grid
+    g = rand_graph(4, umax=0.6, seed=3, wscale=0.5)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        gm.g_contour(g, nodes=32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_contour_error_estimate_reported():
