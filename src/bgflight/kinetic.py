@@ -331,6 +331,9 @@ def rho_combinatorial(kind, u, tvals, sigma_tots, speed, d, n_max=20,
 # ---------------------------------------------------------------------------
 
 def _sphere_grid(n_polar, n_azimuth):
+    """Unit directions (n_polar, n_azimuth, 3) and weights (n_polar,
+    n_azimuth) of a product rule on S^2: Gauss-Legendre in the cosine of
+    the angle to e1, equal azimuths around it, one ring per polar node."""
     cn, cw = np.polynomial.legendre.leggauss(n_polar)
     phi = 2 * math.pi * np.arange(n_azimuth) / n_azimuth
     cth = np.repeat(cn, n_azimuth)
@@ -338,7 +341,8 @@ def _sphere_grid(n_polar, n_azimuth):
     ph = np.tile(phi, n_polar)
     dirs = np.stack([cth, sth * np.cos(ph), sth * np.sin(ph)], axis=-1)
     weights = np.repeat(cw, n_azimuth) * (2 * math.pi / n_azimuth)
-    return dirs, weights
+    return (dirs.reshape(n_polar, n_azimuth, 3),
+            weights.reshape(n_polar, n_azimuth))
 
 
 def f_term(series, k, t, x, y, a: GaussianSymbol, model: ScatteringModel,
@@ -374,17 +378,24 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
              time_rule) -> float:
     """Two-leg term ending at momentum y (d = 3): integral over the partner
     momentum p on the shell sphere of |y| (``sphere_rule`` = directions and
-    weights) and over the first flight time u1 in [0, t] (``time_rule`` =
-    Gauss-Legendre nodes and weights on [-1, 1]; the second flight is
-    t - u1), weighting ``observable(shift, y_a)``.  ``shift`` =
-    u1 y + u2 p is the free-flight displacement and ``y_a`` the momentum the
-    observable is read at, both vectorised over (u1 node, partner).
+    weights of _sphere_grid, whose rings are turned from e1 onto y) and over
+    the first flight time u1 in [0, t] (``time_rule`` = Gauss-Legendre nodes
+    and weights on [-1, 1]; the second flight is t - u1), weighting
+    ``observable(shift, y_a)``.  ``shift`` = u1 y + u2 p is the free-flight
+    displacement and ``y_a`` the momentum the observable is read at, both
+    vectorised over (u1 node, partner).
+
+    On shell T(y, p) depends on |y| and the cosine of (y, p) only, and each
+    ring of the sphere rule shares that cosine, so T is evaluated at the
+    first partner of each ring and repeated over its azimuths.
     """
     dirs, dw = sphere_rule
+    azimuths = dirs.shape[1]
+    dirs, dw = dirs.reshape(-1, 3), dw.ravel()
     un, uw = time_rule
     speed = float(np.linalg.norm(y))
     partners = speed * _from_axis(y / speed, dirs)
-    tv = model.t_matrix_batch(y, partners)
+    tv = np.repeat(model.t_matrix_batch(y, partners[::azimuths]), azimuths)
     u1 = 0.5 * t * (un[:, None] + 1.0)
     u2 = t - u1
     shift = u1[..., None] * y + u2[..., None] * partners

@@ -26,6 +26,16 @@ through a branch-safe product form).  Gauss-Legendre panels cover the real
 segment and scaled Gauss-Laguerre nodes the ray.  Orders n <= 3 are
 supported.
 
+T_3 sums over the tensor grid of two theta contours.  Its summand at nodes
+(i, j) differs from the one at (j, i) only by the sign of a term
+(|y'|^2 - |y|^2)/2 (alpha_i - alpha_j) pi s^4/det, alpha = 2 s^2 + i theta,
+which is at most (2 pi s^2/3) ||y'|^2 - |y|^2| in modulus since |alpha| >=
+2 s^2 on the contour.  For a partner within FOLD_TOL = 1e-8 of the energy
+shell by that bound, born_term_3 sums the upper triangle i <= j, the pairs
+off the diagonal twice, and drops less than 5e-17 of each pair's modulus;
+other partners keep the whole grid.  Contours whose folded grid exceeds
+T3_GRID_CAP points are refused with a CapacityError.
+
 The on-shell collision kernel uses the energy-shell convention
 
     int delta(||y||^2/2 - ||y'||^2/2) f(y') dy'
@@ -49,7 +59,7 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InvalidInputError, TailBoundError
+from .errors import CapacityError, InvalidInputError, TailBoundError
 
 MAX_BORN_ORDER = 3
 
@@ -103,6 +113,12 @@ SPHERE_NODES = 64
 SHELL_GRID = 2 * SPHERE_NODES
 SHELL_STEPS = 64
 _SHELL_ANGLES = np.linspace(0.0, math.pi, SHELL_GRID + 1)
+# born_term_3 folds its node grid onto the triangle i <= j for a partner p
+# with (2 pi s^2/3) | |p|^2 - |y|^2 | at most this, and refuses a contour
+# whose folded grid has more points than T3_GRID_CAP (on shell at s = 1,
+# |y| up to about 4.7 passes)
+FOLD_TOL = 1e-8
+T3_GRID_CAP = 1 << 19
 
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -144,6 +160,16 @@ def _panels(beta, end, panels):
     return nodes.astype(complex), weights
 
 
+def _contour_panels(c, gamma, s):
+    """The anchor of _theta_contour and the number of Gauss-Legendre panels
+    on [0, anchor]: one per unit of anchor (c + 2 |gamma|)/2, plus two, and
+    at least four.  The contour has PANEL_NODES per panel + LEG_NODES
+    nodes."""
+    anchor = max(4.0, 2.0 * s * s)
+    periods = anchor * (c + 2 * abs(gamma)) / 2.0
+    return anchor, max(4, int(math.ceil(periods)) + 2)
+
+
 def _theta_contour(c, gamma, s):
     """Complex nodes and weights approximating int_0^inf f(theta)
     exp(beta theta) dtheta for f analytic past the anchor, where
@@ -170,10 +196,8 @@ def _theta_contour(c, gamma, s):
         raise TailBoundError(
             f"theta phase decays at rate |beta| = {rate:.2e} <= 1e-4 "
             "(on shell this needs a non-zero incident momentum)")
-    anchor = max(4.0, 2.0 * s * s)
-    periods = anchor * (c + 2 * abs(gamma)) / 2.0
-    nodes, weights = _panels(beta, anchor,
-                             max(4, int(math.ceil(periods)) + 2))
+    anchor, panels = _contour_panels(c, gamma, s)
+    nodes, weights = _panels(beta, anchor, panels)
     direction = -beta.conjugate() / rate
     lx, lw = _rule(laggauss, LEG_NODES)
     tau = lx / rate
@@ -240,31 +264,76 @@ def born_term_2(pot: GaussianPotential, y0, y2, gamma=0.0):
         -2j * math.pi)
 
 
+def _t3_grid(pot: GaussianPotential, nodes, weights, i, j):
+    """alpha_i, alpha_j (alpha = 2 s^2 + i theta), inv = pi s^4/det and the
+    prefactor w_i w_j A^3 s^(3d) det^(-d/2) of T_3 at the node pairs given
+    by the index arrays i and j (broadcast), det = alpha_i alpha_j - s^4."""
+    a, s, d = pot.amplitude, pot.width, pot.dim
+    alpha = 2 * s * s + 1j * nodes
+    a1, a2 = alpha[i], alpha[j]
+    # det^(-d/2) = a1^(-d/2) a2^(-d/2) (1 - s^4/(a1 a2))^(-d/2), each factor
+    # staying clear of the principal branch cut on the contour
+    power = alpha ** (-d / 2.0)
+    det_pow = power[i] * power[j] * (1.0 - s ** 4 / (a1 * a2)) ** (-d / 2.0)
+    inv = math.pi * s ** 4 / (a1 * a2 - s ** 4)
+    prefactor = weights[i] * weights[j] * a ** 3 * s ** (3 * d) * det_pow
+    return a1, a2, inv, prefactor
+
+
 def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0):
     """Third Born iterate: tensor product of two theta contours; the
     inner double momentum integral closes through a 2x2 Gaussian block whose
     determinant power is taken in the branch-safe product form.  ``y3`` is
     one momentum or partners (n, d), as for born_term_2; the node-grid
-    factors are computed once per call."""
+    factors are computed once per call.
+
+    With alpha_i = 2 s^2 + i theta_i, c = |y0|^2 and n = |p|^2, the summand
+    at nodes (i, j) is P_ij exp(S_ij + D_ij), where the prefactor P, S =
+    (c + n) (1/2 (alpha_i + alpha_j) inv - pi s^2) + (y0.p) 2 s^2 inv and
+    inv = pi s^4/(alpha_i alpha_j - s^4) are symmetric in (i, j) and D_ij =
+    1/2 (n - c) (alpha_i - alpha_j) inv is antisymmetric.  A partner with
+    (2 pi s^2/3) |n - c| <= FOLD_TOL (on the energy shell of y0) is summed
+    over the upper triangle i <= j of the grid, the pairs off the diagonal
+    twice, with D dropped: since |alpha| >= 2 s^2 on the contour, |D| is at
+    most that bound, and each pair loses cosh(D) - 1 <= 5e-17 of its
+    modulus.  Every other partner is summed over the whole grid.  The
+    choice is made per partner, so a partner's value does not depend on
+    the batch it is in.  A contour whose folded grid exceeds T3_GRID_CAP
+    points is refused with a CapacityError before the grid is built."""
     y0 = np.asarray(y0, dtype=float)
-    a, s, d = pot.amplitude, pot.width, pot.dim
+    s = pot.width
     c = float(y0 @ y0)
+    size = PANEL_NODES * _contour_panels(c, gamma, s)[1] + LEG_NODES
+    if size * (size + 1) // 2 > T3_GRID_CAP:
+        raise CapacityError(
+            f"T3 grid of {size * (size + 1) // 2} folded points at "
+            f"|y| = {math.sqrt(c):.3g} exceeds the cap of {T3_GRID_CAP}")
     nodes, weights = _theta_contour(c, gamma, s)
-    a1 = (2 * s * s + 1j * nodes)[:, None]
-    a2 = (2 * s * s + 1j * nodes)[None, :]
-    det = a1 * a2 - s ** 4
-    # det^(-d/2) = a1^(-d/2) a2^(-d/2) (1 - s^4/(a1 a2))^(-d/2), each factor
-    # staying clear of the principal branch cut on the contour
-    det_pow = (a1 ** (-d / 2.0) * a2 ** (-d / 2.0)
-               * (1.0 - s ** 4 / (a1 * a2)) ** (-d / 2.0))
-    # exponent -pi s^2 (|y0|^2 + |y3|^2)
-    #          + pi s^4 (a2 |y0|^2 + 2 s^2 y0.y3 + a1 |y3|^2) / det
-    inv = math.pi * s ** 4 / det
-    prefactor = np.outer(weights, weights) * a ** 3 * s ** (3 * d) * det_pow
-    return _gauss_reduced_sum(
-        y0, y3, prefactor.ravel(), (c * (a2 * inv - math.pi * s * s)).ravel(),
-        (2 * s * s * inv).ravel(), (a1 * inv - math.pi * s * s).ravel(),
-        (-2j * math.pi) ** 2)
+    p = np.asarray(y3, dtype=float)
+    rows = np.atleast_2d(p)
+    fold = (2 * math.pi * s * s / 3) * np.abs(
+        np.einsum("ij,ij->i", rows, rows) - c) <= FOLD_TOL
+    out = np.empty(len(rows), dtype=complex)
+    if fold.any():
+        # the upper triangle, the pairs off the diagonal twice
+        i, j = np.triu_indices(len(nodes))
+        a1, a2, inv, prefactor = _t3_grid(pot, nodes, weights, i, j)
+        prefactor[i != j] *= 2
+        z0 = 0.5 * (a1 + a2) * inv - math.pi * s * s
+        out[fold] = _gauss_reduced_sum(y0, rows[fold], prefactor, c * z0,
+                                       2 * s * s * inv, z0,
+                                       (-2j * math.pi) ** 2)
+    if not fold.all():
+        i = np.arange(len(nodes))
+        a1, a2, inv, prefactor = _t3_grid(pot, nodes, weights, i[:, None], i)
+        # exponent -pi s^2 (|y0|^2 + |y3|^2)
+        #          + pi s^4 (a2 |y0|^2 + 2 s^2 y0.y3 + a1 |y3|^2) / det
+        out[~fold] = _gauss_reduced_sum(
+            y0, rows[~fold], prefactor.ravel(),
+            (c * (a2 * inv - math.pi * s * s)).ravel(),
+            (2 * s * s * inv).ravel(), (a1 * inv - math.pi * s * s).ravel(),
+            (-2j * math.pi) ** 2)
+    return complex(out[0]) if p.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

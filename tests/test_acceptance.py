@@ -222,6 +222,24 @@ def _first_moment_scaled(scale):
     return perturb
 
 
+def _rates_scaled(scale):
+    def perturb(exact):
+        def table(model, speeds):
+            shell = exact(model, speeds)
+            return dataclasses.replace(shell, rates=shell.rates * scale)
+        return table
+    return perturb
+
+
+def _weights_scaled(scale):
+    def perturb(exact):
+        def weights(*args):
+            w, shares, tails = exact(*args)
+            return w * scale, shares, tails
+        return weights
+    return perturb
+
+
 # (criterion, module, library function, perturbation): each criterion must
 # fail at its own seed, size and tolerance when the code it guards is wrong
 @pytest.mark.parametrize("check, module, name, perturb", [
@@ -240,9 +258,17 @@ def _first_moment_scaled(scale):
      _first_multiplicity_plus_one("diag", 3)),
     (acc.check_08_combinatorial_vs_analytic, kn, "_comb_table",
      _first_multiplicity_plus_one("off", 2)),
+    # the collision rate the chains draw their flight times at, 5% high;
+    # the criterion's reference rate is sigma_tot
+    (acc.check_09_sampler_calibration, sc.ScatteringModel, "shell_table",
+     _rates_scaled(1.05)),
+    # the limit-process weights of the two-leg chains, 20% high
+    (acc.check_11_estimator_consistency, kn, "_new_weights",
+     _weights_scaled(1.2)),
 ], ids=["02-borel_weights-degree-k", "02-moments-empty-set",
         "06-born_term_2-imag", "08-comb_table-diag-k3",
-        "08-comb_table-off-k2"])
+        "08-comb_table-off-k2", "09-shell_table-rates",
+        "11-new_weights-scale"])
 def test_criterion_fails_on_a_perturbed_library(check, module, name, perturb,
                                                 monkeypatch):
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))

@@ -220,6 +220,17 @@ def test_gmatrix_k2_beyond_former_series_cap(tmp_path):
     assert g[0, 0] == pytest.approx(-bessel_j_quadrature(1, 40.0), abs=1e-13)
 
 
+def test_scatter_born3_beyond_grid_cap_exits_4(tmp_path, capsys):
+    # the T3 grid at |y| = 10 is refused before any grid is built
+    cfg = write(tmp_path / "c.json", {"op": "sigma", "coupling": 0.1,
+                                      "born_order": 3, "y": [10.0, 0, 0]})
+    started = time.perf_counter()
+    assert main(["scatter", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 4
+    assert time.perf_counter() - started < 5.0
+    assert "resource cap" in capsys.readouterr().err
+
+
 def test_gmatrix_k4_default_nodes_exceeds_grid_cap(tmp_path, capsys):
     # 256^4 grid points: refused before any grid is built
     cfg = write(tmp_path / "c.json", {

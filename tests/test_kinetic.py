@@ -241,6 +241,33 @@ def test_f_term_scaling_in_coupling():
     assert f1 == pytest.approx(float(A_SYM.value(x - t * Y1, Y1)), rel=1e-3)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("series", ["lb", "new"])
+def test_k2_term_takes_t_once_per_ring(series, order, monkeypatch):
+    # T at the first partner of each polar ring, repeated over its azimuths,
+    # against T at every partner (the same rule, one direction per ring)
+    model = sc.ScatteringModel(POT, coupling=0.3, born_order=order)
+    y = np.array([0.6, -0.5, 0.3])
+    dirs, weights = kn._sphere_grid(5, 6)
+    time_rule = np.polynomial.legendre.leggauss(6)
+
+    def term(rule):
+        return kn._k2_term(series, 0.8, y, model,
+                           lambda shift, y_a: B_SYM.value(shift, y_a), rule,
+                           time_rule)
+
+    batches = []
+    exact = model.t_matrix_batch
+    monkeypatch.setattr(sc.ScatteringModel, "t_matrix_batch",
+                        lambda self, y, p: batches.append(len(p))
+                        or exact(y, p))
+    rings = term((dirs, weights))
+    every = term((dirs.reshape(-1, 1, 3), weights.reshape(-1, 1)))
+    # the other batches are sigma_tot's polar nodes
+    assert [n for n in batches if n != sc.SPHERE_NODES] == [5, 30]
+    assert rings == pytest.approx(every, rel=1e-13)
+
+
 def test_f_term_rejects_high_k():
     with pytest.raises(InvalidInputError):
         kn.f_term("lb", 3, 1.0, np.zeros(3), Y1, A_SYM, MODEL)

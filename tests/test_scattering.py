@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import ive
 
 from bgflight import scattering as sc
-from bgflight.errors import InvalidInputError, TailBoundError
+from bgflight.errors import CapacityError, InvalidInputError, TailBoundError
 
 POT = sc.GaussianPotential()
 EY = np.array([1.0, 0.0, 0.0])
@@ -163,6 +163,90 @@ def test_t3_unitarity_cross_term():
 def _on_shell(rng, speed, n):
     p = rng.normal(size=(n, 3))
     return speed * p / np.linalg.norm(p, axis=1)[:, None]
+
+
+def _grid_sizes(monkeypatch):
+    """Record the grid size of every _gauss_reduced_sum call."""
+    sizes = []
+    exact = sc._gauss_reduced_sum
+
+    def recorded(y0, partners, prefactor, *args):
+        sizes.append(len(prefactor))
+        return exact(y0, partners, prefactor, *args)
+
+    monkeypatch.setattr(sc, "_gauss_reduced_sum", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("speed", [0.3, 0.8, 1.4, 2.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.3 + 0.1j])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_t3_fold_matches_full_grid(monkeypatch, dim, gamma, speed):
+    # on-shell partners summed over the upper triangle of the node grid
+    # against the whole grid (no partner folds at a negative tolerance)
+    rng = np.random.default_rng(dim + int(10 * speed))
+    pot = sc.GaussianPotential(0.7, 1.1, dim)
+    y = rng.normal(size=dim)
+    y *= speed / np.linalg.norm(y)
+    partners = rng.normal(size=(9, dim))
+    partners *= speed / np.linalg.norm(partners, axis=1)[:, None]
+    partners[0] = y
+    partners[1] = -y
+    sizes = _grid_sizes(monkeypatch)
+    folded = sc.born_term_3(pot, y, partners, gamma)
+    monkeypatch.setattr(sc, "FOLD_TOL", -1.0)
+    full = sc.born_term_3(pot, y, partners, gamma)
+    m = round(math.sqrt(sizes[1]))
+    assert sizes == [m * (m + 1) // 2, m * m]
+    np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0)
+
+
+def test_t3_batch_mixes_folded_and_full_partners(monkeypatch):
+    # on shell, just inside and just outside the fold rule, and off shell:
+    # the batch equals the one-partner calls bit for bit
+    rng = np.random.default_rng(22)
+    pot = sc.GaussianPotential(1.0, 1.2, 3)
+    y = _on_shell(rng, 1.1, 1)[0]
+    c = float(y @ y)
+    step = sc.FOLD_TOL / (2 * math.pi * pot.width ** 2 / 3)
+    norms = [c, c + 0.9 * step, c - 0.9 * step, c + 1.1 * step,
+             c - 1.1 * step, 0.7 * c, 1.5 * c]
+    partners = np.concatenate([_on_shell(rng, math.sqrt(n), 1)
+                               for n in norms])
+    partners = np.concatenate([partners, partners[::-1]])
+    gap = (2 * math.pi * pot.width ** 2 / 3) * np.abs(
+        np.einsum("ij,ij->i", partners, partners) - c)
+    folds = gap <= sc.FOLD_TOL
+    assert folds.tolist() == [True] * 3 + [False] * 8 + [True] * 3
+    for gamma in (0.0, 0.4):
+        sizes = _grid_sizes(monkeypatch)
+        batch = sc.born_term_3(pot, y, partners, gamma)
+        m = round(math.sqrt(sizes[1]))
+        assert sizes == [m * (m + 1) // 2, m * m]
+        rows = np.array([sc.born_term_3(pot, y, p, gamma) for p in partners])
+        np.testing.assert_array_equal(batch, rows)
+        # the folded near-shell partners keep the whole grid's value
+        monkeypatch.setattr(sc, "FOLD_TOL", -1.0)
+        np.testing.assert_allclose(batch[folds],
+                                   sc.born_term_3(pot, y, partners[folds],
+                                                  gamma), rtol=1e-14, atol=0)
+        monkeypatch.undo()
+
+
+def test_t3_grid_cap_is_checked_before_the_contour(monkeypatch):
+    # the folded grid at |y| = 10 (4104 nodes, 8.4e6 points) is refused
+    # before the contour is built; at |y| = 3 the check lets it through
+    class Built(Exception):
+        pass
+
+    def contour(*args):
+        raise Built
+
+    monkeypatch.setattr(sc, "_theta_contour", contour)
+    with pytest.raises(CapacityError, match="exceeds the cap"):
+        sc.born_term_3(POT, 10.0 * EY, 10.0 * EY)
+    with pytest.raises(Built):
+        sc.born_term_3(POT, 3.0 * EY, 3.0 * EY)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
