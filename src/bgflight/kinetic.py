@@ -386,8 +386,9 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
     vectorised over (u1 node, partner).
 
     On shell T(y, p) depends on |y| and the cosine of (y, p) only, and each
-    ring of the sphere rule shares that cosine, so T is evaluated at the
-    first partner of each ring and repeated over its azimuths.
+    ring of the sphere rule shares that cosine, so T, and with it the k = 2
+    entries of ``new``, is taken at the first partner of each ring and
+    repeated over its azimuths.
     """
     dirs, dw = sphere_rule
     azimuths = dirs.shape[1]
@@ -395,12 +396,13 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
     un, uw = time_rule
     speed = float(np.linalg.norm(y))
     partners = speed * _from_axis(y / speed, dirs)
-    tv = np.repeat(model.t_matrix_batch(y, partners[::azimuths]), azimuths)
+    ring_t = model.t_matrix_batch(y, partners[::azimuths])
     u1 = 0.5 * t * (un[:, None] + 1.0)
     u2 = t - u1
     shift = u1[..., None] * y + u2[..., None] * partners
     shell = speed ** (model.dim - 2)
     if series == "lb":
+        tv = np.repeat(ring_t, azimuths)
         dens = 4 * math.pi ** 2 * np.abs(tv) ** 2 * shell
         inner = dens * observable(shift, partners)
     else:
@@ -408,8 +410,9 @@ def _k2_term(series, t, y, model: ScatteringModel, observable, sphere_rule,
         # time swap (g_11(u1,u2; p,y) = g_00(u2,u1; y,p) and likewise
         # 10 <-> 01), cancelling the 1/2! factor: two terms remain.  On
         # shell T(p, y) = T(y, p), so one batch gives both edge weights.
-        w = -2j * math.pi * tv
-        g00, g01, _, _ = gm._k2_entries(u1, u2, w, w)
+        w = -2j * math.pi * ring_t
+        g00, g01 = (np.repeat(g, azimuths, axis=1)
+                    for g in gm._k2_entries(u1, u2, w, w)[:2])
         inner = (np.abs(g00) ** 2 * observable(shift, y)
                  + np.abs(g01) ** 2 * observable(shift, partners)) * shell
     # equal speeds: survival depends on t only

@@ -28,13 +28,15 @@ supported.
 
 T_3 sums over the tensor grid of two theta contours.  Its summand at nodes
 (i, j) differs from the one at (j, i) only by the sign of a term
-(|y'|^2 - |y|^2)/2 (alpha_i - alpha_j) pi s^4/det, alpha = 2 s^2 + i theta,
-which is at most (2 pi s^2/3) ||y'|^2 - |y|^2| in modulus since |alpha| >=
-2 s^2 on the contour.  For a partner within FOLD_TOL = 1e-8 of the energy
-shell by that bound, born_term_3 sums the upper triangle i <= j, the pairs
-off the diagonal twice, and drops less than 5e-17 of each pair's modulus;
-other partners keep the whole grid.  Contours whose folded grid exceeds
-T3_GRID_CAP points are refused with a CapacityError.
+D = (|y'|^2 - |y|^2)/2 (alpha_i - alpha_j) pi s^4/det, alpha = 2 s^2 + i
+theta, which is at most (2 pi s^2/3) ||y'|^2 - |y|^2| in modulus since
+|alpha| >= 2 s^2 on the contour.  So born_term_3 sums the upper triangle
+i <= j for every partner, each pair off the diagonal standing for both of
+its orders.  A partner within FOLD_TOL = 1e-8 of the energy shell by that
+bound takes one sum with D dropped, which loses less than 5e-17 of each
+pair's modulus; any other partner takes two sums, with +D and with -D, at
+half weight.  Contours whose triangle exceeds T3_GRID_CAP points are
+refused with a CapacityError.
 
 The on-shell collision kernel uses the energy-shell convention
 
@@ -113,23 +115,19 @@ SPHERE_NODES = 64
 SHELL_GRID = 2 * SPHERE_NODES
 SHELL_STEPS = 64
 _SHELL_ANGLES = np.linspace(0.0, math.pi, SHELL_GRID + 1)
-# born_term_3 folds its node grid onto the triangle i <= j for a partner p
+# born_term_3 drops the antisymmetric part of its exponent for a partner p
 # with (2 pi s^2/3) | |p|^2 - |y|^2 | at most this, and refuses a contour
-# whose folded grid has more points than T3_GRID_CAP (on shell at s = 1,
-# |y| up to about 4.7 passes)
+# whose triangle i <= j of the node grid has more points than T3_GRID_CAP
+# (on shell at s = 1, |y| up to about 4.7 passes)
 FOLD_TOL = 1e-8
 T3_GRID_CAP = 1 << 19
 
-_RULE_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-
+@lru_cache(maxsize=32)
 def _rule(gauss, n, *params):
     """Nodes and weights of the Gauss rule ``gauss(n, *params)`` (leggauss,
-    laggauss or roots_jacobi), computed once per process."""
-    key = (gauss, n) + params
-    if key not in _RULE_CACHE:
-        _RULE_CACHE[key] = gauss(n, *params)
-    return _RULE_CACHE[key]
+    laggauss or roots_jacobi), kept for the 32 rules used last."""
+    return gauss(n, *params)
 
 
 def _polar_rule(d, n):
@@ -264,22 +262,6 @@ def born_term_2(pot: GaussianPotential, y0, y2, gamma=0.0):
         -2j * math.pi)
 
 
-def _t3_grid(pot: GaussianPotential, nodes, weights, i, j):
-    """alpha_i, alpha_j (alpha = 2 s^2 + i theta), inv = pi s^4/det and the
-    prefactor w_i w_j A^3 s^(3d) det^(-d/2) of T_3 at the node pairs given
-    by the index arrays i and j (broadcast), det = alpha_i alpha_j - s^4."""
-    a, s, d = pot.amplitude, pot.width, pot.dim
-    alpha = 2 * s * s + 1j * nodes
-    a1, a2 = alpha[i], alpha[j]
-    # det^(-d/2) = a1^(-d/2) a2^(-d/2) (1 - s^4/(a1 a2))^(-d/2), each factor
-    # staying clear of the principal branch cut on the contour
-    power = alpha ** (-d / 2.0)
-    det_pow = power[i] * power[j] * (1.0 - s ** 4 / (a1 * a2)) ** (-d / 2.0)
-    inv = math.pi * s ** 4 / (a1 * a2 - s ** 4)
-    prefactor = weights[i] * weights[j] * a ** 3 * s ** (3 * d) * det_pow
-    return a1, a2, inv, prefactor
-
-
 def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0):
     """Third Born iterate: tensor product of two theta contours; the
     inner double momentum integral closes through a 2x2 Gaussian block whose
@@ -291,48 +273,60 @@ def born_term_3(pot: GaussianPotential, y0, y3, gamma=0.0):
     at nodes (i, j) is P_ij exp(S_ij + D_ij), where the prefactor P, S =
     (c + n) (1/2 (alpha_i + alpha_j) inv - pi s^2) + (y0.p) 2 s^2 inv and
     inv = pi s^4/(alpha_i alpha_j - s^4) are symmetric in (i, j) and D_ij =
-    1/2 (n - c) (alpha_i - alpha_j) inv is antisymmetric.  A partner with
-    (2 pi s^2/3) |n - c| <= FOLD_TOL (on the energy shell of y0) is summed
-    over the upper triangle i <= j of the grid, the pairs off the diagonal
-    twice, with D dropped: since |alpha| >= 2 s^2 on the contour, |D| is at
-    most that bound, and each pair loses cosh(D) - 1 <= 5e-17 of its
-    modulus.  Every other partner is summed over the whole grid.  The
-    choice is made per partner, so a partner's value does not depend on
-    the batch it is in.  A contour whose folded grid exceeds T3_GRID_CAP
-    points is refused with a CapacityError before the grid is built."""
+    1/2 (n - c) (alpha_i - alpha_j) inv is antisymmetric.  So each pair
+    off the diagonal sums to P exp(S) 2 cosh(D), and every partner is
+    summed over the upper triangle i <= j.  On the energy shell of y0,
+    (2 pi s^2/3) |n - c| <= FOLD_TOL, one sum drops D: since |alpha| >=
+    2 s^2 on the contour, |D| is at most that bound, and each pair loses
+    cosh(D) - 1 <= 5e-17 of its modulus.  Any other partner takes the sums
+    with +D and with -D at half weight.  The choice is made per partner,
+    so a partner's value does not depend on the batch it is in.  A contour
+    whose triangle exceeds T3_GRID_CAP points is refused with a
+    CapacityError before the grid is built."""
     y0 = np.asarray(y0, dtype=float)
-    s = pot.width
+    a, s, d = pot.amplitude, pot.width, pot.dim
     c = float(y0 @ y0)
     size = PANEL_NODES * _contour_panels(c, gamma, s)[1] + LEG_NODES
     if size * (size + 1) // 2 > T3_GRID_CAP:
         raise CapacityError(
-            f"T3 grid of {size * (size + 1) // 2} folded points at "
+            f"T3 grid of {size * (size + 1) // 2} triangle points at "
             f"|y| = {math.sqrt(c):.3g} exceeds the cap of {T3_GRID_CAP}")
     nodes, weights = _theta_contour(c, gamma, s)
     p = np.asarray(y3, dtype=float)
     rows = np.atleast_2d(p)
     fold = (2 * math.pi * s * s / 3) * np.abs(
         np.einsum("ij,ij->i", rows, rows) - c) <= FOLD_TOL
+    # the upper triangle, the pairs off the diagonal twice
+    i, j = np.triu_indices(len(nodes))
+    alpha = 2 * s * s + 1j * nodes
+    power = alpha ** (-d / 2.0)
+    prefactor = weights[i] * weights[j] * a ** 3 * s ** (3 * d)
+    det_pow = power[i] * power[j]
+    a1, a2, off = alpha[i], alpha[j], i != j
+    del i, j
+    # det^(-d/2) = a1^(-d/2) a2^(-d/2) (1 - s^4/(a1 a2))^(-d/2), each factor
+    # staying clear of the principal branch cut on the contour
+    prod = a1 * a2
+    det_pow *= (1.0 - s ** 4 / prod) ** (-d / 2.0)
+    prefactor *= det_pow
+    prefactor[off] *= 2
+    inv = math.pi * s ** 4 / (prod - s ** 4)
+    del det_pow, prod, off
+    z0 = 0.5 * (a1 + a2) * inv - math.pi * s * s
+    anti = 0.5 * (a1 - a2) * inv
+    del a1, a2
+    y_grid = 2 * s * s * inv
+    factor = (-2j * math.pi) ** 2
     out = np.empty(len(rows), dtype=complex)
     if fold.any():
-        # the upper triangle, the pairs off the diagonal twice
-        i, j = np.triu_indices(len(nodes))
-        a1, a2, inv, prefactor = _t3_grid(pot, nodes, weights, i, j)
-        prefactor[i != j] *= 2
-        z0 = 0.5 * (a1 + a2) * inv - math.pi * s * s
         out[fold] = _gauss_reduced_sum(y0, rows[fold], prefactor, c * z0,
-                                       2 * s * s * inv, z0,
-                                       (-2j * math.pi) ** 2)
+                                       y_grid, z0, factor)
     if not fold.all():
-        i = np.arange(len(nodes))
-        a1, a2, inv, prefactor = _t3_grid(pot, nodes, weights, i[:, None], i)
-        # exponent -pi s^2 (|y0|^2 + |y3|^2)
-        #          + pi s^4 (a2 |y0|^2 + 2 s^2 y0.y3 + a1 |y3|^2) / det
-        out[~fold] = _gauss_reduced_sum(
-            y0, rows[~fold], prefactor.ravel(),
-            (c * (a2 * inv - math.pi * s * s)).ravel(),
-            (2 * s * s * inv).ravel(), (a1 * inv - math.pi * s * s).ravel(),
-            (-2j * math.pi) ** 2)
+        # exp(S + D) and exp(S - D) at half weight, with the exponents
+        # c (z0 -+ anti) + (y0.p) y_grid + n (z0 +- anti)
+        out[~fold] = sum(_gauss_reduced_sum(
+            y0, rows[~fold], prefactor, c * (z0 - sign * anti), y_grid,
+            z0 + sign * anti, 0.5 * factor) for sign in (1, -1))
     return complex(out[0]) if p.ndim == 1 else out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,12 +179,19 @@ def _grid_sizes(monkeypatch):
     return sizes
 
 
+def _triangle(pot, y, gamma):
+    """Points i <= j of the node grid of y's theta contour."""
+    m = len(sc._theta_contour(float(y @ y), gamma, pot.width)[0])
+    return m * (m + 1) // 2
+
+
 @pytest.mark.parametrize("speed", [0.3, 0.8, 1.4, 2.0])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.3 + 0.1j])
 @pytest.mark.parametrize("dim", [3, 4, 5])
 def test_t3_fold_matches_full_grid(monkeypatch, dim, gamma, speed):
-    # on-shell partners summed over the upper triangle of the node grid
-    # against the whole grid (no partner folds at a negative tolerance)
+    # on-shell partners summed with the antisymmetric exponent dropped
+    # against the same partners summed with it (no partner folds at a
+    # negative tolerance); both over the upper triangle of the node grid
     rng = np.random.default_rng(dim + int(10 * speed))
     pot = sc.GaussianPotential(0.7, 1.1, dim)
     y = rng.normal(size=dim)
@@ -196,8 +204,7 @@ def test_t3_fold_matches_full_grid(monkeypatch, dim, gamma, speed):
     folded = sc.born_term_3(pot, y, partners, gamma)
     monkeypatch.setattr(sc, "FOLD_TOL", -1.0)
     full = sc.born_term_3(pot, y, partners, gamma)
-    m = round(math.sqrt(sizes[1]))
-    assert sizes == [m * (m + 1) // 2, m * m]
+    assert sizes == [_triangle(pot, y, gamma)] * 3
     np.testing.assert_allclose(folded, full, rtol=1e-14, atol=0)
 
 
@@ -221,11 +228,11 @@ def test_t3_batch_mixes_folded_and_full_partners(monkeypatch):
     for gamma in (0.0, 0.4):
         sizes = _grid_sizes(monkeypatch)
         batch = sc.born_term_3(pot, y, partners, gamma)
-        m = round(math.sqrt(sizes[1]))
-        assert sizes == [m * (m + 1) // 2, m * m]
+        assert sizes == [_triangle(pot, y, gamma)] * 3
         rows = np.array([sc.born_term_3(pot, y, p, gamma) for p in partners])
         np.testing.assert_array_equal(batch, rows)
-        # the folded near-shell partners keep the whole grid's value
+        # the folded near-shell partners keep their value with the
+        # antisymmetric exponent summed
         monkeypatch.setattr(sc, "FOLD_TOL", -1.0)
         np.testing.assert_allclose(batch[folds],
                                    sc.born_term_3(pot, y, partners[folds],
@@ -233,8 +240,65 @@ def test_t3_batch_mixes_folded_and_full_partners(monkeypatch):
         monkeypatch.undo()
 
 
+def _t3_whole_grid(pot, y0, partners, gamma):
+    """T_3 as the explicit double sum over every node pair (i, j) of the
+    theta contour, alpha = 2 s^2 + i theta, with the exponent
+    -pi s^2 (|y0|^2 + |p|^2)
+    + pi s^4 (alpha_j |y0|^2 + 2 s^2 y0.p + alpha_i |p|^2)/det and
+    det = alpha_i alpha_j - s^4."""
+    a, s, d = pot.amplitude, pot.width, pot.dim
+    c = float(y0 @ y0)
+    nodes, weights = sc._theta_contour(c, gamma, s)
+    alpha = 2 * s * s + 1j * nodes
+    a1, a2 = alpha[:, None], alpha[None, :]
+    inv = math.pi * s ** 4 / (a1 * a2 - s ** 4)
+    det_pow = (a1 ** (-d / 2) * a2 ** (-d / 2)
+               * (1 - s ** 4 / (a1 * a2)) ** (-d / 2))
+    pref = np.outer(weights, weights) * a ** 3 * s ** (3 * d) * det_pow
+    values = []
+    for p in partners:
+        exponent = (c * (a2 * inv - math.pi * s * s)
+                    + (y0 @ p) * 2 * s * s * inv
+                    + (p @ p) * (a1 * inv - math.pi * s * s))
+        values.append(-4 * math.pi ** 2 * np.sum(pref * np.exp(exponent)))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.3 + 0.1j])
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_t3_off_shell_matches_whole_grid_sum(dim, gamma):
+    # off-shell partners against the m x m double sum, which pairs every
+    # (i, j) with its own exponent: a swapped sign of the antisymmetric
+    # part in either half-weight sum shows here
+    rng = np.random.default_rng(30 + dim)
+    pot = sc.GaussianPotential(0.8, 1.1, dim)
+    y = rng.normal(size=dim)
+    y *= 0.9 / np.linalg.norm(y)
+    partners = rng.normal(size=(6, dim))
+    for row, share in ((0, 0.7), (1, 1.5)):
+        partners[row] *= 0.9 * math.sqrt(share) / np.linalg.norm(
+            partners[row])
+    ours = sc.born_term_3(pot, y, partners, gamma)
+    np.testing.assert_allclose(ours, _t3_whole_grid(pot, y, partners, gamma),
+                               rtol=1e-13, atol=0)
+
+
+def test_t3_grid_memory_at_high_speed():
+    # one off-shell partner at |y| = 4.5 (924 nodes, 427350 triangle
+    # points, 6.5 MiB per complex array): the only grid is the triangle,
+    # and its temporaries are released before the sums
+    y = 4.5 * EY
+    tracemalloc.start()
+    try:
+        sc.born_term_3(POT, y, np.array([0.3, 2.0, 0.1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2 ** 20
+
+
 def test_t3_grid_cap_is_checked_before_the_contour(monkeypatch):
-    # the folded grid at |y| = 10 (4104 nodes, 8.4e6 points) is refused
+    # the triangle at |y| = 10 (4104 nodes, 8.4e6 points) is refused
     # before the contour is built; at |y| = 3 the check lets it through
     class Built(Exception):
         pass
