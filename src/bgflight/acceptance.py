@@ -131,23 +131,16 @@ def check_02_three_way_agreement(seed=202, draws=100, tol=1e-8):
     rng = np.random.default_rng(seed)
     worst2 = worst3 = 0.0
     for _ in range(draws):
-        w = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-        w /= np.max(np.abs(w))
-        np.fill_diagonal(w, 0)
-        u = rng.uniform(0, 2.0, 2)
-        g = gp.WeightedCollisionGraph(w, u)
+        g = gp.random_graph(rng, 2, 0.0, 2.0)
+        (u1, u2), w = g.times, g.weights
         ser = gm.g_series(g, max_order=80).entries
-        con = gm.g_contour(g, nodes=256, error_estimate=False).entries
-        bes = gm.g_bessel_k2(u[0], u[1], w[0, 1], w[1, 0]).entries
+        con = gm.g_contour(g, nodes=256).entries
+        bes = gm.g_bessel_k2(u1, u2, w[0, 1], w[1, 0]).entries
         worst2 = max(worst2, float(np.max(np.abs(ser - con))),
                      float(np.max(np.abs(ser - bes))))
-        w3 = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
-        w3 /= np.max(np.abs(w3))
-        np.fill_diagonal(w3, 0)
-        u3 = rng.uniform(0, 1.0, 3)
-        g3 = gp.WeightedCollisionGraph(w3, u3)
+        g3 = gp.random_graph(rng, 3, 0.0, 1.0)
         ser3 = gm.g_series(g3, max_order=60).entries
-        con3 = gm.g_contour(g3, nodes=64, error_estimate=False).entries
+        con3 = gm.g_contour(g3, nodes=64).entries
         worst3 = max(worst3, float(np.max(np.abs(ser3 - con3))))
     passed = worst2 <= tol and worst3 <= tol
     return (2, "three-way matrix agreement", passed,
@@ -161,10 +154,7 @@ def check_03_path_operator_identity(seed=303, tol=1e-12):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for k in (2, 3, 4):
-        w = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-        w /= np.max(np.abs(w))
-        np.fill_diagonal(w, 0)
-        g = gp.WeightedCollisionGraph(w, rng.uniform(0.1, 1.0, k))
+        g = gp.random_graph(rng, k)
         for _, _, _, res in gp.path_sum_identity_residuals(g, 6):
             worst = max(worst, res)
     return (3, "path/matrix-power identity", worst <= tol,

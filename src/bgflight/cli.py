@@ -257,12 +257,8 @@ def _cmd_paths(args, out_dir):
     cfg = _load_config(args.config, {
         "k": True, "n_max": False, "seed": False, "tolerance": False,
     }, {"n_max": 5, "seed": 0, "tolerance": 1e-12})
-    rng = np.random.default_rng(_seed(args, cfg))
-    k = cfg["k"]
-    w = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
-    w /= np.max(np.abs(w))
-    np.fill_diagonal(w, 0)
-    graph = gp.WeightedCollisionGraph(w, rng.uniform(0.1, 1.0, k))
+    graph = gp.random_graph(np.random.default_rng(_seed(args, cfg)),
+                            cfg["k"])
     rows = []
     worst = 0.0
     for n, i, j, res in gp.path_sum_identity_residuals(graph, cfg["n_max"]):

@@ -61,10 +61,10 @@ CONTOUR_GRID_CAP = 1 << 26
 _CONTOUR_CHUNK = 1 << 15
 
 
-def bessel_j_quadrature(n: int, z: complex, nodes: int = 512) -> complex:
-    """Independent oracle: trapezoid of the periodic integral representation
-    (1/2pi) int_0^2pi exp(i z sin t - i n t) dt."""
-    t = 2 * np.pi * np.arange(nodes) / nodes
+def bessel_j_quadrature(n: int, z: complex) -> complex:
+    """Independent oracle: 512-node trapezoid of the periodic integral
+    representation (1/2pi) int_0^2pi exp(i z sin t - i n t) dt."""
+    t = 2 * np.pi * np.arange(512) / 512
     vals = np.exp(1j * z * np.sin(t) - 1j * n * t)
     return complex(np.mean(vals))
 
@@ -267,13 +267,14 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
 
 
 def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
-              radius=None, error_estimate: bool = True) -> GMatrix:
+              radius=None) -> GMatrix:
     """Iterated trapezoid over k circles of (D(z) - W)^{-1} exp(u . z),
     ``nodes`` per circle, of radius ``radius`` (scalar or per coordinate;
     None picks 1 + 1.1 r0).  The trapezoid rule is exponentially accurate
     here (periodic analytic integrand).  The reported quadrature error
-    compares the result against a half-node run, i.e. the conservative
-    estimate for the doubling step that produced the returned value.
+    ``quad_error`` is the largest entry difference from a run at exactly
+    ``nodes // 2`` nodes per circle, i.e. the conservative estimate for the
+    doubling step that produced the returned value.
     """
     k = graph.k
     radius = np.asarray(1.0 + 1.1 * graph.r0 if radius is None else radius,
@@ -292,11 +293,9 @@ def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
             f"{CONTOUR_GRID_CAP}; lower nodes")
     coef = _contour_coefficients(graph.weights)
     fine = _contour_sum(graph.times, radius, nodes, *coef)
-    err = None
-    if error_estimate:
-        half = _contour_sum(graph.times, radius, max(4, nodes // 2), *coef)
-        err = float(np.max(np.abs(fine - half)))
-    return GMatrix(fine, "contour", nodes=nodes, quad_error=err)
+    half = _contour_sum(graph.times, radius, nodes // 2, *coef)
+    return GMatrix(fine, "contour", nodes=nodes,
+                   quad_error=float(np.max(np.abs(fine - half))))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +331,15 @@ def g_bessel_k2(u1: float, u2: float, w12: complex, w21: complex) -> GMatrix:
                    "bessel_k2")
 
 
-def g_rows(weights, times, row: int | None = None,
-           max_order: int = 80) -> GBatch:
+def g_rows(weights, times, row: int | None = None) -> GBatch:
     """G of a batch of graphs (weights (B, k, k), times (B, k)), all rows or
     start row ``row``: ``_k2_entries`` at k = 2 (order 0, tail 0,
-    converged) and ``g_series_batch`` above it, with no fallback.  Both are
-    read as module globals, so replacing one here reaches every caller."""
+    converged) and ``g_series_batch`` at its default max_order above it,
+    with no fallback.  Both are read as module globals, so replacing one
+    here reaches every caller."""
     n, k = np.shape(times)
     if k != 2:
-        return g_series_batch(weights, times, row=row, max_order=max_order)
+        return g_series_batch(weights, times, row=row)
     g = np.stack(_k2_entries(times[:, 0], times[:, 1], weights[:, 0, 1],
                              weights[:, 1, 0]), axis=1).reshape(n, 2, 2)
     return GBatch(g if row is None else g[:, row], np.zeros(n, dtype=int),

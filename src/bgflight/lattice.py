@@ -23,6 +23,8 @@ from .errors import CapacityError, InvalidInputError
 
 DEFAULT_SHIFT = (math.sqrt(2.0), math.sqrt(3.0))
 DEFAULT_POINT_CAP = 5 * 10**7
+# significance level of every test of ``joint_test``
+ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -202,11 +204,11 @@ def _chi2_sf(stat, dof) -> float:
     return float(special.gammaincc(dof / 2.0, stat / 2.0))
 
 
-def joint_test(sample: PointSample, gap_bins=8, theta_bins=8,
-               alpha=0.01) -> dict:
+def joint_test(sample: PointSample, gap_bins=8, theta_bins=8) -> dict:
     """Gap/angle statistics report: KS of gaps against Exp(1), chi-square
     uniformity of the angles, chi-square independence of (gap, angle) on an
-    equiprobable-gap-quantile by uniform-angle grid (2 bins or more each)."""
+    equiprobable-gap-quantile by uniform-angle grid (2 bins or more each),
+    each passed when its p-value exceeds ALPHA."""
     _check_bins(gap_bins=gap_bins, theta_bins=theta_bins)
     if sample.count < 1000:
         raise InvalidInputError("joint test needs at least 1000 points")
@@ -249,10 +251,10 @@ def joint_test(sample: PointSample, gap_bins=8, theta_bins=8,
         "independence_dof": indep_dof,
         "independence_p": indep_p,
         "underpopulated_cells": underpopulated,
-        "alpha": alpha,
-        "pass_ks": ks_p > alpha,
-        "pass_theta_uniform": theta_p > alpha,
-        "pass_independence": indep_p > alpha,
+        "alpha": ALPHA,
+        "pass_ks": ks_p > ALPHA,
+        "pass_theta_uniform": theta_p > ALPHA,
+        "pass_independence": indep_p > ALPHA,
     }
 
 

@@ -78,12 +78,12 @@ class _Blocks:
     the label of each index (its block's position in that listing)."""
 
     def _set_blocks(self, n: int, blocks, canonical: bool) -> None:
-        """Freeze ``blocks`` (sorted by minimum when ``canonical``), check
-        they cover 0..n, and store them with their label map."""
+        """Freeze ``blocks``, check they cover 0..n, and store them (sorted
+        by minimum when ``canonical``) with their label map."""
         blocks = tuple(tuple(sorted(b)) for b in blocks)
+        _check_cover(n, blocks)
         if canonical:
             blocks = tuple(sorted(blocks, key=min))
-        _check_cover(n, blocks)
         labels = [-1] * (n + 1)
         for i, b in enumerate(blocks):
             for j in b:
@@ -159,7 +159,7 @@ class MarkedPartition(_Blocks):
     labels: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        n = max(max(b) for b in self.blocks)
+        n = max((j for b in self.blocks for j in b), default=-1)
         object.__setattr__(self, "n", n)
         self._set_blocks(n, self.blocks, canonical=not self.ordered)
         if not 0 <= self.mark <= n:

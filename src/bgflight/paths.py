@@ -78,6 +78,17 @@ class WeightedCollisionGraph:
         return self.k * float(np.max(np.abs(self.weights)))
 
 
+def random_graph(rng, k, low=0.1, high=1.0) -> WeightedCollisionGraph:
+    """A random graph on k vertices from the generator ``rng``: weights with
+    uniform real, then imaginary, parts in [-1, 1], scaled to a maximum
+    modulus of 1, with the diagonal zeroed; then uniform vertex times in
+    [low, high)."""
+    w = rng.uniform(-1, 1, (k, k)) + 1j * rng.uniform(-1, 1, (k, k))
+    w /= np.max(np.abs(w))
+    np.fill_diagonal(w, 0)
+    return WeightedCollisionGraph(w, rng.uniform(low, high, k))
+
+
 def enumerate_paths(k, n, start, end, surjective=False, cap=DEFAULT_PATH_CAP):
     """All length-n paths from ``start`` to ``end`` on the complete graph.
 
@@ -148,7 +159,7 @@ def total_weight(path, graph: WeightedCollisionGraph) -> complex:
 # Polynomials in the vertex times: layers and the factorial transform
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _monomials(k: int, degree: int) -> np.ndarray:
     """All exponent vectors of total degree ``degree`` over k variables, as
     a read-only (M, k) array in lexicographic order.  Stars and bars: the
@@ -176,7 +187,7 @@ def _monomial_index(k: int, degree: int, expo) -> np.ndarray:
                            np.asarray(expo) @ place)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _shift_sources(k: int, degree: int) -> np.ndarray:
     """For each axis j, the source of every monomial of ``_monomials(k,
     degree)`` in a (k, M + 1) block flattened row by row, M the monomial

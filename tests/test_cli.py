@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from bgflight import cli
+from bgflight import acceptance, cli
 from bgflight import kinetic as kn
 from bgflight import lattice as la
 from bgflight import partitions as pa
@@ -329,6 +329,29 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, message", [
+    ("partitions", None, "missing required config key: 'n'"),
+    ("scatter", {"op": "tmat", "coupling": 0.3, "y": [1, 0, 0]},
+     "missing required config key: 'yp'"),
+    ("scatter", {"op": "phase", "coupling": 0.3, "y": [1, 0, 0]},
+     "'op' value 'phase'"),
+    ("gmatrix", dict(G3_WIDE, method="contour", nodes=3),
+     "at least 4 nodes"),
+    ("gmatrix", dict(G3_WIDE, method="bessel_k2"), "only exists for k = 2"),
+    ("gmatrix", dict(G3_WIDE, method="residues"),
+     "unknown method 'residues'"),
+], ids=["no_config", "scatter_tmat_without_yp", "scatter_unknown_op",
+        "gmatrix_contour_3_nodes", "gmatrix_bessel_k2_at_k3",
+        "gmatrix_unknown_method"])
+def test_config_error_exits_2(tmp_path, capsys, command, config, message):
+    argv = [command, "--out", str(tmp_path / "out")]
+    if config is not None:
+        argv += ["--config", write(tmp_path / "c.json", config)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_scatter_ops(tmp_path):
     out = tmp_path / "out"
     cfg = write(tmp_path / "t.json", {
@@ -601,3 +624,39 @@ def test_simulate_shell_table_invariance(tmp_path, monkeypatch, dim,
     # chains scattered: the two-leg term is there
     rows = artifacts[0][0].decode().split()
     assert float(rows[2].split(",")[1]) != 0.0
+
+
+def _stub_check(number, passed, expected_pass=True):
+    def check():
+        return acceptance.CheckResult(number, f"stub {number}", passed,
+                                      f"detail {number}", 0.25,
+                                      expected_pass)
+    return check
+
+
+@pytest.mark.parametrize("surprise", [False, True],
+                         ids=["as_expected", "surprise"])
+def test_verify_reports_and_exits_by_expectation(tmp_path, monkeypatch,
+                                                 capsys, surprise):
+    # a numpy bool verdict (as criterion 8 returns) is written as JSON
+    # true; an expected failure exits 0, a surprise exits 3
+    checks = [_stub_check(1, np.bool_(True)), _stub_check(2, False, False)]
+    if surprise:
+        checks.append(_stub_check(3, False))
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", checks)
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == (3 if surprise else 0)
+    printed = capsys.readouterr().out
+    assert " 1  PASS " in printed and " 2  XFAIL " in printed
+    assert (" 3  FAIL " in printed) == surprise
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["summary"] == {
+        "passed": 1, "expected_failures": [2],
+        "surprises": [3] if surprise else [],
+        "total_seconds": 0.25 * len(checks)}
+    assert [r["passed"] for r in report["results"]] == \
+        [True, False] + [False] * surprise
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "verify"
+    assert manifest["checks"] == dict(
+        {"1": True, "2": False}, **({"3": False} if surprise else {}))

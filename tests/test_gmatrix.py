@@ -9,7 +9,8 @@ from bgflight import gmatrix as gm
 from bgflight import kinetic as kn
 from bgflight import scattering as sc
 from bgflight.errors import InvalidInputError, SingularContourError
-from bgflight.paths import WeightedCollisionGraph, _monomials, path_sum_table
+from bgflight.paths import (WeightedCollisionGraph, _monomials, path_sum_table,
+                            random_graph)
 
 
 def rand_graph(k, umax=1.0, seed=1, wscale=1.0):
@@ -114,7 +115,7 @@ def test_contour_matches_series_k3_default_example():
     w /= np.max(np.abs(w))
     np.fill_diagonal(w, 0)
     g = WeightedCollisionGraph(w, [1.0, 1.0, 1.0])
-    cont = gm.g_contour(g, nodes=256, error_estimate=False)
+    cont = gm.g_contour(g, nodes=256)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-8
 
@@ -230,16 +231,27 @@ def test_contour_error_estimate_reported():
     assert out.quad_error is not None and out.quad_error < 1e-8
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_contour_error_covers_the_deviation_at_4_nodes(seed):
+    # the comparison run has nodes // 2 = 2 nodes per circle, a grid of its
+    # own: at 4 nodes the contour is far from the series, and says so
+    g = random_graph(np.random.default_rng(seed), 3)
+    cont, ser = gm.g_contour(g, nodes=4), gm.g_series(g)
+    assert ser.converged
+    dev = float(np.max(np.abs(cont.entries - ser.entries)))
+    assert cont.quad_error >= dev > 1.0
+
+
 def test_contour_generic_k4_matches_series():
     g = rand_graph(4, umax=0.6, seed=3, wscale=0.5)
-    cont = gm.g_contour(g, nodes=32, error_estimate=False)
+    cont = gm.g_contour(g, nodes=32)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
 
 
 def test_contour_matches_series_k5():
     g = rand_graph(5, umax=0.6, seed=4, wscale=0.3)
-    cont = gm.g_contour(g, nodes=16, error_estimate=False)
+    cont = gm.g_contour(g, nodes=16)
     ser = gm.g_series(g, max_order=60)
     assert np.max(np.abs(cont.entries - ser.entries)) < 1e-10
 
@@ -362,7 +374,7 @@ def test_three_way_agreement_randomized():
         g = rand_graph(2, umax=2.0, seed=2000 + trial)
         w = g.weights
         ser = gm.g_series(g, max_order=80)
-        con = gm.g_contour(g, nodes=256, error_estimate=False)
+        con = gm.g_contour(g, nodes=256)
         bes = gm.g_bessel_k2(g.times[0], g.times[1], w[0, 1], w[1, 0])
         assert np.max(np.abs(ser.entries - con.entries)) < 1e-10
         assert np.max(np.abs(ser.entries - bes.entries)) < 1e-10

@@ -762,3 +762,13 @@ def test_k2_closed_form_vectorised_against_scalar():
     for i in range(len(u1)):
         one = gm.g_bessel_k2(u1[i], u2[i], w01[i], w10[i]).entries
         assert vec[i] == pytest.approx(one.ravel(), rel=1e-13, abs=1e-13)
+
+
+@pytest.mark.parametrize("widths", [
+    {"x_width": 0.0}, {"x_width": -1.0}, {"y_width": 0.0},
+    {"y_width": -1.0},
+], ids=["x_zero", "x_negative", "y_zero", "y_negative"])
+def test_symbol_refuses_nonpositive_width(widths):
+    with pytest.raises(InvalidInputError):
+        kn.GaussianSymbol(x_center=[0.0, 0, 0], y_center=[1.0, 0, 0],
+                          **widths)

@@ -173,3 +173,17 @@ def test_ks_helper_on_known_input():
     assert d < 0.015 and p > 0.01
     d2, p2 = la.ks_exponential(rng.uniform(0, 2, 20000))
     assert p2 < 1e-6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: la.LatticeWindow(r_max=10.0, width=1.0, basis=np.eye(3)),
+    lambda: la.LatticeWindow(r_max=10.0, width=1.0, basis=[1.0, 0.0]),
+    lambda: la.PointSample([1.0, 2.0, 3.0], [0.1, 0.2]),
+    lambda: la.PointSample([1.0, 3.0, 2.0], [0.1, 0.2, 0.3]),
+    lambda: la.PointSample([1.0, 2.0], [0.1, 1.0]),
+    lambda: la.PointSample([1.0, 2.0], [-0.1, 0.5]),
+], ids=["basis_3x3", "basis_vector", "lengths_differ", "lambda_unsorted",
+        "theta_one", "theta_negative"])
+def test_records_refuse_invalid_input(make):
+    with pytest.raises(InvalidInputError):
+        make()

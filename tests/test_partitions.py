@@ -496,3 +496,22 @@ def test_diagram_export():
     assert d["mark"] == 1
     assert d["circles"] == [0, 1, 2, 3]
     assert d["blocks"][0] == {"members": [0, 2], "depth": 1}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pa.Partition(2, [(0, 1, 2), ()]),
+    lambda: pa.Partition(2, [(0, 1), (1, 2)]),
+    lambda: pa.Partition(2, [(0,), (2,)]),
+    lambda: pa.OrderedPartition(2, [(), (0, 1, 2)]),
+    lambda: pa.OrderedPartition(2, [(0, 2), (2, 1)]),
+    lambda: pa.OrderedPartition(3, [(0, 2), (1,)]),
+    lambda: pa.MarkedPartition(3, [(0, 2), (1,)]),
+    lambda: pa.MarkedPartition(-1, [(0, 2), (1,)]),
+    lambda: pa.MarkedPartition(1, [(0, 1), ()]),
+    lambda: pa.MarkedPartition(0, [()]),
+], ids=["empty_block", "index_twice", "index_missing", "ordered_empty_block",
+        "ordered_index_twice", "ordered_index_missing", "mark_above_n",
+        "mark_negative", "marked_empty_block", "marked_only_empty"])
+def test_records_refuse_invalid_input(make):
+    with pytest.raises(InvalidInputError):
+        make()

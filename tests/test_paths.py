@@ -228,3 +228,27 @@ def test_graph_validation():
         gp.WeightedCollisionGraph(np.zeros((2, 2)), [1.0, -1.0])
     g = make_graph(3, seed=0)
     assert g.r0 == pytest.approx(3 * np.max(np.abs(g.weights)))
+
+
+@pytest.mark.parametrize("weights, times", [
+    (np.zeros((2, 3)), [1.0, 1.0]),
+    (np.zeros(4), [1.0, 1.0]),
+    (np.zeros((1, 1)), [1.0]),
+    (np.zeros((3, 3)), [1.0, 1.0]),
+    (np.zeros((2, 2)), [[1.0, 1.0]]),
+], ids=["not_square", "not_a_matrix", "one_vertex", "too_few_times",
+        "times_not_a_vector"])
+def test_graph_refuses_malformed_input(weights, times):
+    with pytest.raises(InvalidInputError):
+        gp.WeightedCollisionGraph(weights, times)
+
+
+def test_random_graph_draws_weights_then_times():
+    rng = np.random.default_rng(7)
+    w = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+    w /= np.max(np.abs(w))
+    np.fill_diagonal(w, 0)
+    u = rng.uniform(0.0, 2.0, 3)
+    g = gp.random_graph(np.random.default_rng(7), 3, 0.0, 2.0)
+    np.testing.assert_array_equal(g.weights, w)
+    np.testing.assert_array_equal(g.times, u)

@@ -506,3 +506,16 @@ def test_optical_residual_third_order_scaling():
     assert ratios[1] == pytest.approx(ratios[2], rel=1e-8)
     assert abs(ratios[0]) > 0.1
 
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sc.GaussianPotential(width=0.0),
+    lambda: sc.GaussianPotential(width=-1.0),
+    lambda: sc.GaussianPotential(dim=2),
+    lambda: sc.ScatteringModel(POT, gamma=-0.1),
+    lambda: sc.ScatteringModel(POT, gamma=-0.1 + 0.5j),
+], ids=["width_zero", "width_negative", "dim_2", "gamma_negative",
+        "gamma_negative_real_part"])
+def test_records_refuse_invalid_input(make):
+    with pytest.raises(InvalidInputError):
+        make()
