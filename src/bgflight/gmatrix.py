@@ -32,10 +32,15 @@ to the Monte Carlo reweighting and the density, as ``g_auto`` does by
 default; the contour runs only on request.
 
 The contour route has one kernel for every k: det(D(z) - W) and
-adj(D(z) - W) are affine in each z_i, so the grid sum of the trapezoid
-weights times adj/det is a combination of 2^k moments of weight/det, taken
-in one pass over the grid.  Grids beyond CONTOUR_GRID_CAP points are refused
-with a CapacityError.
+adj(D(z) - W) are affine in each z_i, so the integral of adj/det times
+exp(u . z) is a combination of 2^k moments of exp(u . z)/det.  The first
+circle is integrated exactly: det = c0 + z_0 c1 has the single pole
+z_0* = -c0/c1, which lies inside |z_0| = R_0 because every other circle has
+radius above r0 (so D - W is strictly diagonally dominant off row 0 and
+|z_0*| <= (k - 1) max |w|); its residue exp(u_0 z_0*) z_0*^e / c1 replaces
+the trapezoid on axis 0, and the trapezoid runs over the remaining k - 1
+circles only.  Grids beyond CONTOUR_GRID_CAP points (nodes^k, as if every
+circle were summed) are refused with a CapacityError.
 """
 
 from __future__ import annotations
@@ -56,9 +61,6 @@ SERIES_TOL = 1e-16
 SERIES_ROUNDING_RTOL = 1e-10
 # g_contour refuses a grid (nodes**k points) beyond this many points
 CONTOUR_GRID_CAP = 1 << 26
-# grid points per chunk of the contour pass (512 KiB per complex temporary);
-# a chunk is never less than one row of nodes**(k-1) points along axis 0
-_CONTOUR_CHUNK = 1 << 15
 
 
 def bessel_j_quadrature(n: int, z: complex) -> complex:
@@ -182,37 +184,29 @@ def g_series(graph: WeightedCollisionGraph, max_order: int = 80) -> GMatrix:
 
 
 # ---------------------------------------------------------------------------
-# contour route: iterated trapezoid over circles
+# contour route: residue on circle 0, trapezoid over the other circles
 # ---------------------------------------------------------------------------
-
-def _adjugate(a):
-    """Transposed cofactor matrix; defined for singular ``a`` too."""
-    m = a.shape[0]
-    minors = np.array([[np.delete(np.delete(a, i, 0), j, 1) for j in range(m)]
-                       for i in range(m)])
-    sign = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
-    return (sign * np.linalg.det(minors)).T
-
 
 def _contour_coefficients(w):
     """det(D(z) - W) and adj(D(z) - W) as polynomials affine in each z_i.
 
     The coefficient of prod_{i in S} z_i is the det, and the adjugate
     embedded in the rows and columns outside S, of -W restricted to the axes
-    outside S.  Both are indexed by the (2,)*k indicator of S.
+    outside S.  Both are indexed by the (2,)*k indicator of S.  For every S
+    at once: -W padded with the identity on S has that det, and with its
+    row i replaced by e_j^T it has cofactor (i, j) as det; the rows and
+    columns of S are then zeroed, so one batched det gives every adjugate.
     """
     k = w.shape[0]
-    det_c = np.zeros((2,) * k, dtype=complex)
-    adj_c = np.zeros((2,) * k + (k, k), dtype=complex)
-    for bits in np.ndindex(*(2,) * k):
-        rest = [i for i in range(k) if not bits[i]]
-        if not rest:
-            det_c[bits] = 1.0
-            continue
-        a = -w[np.ix_(rest, rest)]
-        det_c[bits] = np.linalg.det(a)
-        adj_c[bits][np.ix_(rest, rest)] = _adjugate(a)
-    return det_c, adj_c
+    in_s = np.array(list(np.ndindex(*(2,) * k)), dtype=bool)
+    rest = ~in_s[:, :, None] & ~in_s[:, None, :]
+    pad = np.where(rest, -w, 0) + in_s[:, None, :] * np.eye(k)
+    rows = np.repeat(pad[:, None, None], k, axis=1).repeat(k, axis=2)
+    rows[:, np.arange(k), :, np.arange(k), :] = np.eye(k)
+    cofactor = np.linalg.det(rows)
+    adj = rest * cofactor.transpose(0, 2, 1)
+    return (np.linalg.det(pad).reshape((2,) * k),
+            adj.reshape((2,) * k + (k, k)))
 
 
 def _on_grid(coef, axes):
@@ -228,11 +222,9 @@ def _moments(t, vecs):
     flattened with b_0 most significant; ``vecs[i]`` has shape (2, len of
     axis i of t).  One einsum per axis, last axis first, each contracting
     that axis against its two vectors and putting the new index in front;
-    no temporary is larger than t.  The contour pass calls it once per
-    chunk of _CONTOUR_CHUNK grid points (at least one row of nodes^(k-1)),
-    so its memory is O(nodes^(k-1)), not the grid's.  Without ``optimize``
-    einsum calls no BLAS: a BLAS contraction pays thread wake-ups that cost
-    more than the sum itself on these sizes."""
+    no temporary is larger than t.  Without ``optimize`` einsum calls no
+    BLAS: a BLAS contraction pays thread wake-ups that cost more than the
+    sum itself on these sizes."""
     r = t
     for v in reversed(vecs):
         r = np.einsum("...j,bj->b...", r, v)
@@ -240,41 +232,47 @@ def _moments(t, vecs):
 
 
 def _contour_sum(times, radius, nodes, det_c, adj_c):
-    """Trapezoid sum of (D(z) - W)^{-1} exp(u . z) over the product of
-    circles, as sum_S m_S adj_S with the moments m_S of s/det against
-    prod_{i in S} z_i taken in one pass over the grid, in chunks of rows
-    along axis 0 with det = c0 + z_0 c1; the singular guard compares
-    |det|^2 with the squared floor, the same test without the hypot of
-    np.abs."""
+    """Integral of (D(z) - W)^{-1} exp(u . z) over the product of circles,
+    exact on circle 0 and a trapezoid of ``nodes`` per circle on the others,
+    as sum_S m_S adj_S with the moments m_S of exp(u . z)/det against
+    prod_{i in S} z_i.
+
+    At every node of circles 1..k-1, det = c0 + z_0 c1 and the circle-0
+    integral of exp(u_0 z_0) z_0^e/det is the residue at z_0* = -c0/c1,
+    exp(u_0 z_0*) z_0*^e/c1 (e = 0, 1), taken against eye(2) as the axis-0
+    vectors so that the moments keep b_0 most significant.  The guard
+    compares |c1| R_0 - |c0| = |c1| (R_0 - |z_0*|), the smallest |det| on
+    circle 0, with a floor: it stops a pole near, on or outside that circle,
+    between trapezoid nodes too, before anything is divided by c1."""
     k, n = len(times), nodes
-    z = radius[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+    z = radius[1:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     # per-axis trapezoid factor (z/n) exp(u z)
-    s = (z / n) * np.exp(times[:, None] * z)
-    vecs = np.stack([s, s * z], axis=1)
-    c0, c1 = _on_grid(det_c[0], z[1:]), _on_grid(det_c[1], z[1:])
-    z0 = z[0].reshape((-1,) + (1,) * (k - 1))
-    floor2 = (1e-12 * float(np.prod(radius))) ** 2
-    m = np.zeros(2 ** k, dtype=complex)
-    step = max(1, _CONTOUR_CHUNK // n ** (k - 1))
-    for start in range(0, n, step):
-        sl = slice(start, start + step)
-        det = c0 + z0[sl] * c1
-        if (det.real ** 2 + det.imag ** 2).min() < floor2:
-            raise SingularContourError(
-                "near-singular matrix on the contour; increase the radius")
-        m += _moments(1 / det, [vecs[0][:, sl], *vecs[1:]])
+    s = (z / n) * np.exp(times[1:, None] * z)
+    c0, c1 = _on_grid(det_c[0], z), _on_grid(det_c[1], z)
+    floor = 1e-12 * float(np.prod(radius))
+    if (np.abs(c1) * radius[0] - np.abs(c0)).min() < floor:
+        raise SingularContourError(
+            "near-singular matrix on the contour; increase the radius")
+    pole = -c0 / c1
+    res = np.exp(times[0] * pole) / c1
+    m = _moments(np.stack([res, res * pole]),
+                 [np.eye(2), *np.stack([s, s * z], axis=1)])
     return (m[:, None, None] * adj_c.reshape(-1, k, k)).sum(axis=0)
 
 
 def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
               radius=None) -> GMatrix:
-    """Iterated trapezoid over k circles of (D(z) - W)^{-1} exp(u . z),
-    ``nodes`` per circle, of radius ``radius`` (scalar or per coordinate;
-    None picks 1 + 1.1 r0).  The trapezoid rule is exponentially accurate
-    here (periodic analytic integrand).  The reported quadrature error
+    """Iterated contour integral over k circles of (D(z) - W)^{-1}
+    exp(u . z), of radius ``radius`` (scalar or per coordinate; None picks
+    1 + 1.1 r0).  Circle 0 is integrated exactly, by the residue at the one
+    pole of 1/det inside it (``_contour_sum``); the other k - 1 circles take
+    a trapezoid of ``nodes`` each, exponentially accurate here (periodic
+    analytic integrand).  A det that comes near zero on circle 0, anywhere
+    on it, raises SingularContourError.  The reported quadrature error
     ``quad_error`` is the largest entry difference from a run at exactly
     ``nodes // 2`` nodes per circle, i.e. the conservative estimate for the
-    doubling step that produced the returned value.
+    doubling step that produced the returned value.  CONTOUR_GRID_CAP
+    bounds nodes^k, the grid of a trapezoid on every circle.
     """
     k = graph.k
     radius = np.asarray(1.0 + 1.1 * graph.r0 if radius is None else radius,

@@ -4,12 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from bgflight import acceptance, cli
+from bgflight import acceptance, cli, gmatrix
 from bgflight import kinetic as kn
 from bgflight import lattice as la
 from bgflight import partitions as pa
 from bgflight.cli import main
 from bgflight.gmatrix import bessel_j_quadrature
+from bgflight.paths import WeightedCollisionGraph
 
 
 def write(path, obj):
@@ -207,6 +208,23 @@ def test_gmatrix_eval(tmp_path):
                 payload["entries_re"][i][j], abs=1e-9)
 
 
+def test_gmatrix_k3_contour_at_default_nodes(tmp_path):
+    # 256 nodes per circle: the series within 1e-12 of the largest entry
+    graph = {"k": 3, "u": [0.4, 0.9, 0.7],
+             "w_re": [[0, 0.21, -0.13], [-0.27, 0, 0.08], [0.3, -0.05, 0]],
+             "w_im": [[0, -0.1, 0.24], [0.16, 0, -0.29], [0.02, 0.19, 0]]}
+    cfg = write(tmp_path / "c.json", dict(graph, method="contour"))
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "gmatrix.json").read_text())
+    assert payload["method"] == "contour" and payload["nodes"] == 256
+    g = np.asarray(payload["entries_re"]) + 1j * np.asarray(
+        payload["entries_im"])
+    w = np.asarray(graph["w_re"]) + 1j * np.asarray(graph["w_im"])
+    ser = gmatrix.g_series(WeightedCollisionGraph(w, graph["u"])).entries
+    assert np.max(np.abs(g - ser)) <= 1e-12 * max(1.0, np.max(np.abs(ser)))
+
+
 def test_gmatrix_k2_beyond_former_series_cap(tmp_path):
     # |z| = 2 sqrt(u1 u2 (-w01 w10)) = 40
     cfg = write(tmp_path / "c.json", {
@@ -267,8 +285,8 @@ def test_gmatrix_series_cancellation_exits_3(tmp_path, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
-# a k = 3 graph on which the 256-node contour is off by orders of magnitude
-# (its quad_error exceeds its largest entry) while the series converges
+# a k = 3 graph on which the 256-node contour is 4.9 off the largest entry,
+# 8.04 (its quad_error reads 1.7), while the series converges
 G3_WIDE = {"k": 3, "u": [2.0, 2.5, 3.0],
            "w_re": [[0, -0.312, -1.905], [-1.518, 0, 0.595],
                     [0.466, -0.47, 0]],

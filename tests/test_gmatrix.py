@@ -151,11 +151,11 @@ def test_contour_singular_guard():
                 gm._contour_sum(g.times, np.ones(k), nodes, *coef)
 
 
-def test_contour_singular_guard_past_the_first_chunk():
+def test_contour_singular_guard_pole_on_circle_0():
     # k = 3 with w01 w12 w20 = 1/2 and w12 w21 = 3/2: det(diag(z) - W) =
     # z0 (z1 z2 - 3/2) - 1/2 vanishes on the unit circles only where
-    # z0 = -1, in row n/2 of axis 0; with chunks of two rows that row is
-    # in the fifth chunk, and the guard must still stop the pass there
+    # z0 = -1, in row n/2 of axis 0: at the nodes z1 z2 = 1 of the other
+    # circles the pole of the residue on circle 0 lies on that circle
     nodes = 16
     w = np.zeros((3, 3), dtype=complex)
     w[0, 1], w[1, 2], w[2, 0], w[2, 1] = 1 / 3, 1.5, 1.0, 1.0
@@ -166,30 +166,55 @@ def test_contour_singular_guard_past_the_first_chunk():
                           [nodes // 2])
     g = WeightedCollisionGraph(w, np.ones(3))
     coef = gm._contour_coefficients(g.weights)
-    for chunk in (2 * nodes ** 2, 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gm, "_CONTOUR_CHUNK", chunk)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(SingularContourError):
-                    gm._contour_sum(g.times, np.ones(3), nodes, *coef)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularContourError):
+            gm._contour_sum(g.times, np.ones(3), nodes, *coef)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_contour_sum_independent_of_chunking(k, monkeypatch):
-    # a step of 3 rows, which does not divide 16 nodes, and a chunk smaller
-    # than one row of 16^(k - 1) points (step 1) against one whole-grid pass
+def test_contour_guard_sees_a_pole_between_nodes():
+    # det = z0 z1 - e^{i pi/16} vanishes on the unit circles, at no node of
+    # the 16-node grid: the guard bounds |det| on the whole of circle 0
     nodes = 16
-    g = rand_graph(k, umax=0.6, seed=40 + k, wscale=0.5)
-    radius = np.full(k, 1.0 + 1.1 * g.r0)
+    w = np.array([[0, 1], [np.exp(1j * np.pi / 16), 0]])
+    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    assert np.min(np.abs(np.multiply.outer(z, z) - w[1, 0])) > 0.19
+    g = WeightedCollisionGraph(w, np.ones(2))
     coef = gm._contour_coefficients(g.weights)
-    out = {}
-    for chunk in (nodes ** k, 3 * nodes ** (k - 1), nodes ** (k - 1) - 1):
-        monkeypatch.setattr(gm, "_CONTOUR_CHUNK", chunk)
-        out[chunk] = gm._contour_sum(g.times, radius, nodes, *coef)
-    whole = out.pop(nodes ** k)
-    for value in out.values():
-        assert np.max(np.abs(value - whole)) <= 1e-14 * np.max(np.abs(whole))
+    # and the pole 1/z1 outside a circle 0 of radius 0.2
+    for radius in ([1.0, 1.0], [0.2, 3.0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularContourError):
+                gm._contour_sum(g.times, np.array(radius), nodes, *coef)
+
+
+def trapezoid_reference(graph, radius, nodes):
+    """Explicit trapezoid over the product of circles, nodes[i] on circle i,
+    of (D(z) - W)^{-1} exp(u . z), the matrix inverted at every grid
+    point."""
+    k = graph.k
+    axes = [r * np.exp(2j * np.pi * np.arange(n) / n)
+            for r, n in zip(radius, nodes)]
+    z = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    weight = np.prod(z / np.array(nodes) * np.exp(graph.times * z), axis=1)
+    inverse = np.linalg.inv(z[:, :, None] * np.eye(k) - graph.weights)
+    return (weight[:, None, None] * inverse).sum(axis=0)
+
+
+@pytest.mark.parametrize("k, nodes", [(2, 8), (2, 16), (3, 8), (3, 16)])
+def test_contour_residue_is_the_limit_of_the_trapezoid(k, nodes):
+    # circle 0 integrated exactly is the trapezoid at many nodes on it, with
+    # the same nodes on the other circles; at these node counts both are
+    # still away from the series, so the match is not the converged value
+    g = rand_graph(k, umax=1.0, seed=70 + k)
+    radius = np.full(k, 1.0 + 1.1 * g.r0)
+    got = gm._contour_sum(g.times, radius, nodes,
+                          *gm._contour_coefficients(g.weights))
+    ref = trapezoid_reference(g, radius, [512] + [nodes] * (k - 1))
+    scale = max(1.0, np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(ref - gm.g_series(g).entries)) > 1e-10 * scale
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 5, 3), (3, 2, 4, 5)])
