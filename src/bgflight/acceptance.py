@@ -416,7 +416,10 @@ def check_09_sampler_calibration(seed=909, n_chains=10**5):
     model = sc.ScatteringModel(sc.GaussianPotential(), coupling=0.5,
                                born_order=1)
     y0 = np.array([1.0, 0.0, 0.0])
-    sig = model.sigma_tot(1.0)
+    # the Born-1 closed form, not model.sigma_tot: that reads the shell
+    # table the sampler draws its flight times from
+    sig = float(sc.sigma_tot_born1_speeds(model.potential, model.coupling,
+                                          np.array([1.0]))[0])
     horizon = 2.0 / sig
     block = kn.sample_lb_block(horizon, np.tile(y0, (n_chains, 1)), model,
                                seed, np.arange(n_chains), max_legs=2)

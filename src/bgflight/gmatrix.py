@@ -39,8 +39,8 @@ z_0* = -c0/c1, which lies inside |z_0| = R_0 because every other circle has
 radius above r0 (so D - W is strictly diagonally dominant off row 0 and
 |z_0*| <= (k - 1) max |w|); its residue exp(u_0 z_0*) z_0*^e / c1 replaces
 the trapezoid on axis 0, and the trapezoid runs over the remaining k - 1
-circles only.  Grids beyond CONTOUR_GRID_CAP points (nodes^k, as if every
-circle were summed) are refused with a CapacityError.
+circles only, whose even-index nodes give the half-node error estimate.
+CONTOUR_GRID_CAP bounds the arrays a call builds (CapacityError).
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ SERIES_TOL = 1e-16
 # g_series fails when the rounding error of its largest layer exceeds this
 # fraction of max(1, max |G|)
 SERIES_ROUNDING_RTOL = 1e-10
-# g_contour refuses a grid (nodes**k points) beyond this many points
-CONTOUR_GRID_CAP = 1 << 26
+# g_contour refuses a call whose largest array, the nodes**(k-1) grid of its
+# pass or the 2**k * k**4 stack of its coefficient dets, has more elements
+CONTOUR_GRID_CAP = 1 << 22
 
 
 def bessel_j_quadrature(n: int, z: complex) -> complex:
@@ -235,7 +236,7 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
     """Integral of (D(z) - W)^{-1} exp(u . z) over the product of circles,
     exact on circle 0 and a trapezoid of ``nodes`` per circle on the others,
     as sum_S m_S adj_S with the moments m_S of exp(u . z)/det against
-    prod_{i in S} z_i.
+    prod_{i in S} z_i; and the same at nodes // 2 (``nodes`` even).
 
     At every node of circles 1..k-1, det = c0 + z_0 c1 and the circle-0
     integral of exp(u_0 z_0) z_0^e/det is the residue at z_0* = -c0/c1,
@@ -243,11 +244,16 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
     vectors so that the moments keep b_0 most significant.  The guard
     compares |c1| R_0 - |c0| = |c1| (R_0 - |z_0*|), the smallest |det| on
     circle 0, with a floor: it stops a pole near, on or outside that circle,
-    between trapezoid nodes too, before anything is divided by c1."""
+    between trapezoid nodes too, before anything is divided by c1.
+
+    The nodes // 2 grid is the even-index subgrid, the same floats, and its
+    trapezoid factors are exactly twice these: its moments, taken on that
+    subgrid, are bit for bit those of a separate nodes // 2 run."""
     k, n = len(times), nodes
     z = radius[1:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     # per-axis trapezoid factor (z/n) exp(u z)
     s = (z / n) * np.exp(times[1:, None] * z)
+    vecs = np.stack([s, s * z], axis=1)
     c0, c1 = _on_grid(det_c[0], z), _on_grid(det_c[1], z)
     floor = 1e-12 * float(np.prod(radius))
     if (np.abs(c1) * radius[0] - np.abs(c0)).min() < floor:
@@ -255,9 +261,14 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
             "near-singular matrix on the contour; increase the radius")
     pole = -c0 / c1
     res = np.exp(times[0] * pole) / c1
-    m = _moments(np.stack([res, res * pole]),
-                 [np.eye(2), *np.stack([s, s * z], axis=1)])
-    return (m[:, None, None] * adj_c.reshape(-1, k, k)).sum(axis=0)
+    pair = np.stack([res, res * pole])
+    # copied contiguous, so that einsum sums in the order of a separate run
+    even = np.ascontiguousarray(
+        pair[(slice(None),) + (slice(None, None, 2),) * (k - 1)])
+    adj = adj_c.reshape(-1, k, k)
+    return tuple((m[:, None, None] * adj).sum(axis=0) for m in (
+        _moments(pair, [np.eye(2), *vecs]),
+        _moments(even, [np.eye(2), *(2 * vecs[:, :, ::2])])))
 
 
 def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
@@ -269,10 +280,11 @@ def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
     a trapezoid of ``nodes`` each, exponentially accurate here (periodic
     analytic integrand).  A det that comes near zero on circle 0, anywhere
     on it, raises SingularContourError.  The reported quadrature error
-    ``quad_error`` is the largest entry difference from a run at exactly
-    ``nodes // 2`` nodes per circle, i.e. the conservative estimate for the
-    doubling step that produced the returned value.  CONTOUR_GRID_CAP
-    bounds nodes^k, the grid of a trapezoid on every circle.
+    ``quad_error`` is the largest entry difference from the trapezoid on
+    the even-index nodes (so ``nodes`` is even), i.e. the conservative
+    estimate for the doubling step that produced the returned value.
+    Before anything is built, CONTOUR_GRID_CAP bounds the nodes^(k-1) grid
+    and the 2^k k^4 coefficient stack.
     """
     k = graph.k
     radius = np.asarray(1.0 + 1.1 * graph.r0 if radius is None else radius,
@@ -283,15 +295,16 @@ def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
     if np.any(radius <= graph.r0):
         raise InvalidInputError(
             f"radius must exceed r0 = {graph.r0:.6g} on every coordinate")
-    if nodes < 4:
-        raise InvalidInputError("need at least 4 nodes per circle")
-    if nodes ** k > CONTOUR_GRID_CAP:
+    if nodes < 4 or nodes % 2:
+        raise InvalidInputError(
+            f"need an even count of at least 4 nodes per circle, not {nodes}")
+    size = max(nodes ** (k - 1), 2 ** k * k ** 4)
+    if size > CONTOUR_GRID_CAP:
         raise CapacityError(
-            f"contour grid of {nodes}^{k} points exceeds the cap of "
-            f"{CONTOUR_GRID_CAP}; lower nodes")
-    coef = _contour_coefficients(graph.weights)
-    fine = _contour_sum(graph.times, radius, nodes, *coef)
-    half = _contour_sum(graph.times, radius, nodes // 2, *coef)
+            f"contour array of {size} elements ({nodes}^{k - 1} points or "
+            f"2^{k}*{k}^4 coefficients) exceeds the cap {CONTOUR_GRID_CAP}")
+    fine, half = _contour_sum(graph.times, radius, nodes,
+                              *_contour_coefficients(graph.weights))
     return GMatrix(fine, "contour", nodes=nodes,
                    quad_error=float(np.max(np.abs(fine - half))))
 

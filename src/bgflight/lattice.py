@@ -179,14 +179,14 @@ def ks_distance(cdf_at_sorted) -> float:
                float(np.max(np.abs(cdf - steps[:-1]))))
 
 
-def ks_exponential(values, mean=1.0):
+def ks_exponential(values):
     """Kolmogorov-Smirnov distance and asymptotic p-value of ``values``
-    against the exponential law with the given mean."""
+    against the exponential law of mean 1."""
     # imported here: scipy.special is over half of the CLI's start-up
     from scipy import special
 
     x = np.sort(np.asarray(values, dtype=float))
-    dist = ks_distance(1.0 - np.exp(-x / mean))
+    dist = ks_distance(1.0 - np.exp(-x))
     pval = float(special.kolmogorov(math.sqrt(x.size) * dist))
     return dist, pval
 

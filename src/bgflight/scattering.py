@@ -434,54 +434,34 @@ class ScatteringModel:
 
     def sigma_tot(self, y) -> float:
         """Spherical integral of the kernel at the speed |y| (``y`` a
-        momentum or a speed): the one-speed case of sigma_tot_speeds."""
+        momentum or a speed): the rate of the one-speed shell_table.
+        Computed on every call; flight times are drawn at continuously
+        distributed speeds, so a per-speed memo would almost never see a
+        speed twice."""
         y = np.asarray(y, dtype=float)
         speed = float(np.linalg.norm(y)) if y.ndim else float(abs(y))
-        return float(self.sigma_tot_speeds(np.array([speed]))[0])
-
-    @property
-    def _closed_form(self) -> bool:
-        """Born order 1 in d = 3: the on-shell law is VonMisesShell."""
-        return self.born_order == 1 and self.dim == 3
-
-    def sigma_tot_speeds(self, speeds) -> np.ndarray:
-        """Total cross sections at a 1-d array of positive speeds: the closed
-        form in one call at Born order 1 in d = 3, else a SPHERE_NODES-point
-        polar rule per speed.  Computed on every call; flight times are
-        drawn at continuously distributed speeds, so a per-speed memo would
-        almost never see a speed twice."""
-        speeds = _positive_speeds(speeds)
-        if self._closed_form:
-            return sigma_tot_born1_speeds(self.potential, self.coupling,
-                                          speeds)
-        return self._sigma_from_shell(speeds, self._shell_values(speeds))
+        return float(self.shell_table(np.array([speed])).rates[0])
 
     def shell_table(self, speeds) -> ShellTable | VonMisesShell:
         """The on-shell kernel at a 1-d array of positive speeds: ``rates``,
-        bit for bit sigma_tot_speeds, the law of the scattering angle,
+        the total cross sections, the law of the scattering angle,
         ``cosines(rows, u)``, and its ``error``.  The closed form at Born
         order 1 in d = 3 (VonMisesShell), else one polar_abs2 call per
         speed at the SPHERE_NODES nodes of the polar rule (ShellTable)."""
-        speeds = _positive_speeds(speeds)
-        if self._closed_form:
+        speeds = np.asarray(speeds, dtype=float)
+        if np.any(speeds <= 0):
+            raise InvalidInputError("total cross section undefined at y = 0")
+        if self.born_order == 1 and self.dim == 3:
             return VonMisesShell(
                 sigma_tot_born1_speeds(self.potential, self.coupling, speeds),
                 self.potential.shell_concentration(speeds))
-        values = self._shell_values(speeds)
-        return ShellTable.from_values(
-            self.dim, self._sigma_from_shell(speeds, values), values)
-
-    def _shell_values(self, speeds):
-        """|T|^2 at the polar nodes, one row per speed."""
-        cnodes, _ = _polar_rule(self.dim, SPHERE_NODES)
-        return np.array([self.polar_abs2(v, cnodes) for v in speeds]
-                        ).reshape(len(speeds), SPHERE_NODES)
-
-    def _sigma_from_shell(self, speeds, values):
         d = self.dim
-        _, cweights = _polar_rule(d, SPHERE_NODES)
+        cnodes, cweights = _polar_rule(d, SPHERE_NODES)
+        values = np.array([self.polar_abs2(v, cnodes) for v in speeds]
+                          ).reshape(len(speeds), SPHERE_NODES)
         sphere = _lower_sphere_area(d) * np.sum(cweights * values, axis=1)
-        return 4 * math.pi ** 2 * speeds ** (d - 2) * sphere
+        return ShellTable.from_values(
+            d, 4 * math.pi ** 2 * speeds ** (d - 2) * sphere, values)
 
     # -- optical theorem ----------------------------------------------------
 
@@ -505,13 +485,6 @@ class ScatteringModel:
             im_t += lam ** 3 * self.born_term(3, y, y).imag
         first = ScatteringModel(self.potential, lam, born_order=1)
         return float(im_t + first.sigma_tot(y) / (4 * math.pi))
-
-
-def _positive_speeds(speeds):
-    speeds = np.asarray(speeds, dtype=float)
-    if np.any(speeds <= 0):
-        raise InvalidInputError("total cross section undefined at y = 0")
-    return speeds
 
 
 def _lower_sphere_area(d) -> float:

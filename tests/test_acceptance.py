@@ -259,7 +259,7 @@ def _weights_scaled(scale):
     (acc.check_08_combinatorial_vs_analytic, kn, "_comb_table",
      _first_multiplicity_plus_one("off", 2)),
     # the collision rate the chains draw their flight times at, 5% high;
-    # the criterion's reference rate is sigma_tot
+    # the criterion's reference rate is the Born-1 closed form
     (acc.check_09_sampler_calibration, sc.ScatteringModel, "shell_table",
      _rates_scaled(1.05)),
     # the limit-process weights of the two-leg chains, 20% high

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ def test_scatter_born3_beyond_grid_cap_exits_4(tmp_path, capsys):
 
 
 def test_gmatrix_k4_default_nodes_exceeds_grid_cap(tmp_path, capsys):
-    # 256^4 grid points: refused before any grid is built
+    # 256^3 grid points: refused before any grid is built
     cfg = write(tmp_path / "c.json", {
         "k": 4, "u": [0.5, 0.5, 0.5, 0.5],
         "w_re": [[0, 0.2, 0, 0], [0.1, 0, 0.3, 0], [0, 0.2, 0, 0.1],
@@ -259,6 +260,24 @@ def test_gmatrix_k4_default_nodes_exceeds_grid_cap(tmp_path, capsys):
     assert main(["gmatrix", "--config", cfg,
                  "--out", str(tmp_path / "o")]) == 4
     assert time.perf_counter() - started < 5.0
+    assert "resource cap" in capsys.readouterr().err
+
+
+def test_gmatrix_k10_coefficient_stack_exceeds_grid_cap(tmp_path, capsys):
+    # k = 10 at the 4-node minimum: a grid of 4^9 points, but 2^10 * 10^4
+    # entries in the stack of coefficient dets, refused before it is built
+    k = 10
+    cfg = write(tmp_path / "c.json", {
+        "k": k, "u": [0.5] * k, "method": "contour", "nodes": 4,
+        "w_re": (0.1 * (np.ones((k, k)) - np.eye(k))).tolist()})
+    tracemalloc.start()
+    try:
+        code = main(["gmatrix", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4 and peak < 2 ** 20
     assert "resource cap" in capsys.readouterr().err
 
 
@@ -355,12 +374,14 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
      "'op' value 'phase'"),
     ("gmatrix", dict(G3_WIDE, method="contour", nodes=3),
      "at least 4 nodes"),
+    ("gmatrix", dict(G3_WIDE, method="contour", nodes=33),
+     "need an even count"),
     ("gmatrix", dict(G3_WIDE, method="bessel_k2"), "only exists for k = 2"),
     ("gmatrix", dict(G3_WIDE, method="residues"),
      "unknown method 'residues'"),
 ], ids=["no_config", "scatter_tmat_without_yp", "scatter_unknown_op",
-        "gmatrix_contour_3_nodes", "gmatrix_bessel_k2_at_k3",
-        "gmatrix_unknown_method"])
+        "gmatrix_contour_3_nodes", "gmatrix_contour_odd_nodes",
+        "gmatrix_bessel_k2_at_k3", "gmatrix_unknown_method"])
 def test_config_error_exits_2(tmp_path, capsys, command, config, message):
     argv = [command, "--out", str(tmp_path / "out")]
     if config is not None:

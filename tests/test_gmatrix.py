@@ -210,11 +210,35 @@ def test_contour_residue_is_the_limit_of_the_trapezoid(k, nodes):
     g = rand_graph(k, umax=1.0, seed=70 + k)
     radius = np.full(k, 1.0 + 1.1 * g.r0)
     got = gm._contour_sum(g.times, radius, nodes,
-                          *gm._contour_coefficients(g.weights))
+                          *gm._contour_coefficients(g.weights))[0]
     ref = trapezoid_reference(g, radius, [512] + [nodes] * (k - 1))
     scale = max(1.0, np.max(np.abs(ref)))
     assert np.max(np.abs(got - ref)) <= 1e-13 * scale
     assert np.max(np.abs(ref - gm.g_series(g).entries)) > 1e-10 * scale
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_contour_half_sum_is_the_run_at_half_the_nodes(k):
+    # the half-node sum read off the even-index nodes of the pass is, bit
+    # for bit, the sum of a pass at nodes // 2 per circle (grids of up to
+    # 2^18 points)
+    g = rand_graph(k, seed=50 + k)
+    radius = np.full(k, 1.0 + 1.1 * g.r0)
+    coef = gm._contour_coefficients(g.weights)
+    for nodes in [n for n in (8, 16, 32, 64) if n ** (k - 1) <= 2 ** 18]:
+        half = gm._contour_sum(g.times, radius, nodes, *coef)[1]
+        assert np.array_equal(
+            half, gm._contour_sum(g.times, radius, nodes // 2, *coef)[0])
+
+
+def test_contour_cap_counts_the_pass_grid():
+    # k = 3 at 512 nodes is a pass over 512^2 points; a cap on nodes^k, a
+    # trapezoid on every circle, refused it
+    g = rand_graph(3, umax=0.8, seed=9, wscale=0.5)
+    cont, ser = gm.g_contour(g, nodes=512), gm.g_series(g)
+    scale = max(1.0, np.max(np.abs(ser.entries)))
+    assert np.max(np.abs(cont.entries - ser.entries)) <= 1e-12 * scale
+    assert cont.quad_error <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 5, 3), (3, 2, 4, 5)])
@@ -236,8 +260,8 @@ def test_moments_match_the_grid_sum(shape):
 
 
 def test_contour_memory_is_bounded_by_a_chunk():
-    # k = 4 at 32 nodes, error run included: the pass holds O(nodes^(k-1))
-    # points at a time, not the whole grid
+    # k = 4 at 32 nodes, half-node sum included: the pass holds
+    # O(nodes^(k-1)) points at a time, not the whole grid
     g = rand_graph(4, umax=0.6, seed=3, wscale=0.5)
     tracemalloc.start()
     try:
@@ -258,8 +282,8 @@ def test_contour_error_estimate_reported():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_contour_error_covers_the_deviation_at_4_nodes(seed):
-    # the comparison run has nodes // 2 = 2 nodes per circle, a grid of its
-    # own: at 4 nodes the contour is far from the series, and says so
+    # the half-node sum runs over the even-index nodes, 2 per circle, a grid
+    # of its own: at 4 nodes the contour is far from the series, and says so
     g = random_graph(np.random.default_rng(seed), 3)
     cont, ser = gm.g_contour(g, nodes=4), gm.g_series(g)
     assert ser.converged

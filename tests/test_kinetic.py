@@ -425,8 +425,8 @@ def test_block_rates_are_sigma_tot(dim, order, coupling):
     y0 = np.array([[0.3, 0.4, 0.0], [0.0, 0.54, 0.72], [1.04, 0.0, 0.78]])
     y0 = np.hstack([y0, np.full((3, dim - 3), 0.1)])
     block = kn.sample_lb_block(1.0, y0, model, 3, np.arange(3), max_legs=2)
-    assert np.array_equal(block.rates, model.sigma_tot_speeds(
-        np.linalg.norm(y0, axis=1)))
+    assert np.array_equal(block.rates, [
+        model.sigma_tot(v) for v in np.linalg.norm(y0, axis=1)])
 
 
 def test_shell_table_error_estimate():
