@@ -48,13 +48,22 @@ REAL_KEYS = frozenset({"coupling", "t", "gamma", "amplitude", "width",
 BOOL_KEYS = frozenset({"ordered", "diagrams", "include_third"})
 
 
+def _finite(text):
+    """A JSON float, NaN or Infinity as a float, refused unless finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, not {text}")
+    return value
+
+
 def _load_config(path, schema, defaults):
     if path is None:
         cfg = {}
     else:
         try:
             with open(path) as fh:
-                cfg = json.load(fh)
+                cfg = json.load(fh, parse_float=_finite,
+                                parse_constant=_finite)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
@@ -92,8 +101,8 @@ def _checked(cfg, schema, defaults, name):
 
 
 def _array(value, shape, name):
-    """``value`` (config key ``name``) as a float array of ``shape``, from a
-    JSON number or nested lists of numbers; anything else is refused."""
+    """``value`` (config key ``name``) as a float array of ``shape``, from
+    nested lists of numbers; anything else is refused."""
     def numbers(v):
         return (all(map(numbers, v)) if isinstance(v, list) else
                 isinstance(v, (int, float)) and not isinstance(v, bool))
@@ -103,8 +112,8 @@ def _array(value, shape, name):
     except ValueError:  # ragged lists
         arr = None
     if arr is None or arr.shape != shape:
-        what = "x".join(map(str, shape)) + " numbers" if shape else "a number"
-        raise ConfigError(f"{name} must be {what}, not {value!r}")
+        what = "x".join(map(str, shape))
+        raise ConfigError(f"{name} must be {what} numbers, not {value!r}")
     return arr
 
 
@@ -276,21 +285,16 @@ def _cmd_paths(args, out_dir):
 def _cmd_gmatrix(args, out_dir):
     cfg = _load_config(args.config, {
         "k": True, "u": True, "w_re": True, "w_im": False, "method": False,
-        "max_order": False, "nodes": False, "radius": False,
-    }, {"w_im": None, "method": "auto", "max_order": 80, "nodes": 256,
-        "radius": None})
+        "max_order": False, "nodes": False,
+    }, {"w_im": None, "method": "auto", "max_order": 80, "nodes": 256})
     k = cfg["k"]
     w = _array(cfg["w_re"], (k, k), "'w_re'").astype(complex)
     if cfg["w_im"] is not None:
         w += 1j * _array(cfg["w_im"], (k, k), "'w_im'")
-    radius = cfg["radius"]
-    if radius is not None:
-        radius = _array(radius, (k,) if isinstance(radius, list) else (),
-                        "'radius'")
     graph = gp.WeightedCollisionGraph(w, _array(cfg["u"], (k,), "'u'"))
     method = None if cfg["method"] == "auto" else cfg["method"]
     result = gm.g_auto(graph, prefer=method, max_order=cfg["max_order"],
-                       nodes=cfg["nodes"], radius=radius)
+                       nodes=cfg["nodes"])
     payload = {
         "k": k,
         "method": result.method,

@@ -19,7 +19,3 @@ class NumericsError(RuntimeError):
 
 class TailBoundError(NumericsError):
     """Truncated integration tail exceeds the requested tolerance."""
-
-
-class SingularContourError(NumericsError):
-    """Matrix inversion failed on the integration contour (radius too small)."""

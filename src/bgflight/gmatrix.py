@@ -33,13 +33,12 @@ default; the contour runs only on request.
 
 The contour route has one kernel for every k: det(D(z) - W) and
 adj(D(z) - W) are affine in each z_i, so the integral of adj/det times
-exp(u . z) is a combination of 2^k moments of exp(u . z)/det.  The first
-circle is integrated exactly: det = c0 + z_0 c1 has the single pole
-z_0* = -c0/c1, which lies inside |z_0| = R_0 because every other circle has
-radius above r0 (so D - W is strictly diagonally dominant off row 0 and
-|z_0*| <= (k - 1) max |w|); its residue exp(u_0 z_0*) z_0*^e / c1 replaces
-the trapezoid on axis 0, and the trapezoid runs over the remaining k - 1
-circles only, whose even-index nodes give the half-node error estimate.
+exp(u . z) is a combination of 2^k moments of exp(u . z)/det.  Each circle
+j >= 1 has a radius ``_radii`` above the row sum rho_j of W on axes
+1..k-1, so det = c0 + z_0 c1 with |c1| >= prod (R_j - rho_j) > 0
+(Ostrowski): its one pole z_0* = -c0/c1 gives circle 0 exactly, by the
+residue exp(u_0 z_0*) z_0*^e / c1, and the trapezoid runs over circles
+1..k-1 only, whose even-index nodes give the half-node error estimate.
 CONTOUR_GRID_CAP bounds the arrays a call builds (CapacityError).
 """
 
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, InvalidInputError, SingularContourError
+from .errors import CapacityError, InvalidInputError
 from .paths import (WeightedCollisionGraph, _borel_weights, _layers,
                     _power_tables)
 
@@ -232,36 +231,48 @@ def _moments(t, vecs):
     return r.reshape(-1)
 
 
-def _contour_sum(times, radius, nodes, det_c, adj_c):
-    """Integral of (D(z) - W)^{-1} exp(u . z) over the product of circles,
-    exact on circle 0 and a trapezoid of ``nodes`` per circle on the others,
-    as sum_S m_S adj_S with the moments m_S of exp(u . z)/det against
-    prod_{i in S} z_i; and the same at nodes // 2 (``nodes`` even).
+def _radii(graph: WeightedCollisionGraph) -> np.ndarray:
+    """Radii of circles 1..k-1: R_j = min(1.5 rho_j + 0.2 + sqrt(u_0 |w_0j|
+    |w_j0| / u_j), 1 + 1.1 r0) with rho_j = sum_{l >= 1, l != j} |w_jl|.
+    The root, infinite at u_j = 0, is the k = 2 saddle of exp(u_j R_j +
+    u_0 |w_0j w_j0| / R_j); the cap bounds it where u_j is small.  Either
+    branch leaves R_j - rho_j >= 0.2."""
+    a, u = np.abs(graph.weights), graph.times
+    saddle = np.divide(u[0] * a[0, 1:] * a[1:, 0], u[1:],
+                       out=np.full(graph.k - 1, np.inf), where=u[1:] > 0)
+    return np.minimum(1.5 * a[1:, 1:].sum(axis=1) + 0.2 + np.sqrt(saddle),
+                      1.0 + 1.1 * graph.r0)
 
-    At every node of circles 1..k-1, det = c0 + z_0 c1 and the circle-0
-    integral of exp(u_0 z_0) z_0^e/det is the residue at z_0* = -c0/c1,
-    exp(u_0 z_0*) z_0*^e/c1 (e = 0, 1), taken against eye(2) as the axis-0
-    vectors so that the moments keep b_0 most significant.  The guard
-    compares |c1| R_0 - |c0| = |c1| (R_0 - |z_0*|), the smallest |det| on
-    circle 0, with a floor: it stops a pole near, on or outside that circle,
-    between trapezoid nodes too, before anything is divided by c1.
+
+def _contour_sum(times, radii, nodes, det_c, adj_c):
+    """Integral of (D(z) - W)^{-1} exp(u . z) over the product of circles,
+    exact on circle 0 and a trapezoid of ``nodes`` (even) per circle on
+    circles 1..k-1 of ``radii``, as sum_S m_S adj_S with the moments m_S of
+    exp(u . z)/det against prod_{i in S} z_i; and the same at nodes // 2.
+
+    At every node of circles 1..k-1 the circle-0 integral of exp(u_0 z_0)
+    z_0^e/det is the residue exp(u_0 z_0*) z_0*^e/c1 at z_0* = -c0/c1
+    (e = 0, 1), taken against eye(2) as the axis-0 vectors so that the
+    moments keep b_0 most significant.
 
     The nodes // 2 grid is the even-index subgrid, the same floats, and its
     trapezoid factors are exactly twice these: its moments, taken on that
     subgrid, are bit for bit those of a separate nodes // 2 run."""
     k, n = len(times), nodes
-    z = radius[1:, None] * np.exp(2j * np.pi * np.arange(n) / n)
+    z = radii[:, None] * np.exp(2j * np.pi * np.arange(n) / n)
     # per-axis trapezoid factor (z/n) exp(u z)
     s = (z / n) * np.exp(times[1:, None] * z)
     vecs = np.stack([s, s * z], axis=1)
-    c0, c1 = _on_grid(det_c[0], z), _on_grid(det_c[1], z)
-    floor = 1e-12 * float(np.prod(radius))
-    if (np.abs(c1) * radius[0] - np.abs(c0)).min() < floor:
-        raise SingularContourError(
-            "near-singular matrix on the contour; increase the radius")
-    pole = -c0 / c1
-    res = np.exp(times[0] * pole) / c1
-    pair = np.stack([res, res * pole])
+    neg_c0, c1 = _on_grid(-det_c[0], z), _on_grid(det_c[1], z)
+    # the residue pair in place, c0 and c1 freed once used: four grids at most
+    pair = np.empty((2,) + c1.shape, dtype=complex)
+    res, pole = pair
+    np.divide(neg_c0, c1, out=pole)
+    del neg_c0
+    np.exp(np.multiply(times[0], pole, out=res), out=res)
+    res /= c1
+    del c1
+    pole *= res
     # copied contiguous, so that einsum sums in the order of a separate run
     even = np.ascontiguousarray(
         pair[(slice(None),) + (slice(None, None, 2),) * (k - 1)])
@@ -271,30 +282,17 @@ def _contour_sum(times, radius, nodes, det_c, adj_c):
         _moments(even, [np.eye(2), *(2 * vecs[:, :, ::2])])))
 
 
-def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
-              radius=None) -> GMatrix:
+def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256) -> GMatrix:
     """Iterated contour integral over k circles of (D(z) - W)^{-1}
-    exp(u . z), of radius ``radius`` (scalar or per coordinate; None picks
-    1 + 1.1 r0).  Circle 0 is integrated exactly, by the residue at the one
-    pole of 1/det inside it (``_contour_sum``); the other k - 1 circles take
-    a trapezoid of ``nodes`` each, exponentially accurate here (periodic
-    analytic integrand).  A det that comes near zero on circle 0, anywhere
-    on it, raises SingularContourError.  The reported quadrature error
-    ``quad_error`` is the largest entry difference from the trapezoid on
-    the even-index nodes (so ``nodes`` is even), i.e. the conservative
-    estimate for the doubling step that produced the returned value.
-    Before anything is built, CONTOUR_GRID_CAP bounds the nodes^(k-1) grid
-    and the 2^k k^4 coefficient stack.
+    exp(u . z): circle 0 exactly, by the residue at the one pole of 1/det
+    inside it (``_contour_sum``), and circles 1..k-1, of the radii
+    ``_radii``, by a trapezoid of ``nodes`` each, exponentially accurate
+    here (periodic analytic integrand).  ``quad_error`` is the largest entry
+    difference from the trapezoid on the even-index nodes (so ``nodes`` is
+    even), the conservative estimate for the doubling step that produced the
+    returned value.  CONTOUR_GRID_CAP is checked before anything is built.
     """
     k = graph.k
-    radius = np.asarray(1.0 + 1.1 * graph.r0 if radius is None else radius,
-                        dtype=float)
-    if radius.shape not in ((), (k,)):
-        raise InvalidInputError(f"radius must be a number or {k} numbers")
-    radius = np.broadcast_to(radius, (k,)).copy()
-    if np.any(radius <= graph.r0):
-        raise InvalidInputError(
-            f"radius must exceed r0 = {graph.r0:.6g} on every coordinate")
     if nodes < 4 or nodes % 2:
         raise InvalidInputError(
             f"need an even count of at least 4 nodes per circle, not {nodes}")
@@ -303,7 +301,7 @@ def g_contour(graph: WeightedCollisionGraph, *, nodes: int = 256,
         raise CapacityError(
             f"contour array of {size} elements ({nodes}^{k - 1} points or "
             f"2^{k}*{k}^4 coefficients) exceeds the cap {CONTOUR_GRID_CAP}")
-    fine, half = _contour_sum(graph.times, radius, nodes,
+    fine, half = _contour_sum(graph.times, _radii(graph), nodes,
                               *_contour_coefficients(graph.weights))
     return GMatrix(fine, "contour", nodes=nodes,
                    quad_error=float(np.max(np.abs(fine - half))))
@@ -358,12 +356,11 @@ def g_rows(weights, times, row: int | None = None) -> GBatch:
 
 
 def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
-           max_order: int = 80, *, nodes: int = 256,
-           radius=None) -> GMatrix:
+           max_order: int = 80, *, nodes: int = 256) -> GMatrix:
     """Dispatch as ``g_rows`` does: Bessel closed form for k = 2, series
     otherwise, unless ``prefer`` names a route ("bessel_k2", "series" or
-    "contour", which alone reads ``nodes`` and ``radius``).  The series is
-    never replaced by the contour when it does not converge."""
+    "contour", which alone reads ``nodes``).  The series is never replaced
+    by the contour when it does not converge."""
     method = prefer or ("bessel_k2" if graph.k == 2 else "series")
     if method == "bessel_k2":
         if graph.k != 2:
@@ -373,5 +370,5 @@ def g_auto(graph: WeightedCollisionGraph, prefer: str | None = None,
     if method == "series":
         return g_series(graph, max_order=max_order)
     if method == "contour":
-        return g_contour(graph, nodes=nodes, radius=radius)
+        return g_contour(graph, nodes=nodes)
     raise InvalidInputError(f"unknown method {method!r}")

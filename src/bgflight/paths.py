@@ -43,8 +43,8 @@ DEFAULT_PATH_CAP = 10**7
 
 @dataclass(frozen=True)
 class WeightedCollisionGraph:
-    """Complete graph on k >= 2 vertices with complex edge weights (zero
-    diagonal) and non-negative vertex times."""
+    """Complete graph on k >= 2 vertices with finite complex edge weights
+    (zero diagonal) and finite non-negative vertex times."""
 
     weights: np.ndarray
     times: np.ndarray
@@ -60,6 +60,8 @@ class WeightedCollisionGraph:
             raise InvalidInputError("need at least 2 vertices")
         if u.shape != (k,):
             raise InvalidInputError("times must have one entry per vertex")
+        if not (np.isfinite(w).all() and np.isfinite(u).all()):
+            raise InvalidInputError("weights and times must be finite")
         if np.any(np.diag(w) != 0):
             raise InvalidInputError("diagonal weights must vanish")
         if np.any(u < 0):

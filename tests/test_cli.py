@@ -304,8 +304,9 @@ def test_gmatrix_series_cancellation_exits_3(tmp_path, capsys):
     assert "not converged" in capsys.readouterr().err
 
 
-# a k = 3 graph on which the 256-node contour is 4.9 off the largest entry,
-# 8.04 (its quad_error reads 1.7), while the series converges
+# a k = 3 graph with wide weights, largest entry 8.04, on which the series
+# converges: circles of radius 1 + 1.1 r0 put the 256-node contour 4.9 off
+# (quad_error 1.7), the radii of gmatrix._radii within 1e-10
 G3_WIDE = {"k": 3, "u": [2.0, 2.5, 3.0],
            "w_re": [[0, -0.312, -1.905], [-1.518, 0, 0.595],
                     [0.466, -0.47, 0]],
@@ -327,6 +328,21 @@ def test_gmatrix_k3_default_is_the_series(tmp_path, capsys):
     assert json.loads((out / "gmatrix.json").read_text())["converged"]
 
 
+def test_gmatrix_k3_wide_contour_matches_the_series(tmp_path):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "c.json", dict(G3_WIDE, method="contour"))
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "gmatrix.json").read_text())
+    assert payload["nodes"] == 256
+    g = np.asarray(payload["entries_re"]) + 1j * np.asarray(
+        payload["entries_im"])
+    w = np.array(G3_WIDE["w_re"]) + 1j * np.array(G3_WIDE["w_im"])
+    ser = gmatrix.g_series(WeightedCollisionGraph(w, G3_WIDE["u"])).entries
+    scale = max(1.0, np.max(np.abs(ser)))
+    assert np.max(np.abs(g - ser)) <= 1e-10 * scale
+    assert payload["quad_error"] <= 1e-10 * scale
+
+
 def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
     # scaled to max |w| = 3 the series reaches its order cap; the default
     # reports that rather than falling back to the contour
@@ -342,10 +358,6 @@ def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, config, message", [
-    ("gmatrix", dict(G3_WIDE, method="contour", radius=[20, 20]),
-     "'radius' must be 3 numbers"),
-    ("gmatrix", dict(G3_WIDE, method="contour", radius="20"),
-     "'radius' must be a number"),
     ("gmatrix", dict(G3_WIDE, w_re=[[0, "1", 0], [0, 0, 0], [0, 0, 0]]),
      "'w_re' must be 3x3 numbers"),
     ("gmatrix", dict(G3_WIDE, w_im=[[0, 1], [1, 0]]),
@@ -356,8 +368,7 @@ def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
      "'shift' must be 2 numbers"),
     ("lattice", {"r_max": 50000.0, "width": 2000.0, "shift": "0.1"},
      "'shift' must be 2 numbers"),
-], ids=["gmatrix_radius_length", "gmatrix_radius_string",
-        "gmatrix_w_re_string", "gmatrix_w_im_shape", "gmatrix_k_mismatch",
+], ids=["gmatrix_w_re_string", "gmatrix_w_im_shape", "gmatrix_k_mismatch",
         "gmatrix_u_bool", "lattice_shift_length", "lattice_shift_string"])
 def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     cfg = write(tmp_path / "c.json", config)
@@ -379,12 +390,30 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     ("gmatrix", dict(G3_WIDE, method="bessel_k2"), "only exists for k = 2"),
     ("gmatrix", dict(G3_WIDE, method="residues"),
      "unknown method 'residues'"),
+    # the contour works its radii out from the graph
+    ("gmatrix", dict(G3_WIDE, method="contour", radius=20),
+     "unknown config key: 'radius'"),
+    # JSON text as written, for the literals json.dumps does not write
+    ("scatter", '{"op": "sigma", "coupling": NaN, "y": [1, 0, 0], '
+     '"direction": [0, 1, 0]}', "must be finite, not NaN"),
+    ("scatter", '{"op": "sigma", "coupling": 1e400, "y": [1, 0, 0], '
+     '"direction": [0, 1, 0]}', "must be finite, not 1e400"),
+    ("lattice", '{"r_max": Infinity, "width": 2000.0}',
+     "must be finite, not Infinity"),
+    ("gmatrix", json.dumps(dict(G3_WIDE, u=[2.0, float("nan"), 3.0])),
+     "must be finite, not NaN"),
 ], ids=["no_config", "scatter_tmat_without_yp", "scatter_unknown_op",
         "gmatrix_contour_3_nodes", "gmatrix_contour_odd_nodes",
-        "gmatrix_bessel_k2_at_k3", "gmatrix_unknown_method"])
+        "gmatrix_bessel_k2_at_k3", "gmatrix_unknown_method",
+        "gmatrix_radius_key", "scatter_nan_coupling",
+        "scatter_overflowing_coupling", "lattice_infinite_r_max",
+        "gmatrix_nan_time"])
 def test_config_error_exits_2(tmp_path, capsys, command, config, message):
     argv = [command, "--out", str(tmp_path / "out")]
-    if config is not None:
+    if isinstance(config, str):
+        (tmp_path / "c.json").write_text(config)
+        argv += ["--config", str(tmp_path / "c.json")]
+    elif config is not None:
         argv += ["--config", write(tmp_path / "c.json", config)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err

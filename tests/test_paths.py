@@ -236,8 +236,13 @@ def test_graph_validation():
     (np.zeros((1, 1)), [1.0]),
     (np.zeros((3, 3)), [1.0, 1.0]),
     (np.zeros((2, 2)), [[1.0, 1.0]]),
+    (np.array([[0, np.inf], [1.0, 0]]), [1.0, 1.0]),
+    (np.array([[0, 1.0], [complex(0, np.nan), 0]]), [1.0, 1.0]),
+    (np.zeros((2, 2)), [1.0, np.inf]),
+    (np.zeros((2, 2)), [np.nan, 1.0]),
 ], ids=["not_square", "not_a_matrix", "one_vertex", "too_few_times",
-        "times_not_a_vector"])
+        "times_not_a_vector", "infinite_weight", "nan_weight",
+        "infinite_time", "nan_time"])
 def test_graph_refuses_malformed_input(weights, times):
     with pytest.raises(InvalidInputError):
         gp.WeightedCollisionGraph(weights, times)
