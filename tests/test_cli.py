@@ -358,6 +358,12 @@ def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, config, message", [
+    # the contour works its radii out from the graph: a radius of any shape
+    # is refused as an unknown key
+    ("gmatrix", dict(G3_WIDE, method="contour", radius=[20, 20]),
+     "unknown config key: 'radius'"),
+    ("gmatrix", dict(G3_WIDE, method="contour", radius="20"),
+     "unknown config key: 'radius'"),
     ("gmatrix", dict(G3_WIDE, w_re=[[0, "1", 0], [0, 0, 0], [0, 0, 0]]),
      "'w_re' must be 3x3 numbers"),
     ("gmatrix", dict(G3_WIDE, w_im=[[0, 1], [1, 0]]),
@@ -368,7 +374,8 @@ def test_gmatrix_default_unconverged_exits_3(tmp_path, capsys):
      "'shift' must be 2 numbers"),
     ("lattice", {"r_max": 50000.0, "width": 2000.0, "shift": "0.1"},
      "'shift' must be 2 numbers"),
-], ids=["gmatrix_w_re_string", "gmatrix_w_im_shape", "gmatrix_k_mismatch",
+], ids=["gmatrix_radius_length", "gmatrix_radius_string",
+        "gmatrix_w_re_string", "gmatrix_w_im_shape", "gmatrix_k_mismatch",
         "gmatrix_u_bool", "lattice_shift_length", "lattice_shift_string"])
 def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     cfg = write(tmp_path / "c.json", config)
@@ -390,9 +397,6 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     ("gmatrix", dict(G3_WIDE, method="bessel_k2"), "only exists for k = 2"),
     ("gmatrix", dict(G3_WIDE, method="residues"),
      "unknown method 'residues'"),
-    # the contour works its radii out from the graph
-    ("gmatrix", dict(G3_WIDE, method="contour", radius=20),
-     "unknown config key: 'radius'"),
     # JSON text as written, for the literals json.dumps does not write
     ("scatter", '{"op": "sigma", "coupling": NaN, "y": [1, 0, 0], '
      '"direction": [0, 1, 0]}', "must be finite, not NaN"),
@@ -405,7 +409,7 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
 ], ids=["no_config", "scatter_tmat_without_yp", "scatter_unknown_op",
         "gmatrix_contour_3_nodes", "gmatrix_contour_odd_nodes",
         "gmatrix_bessel_k2_at_k3", "gmatrix_unknown_method",
-        "gmatrix_radius_key", "scatter_nan_coupling",
+        "scatter_nan_coupling",
         "scatter_overflowing_coupling", "lattice_infinite_r_max",
         "gmatrix_nan_time"])
 def test_config_error_exits_2(tmp_path, capsys, command, config, message):
