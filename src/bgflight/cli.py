@@ -74,8 +74,8 @@ def _load_config(path, schema, defaults):
 def _checked(cfg, schema, defaults, name):
     """``defaults`` updated by the JSON object ``cfg`` (called ``name`` in
     messages), once ``cfg`` has only keys of ``schema``, every key that
-    ``schema`` marks required, integers under INT_KEYS, numbers under
-    REAL_KEYS and booleans under BOOL_KEYS."""
+    ``schema`` marks required, integers under INT_KEYS, numbers a float can
+    hold under REAL_KEYS and booleans under BOOL_KEYS."""
     if not isinstance(cfg, dict):
         raise ConfigError(f"{name} must be a JSON object")
     for key, value in cfg.items():
@@ -85,10 +85,15 @@ def _checked(cfg, schema, defaults, name):
                                 or isinstance(value, bool)):
             raise ConfigError(f"{name} key {key!r} must be an integer, "
                               f"not {value!r}")
-        if key in REAL_KEYS and (not isinstance(value, (int, float))
-                                 or isinstance(value, bool)):
-            raise ConfigError(f"{name} key {key!r} must be a number, "
-                              f"not {value!r}")
+        if key in REAL_KEYS:
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ConfigError(f"{name} key {key!r} must be a number, "
+                                  f"not {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} key {key!r} is an integer too "
+                                  f"large for a float")
         if key in BOOL_KEYS and not isinstance(value, bool):
             raise ConfigError(f"{name} key {key!r} must be true or false, "
                               f"not {value!r}")
@@ -111,6 +116,8 @@ def _array(value, shape, name):
         arr = np.asarray(value, dtype=float) if numbers(value) else None
     except ValueError:  # ragged lists
         arr = None
+    except OverflowError:
+        raise ConfigError(f"{name} holds an integer too large for a float")
     if arr is None or arr.shape != shape:
         what = "x".join(map(str, shape))
         raise ConfigError(f"{name} must be {what} numbers, not {value!r}")
@@ -154,9 +161,16 @@ def _np_default(obj):
 
 
 def _write_json(path, obj):
+    """``obj`` as sorted, indented JSON; a NaN or infinity in it, which JSON
+    has no token for, raises NumericsError before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, default=_np_default,
+                          allow_nan=False)
+    except ValueError:
+        raise NumericsError(
+            f"{os.path.basename(path)} would hold a non-finite number")
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_np_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _manifest(out_dir, command, config, seed, threads, outputs, checks,
@@ -505,6 +519,10 @@ def main(argv=None) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         cfg, outputs, checks, status = COMMANDS[args.command](args, args.out)
+        # paths and simulate run on the config's seed unless --seed is given
+        seed = cfg.get("seed") if args.seed is None else args.seed
+        _manifest(args.out, args.command, cfg, seed, args.threads,
+                  [os.path.basename(p) for p in outputs], checks, started)
     except (ConfigError, InvalidInputError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -514,8 +532,6 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _manifest(args.out, args.command, cfg, args.seed, args.threads,
-              [os.path.basename(p) for p in outputs], checks, started)
     return status
 
 

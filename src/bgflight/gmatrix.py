@@ -19,13 +19,13 @@ independent of the square-root branch since J_0 and J_1(z)/z are even.
 
 Three evaluation routes are provided (series, contour quadrature, k=2 Bessel
 closed form); their mutual agreement is the module's main correctness check.
-The series route sums the layers (D(u) W)^n D(u) of ``paths._layers``
+The series route sums the layers (D(u) W)^n D(u) of ``paths._next_layer``
 under the factorial transform ``paths._borel_weights``: the layers and the
 transform that the path identity of ``paths`` is checked on.  One driver,
-``g_series_batch``, sums them for a batch of graphs at once, right-multiplied
-layer by layer, for all rows of G or for one start row, judges convergence
-per graph and lets converged graphs leave the batch; ``g_series`` is its
-one-graph, all-rows case.  Indices are 0-based throughout.
+``g_series_batch``, sums them for a batch of graphs at once, for all rows of
+G or for one start row, judges convergence per graph and drops converged
+graphs from its layer, weights and power table with one mask; ``g_series``
+is its one-graph, all-rows case.  Indices are 0-based throughout.
 
 ``g_rows`` (closed form at k = 2, batched series above, no fallback) gives G
 to the Monte Carlo reweighting and the density, as ``g_auto`` does by
@@ -49,8 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .paths import (WeightedCollisionGraph, _borel_weights, _layers,
-                    _power_tables)
+from .paths import (WeightedCollisionGraph, _borel_weights, _first_layer,
+                    _next_layer, _power_table)
 
 # g_series stops once two consecutive layers fall below this fraction of
 # max(1, max |G|)
@@ -58,6 +58,9 @@ SERIES_TOL = 1e-16
 # g_series fails when the rounding error of its largest layer exceeds this
 # fraction of max(1, max |G|)
 SERIES_ROUNDING_RTOL = 1e-10
+# g_series_batch builds its power table at once to twice the degree reached,
+# at least to this one (order-1 graphs stop below degree 40)
+POWER_TABLE_DEGREE = 64
 # g_contour refuses a call whose largest array, the nodes**(k-1) grid of its
 # pass or the 2**k * k**4 stack of its coefficient dets, has more elements
 CONTOUR_GRID_CAP = 1 << 22
@@ -113,7 +116,7 @@ def g_series_batch(weights, times, row: int | None = None,
     """Truncated series of a batch of graphs (edge weights (B, k, k) with
     zero diagonals, vertex times (B, k)): accumulate the factorial
     transform ``paths._borel_weights`` of each homogeneous layer
-    (D(u) W)^n D(u), as ``paths._layers`` yields them, at the vertex times.
+    (D(u) W)^n D(u) of ``paths._next_layer`` at the vertex times.
     ``row`` keeps only that start row of G; by default all rows are summed.
 
     Each graph stops once two consecutive layer contributions fall below
@@ -138,15 +141,20 @@ def g_series_batch(weights, times, row: int | None = None,
     total = entries.copy()
     previous = np.full(n, np.inf)
     peak = np.zeros(n)
-    layers, tables = _layers(w, rows), _power_tables(u)
-    layer, table = next(layers), next(tables)
-    keep = None
+    layer = _first_layer(k, rows, n)
+    # wt[b, 0, j, l] = w[b, l, j]: the batch matmul contracts over l
+    wt = np.ascontiguousarray(np.swapaxes(w, 1, 2))[:, None]
+    table = np.zeros((n, k, 0))
     for degree in range(1, max_order + 2):
         if not active.size:
             break
         if degree > 1:
-            layer, table = layers.send(keep), tables.send(keep)
-        value = (layer @ _borel_weights(table)[:, None, :, None])[..., 0]
+            layer = _next_layer(layer, wt, degree)
+        if degree >= table.shape[-1]:
+            table = _power_table(u[active], min(
+                max(2 * degree, POWER_TABLE_DEGREE), max_order + 1))
+        bw = _borel_weights(table[..., :degree + 1])
+        value = (layer @ bw[:, None, :, None])[..., 0]
         total += value
         vmax = np.abs(value).max(axis=(1, 2))
         peak = np.maximum(peak, vmax)
@@ -157,7 +165,6 @@ def g_series_batch(weights, times, row: int | None = None,
         # must reach 1), so only judge convergence past that point
         done = (last_two <= SERIES_TOL * scale) & (degree > k)
         stop = done if degree <= max_order else np.ones_like(done)
-        keep = None
         if stop.any():
             out = active[stop]
             rounding = np.finfo(float).eps * peak[stop]
@@ -169,6 +176,7 @@ def g_series_batch(weights, times, row: int | None = None,
             keep = ~stop
             active, total = active[keep], total[keep]
             previous, peak = previous[keep], peak[keep]
+            layer, wt, table = layer[keep], wt[keep], table[keep]
     return GBatch(entries if row is None else entries[:, 0], order, tails,
                   converged)
 

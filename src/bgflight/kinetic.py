@@ -169,9 +169,9 @@ def rho_lb(u, momenta, model: ScatteringModel) -> DensityValue:
     speed = _check_on_shell(momenta)
     sig = model.sigma_tot(speed)
     damping = math.exp(-float(np.sum(u)) * sig)
+    legs = np.asarray(momenta, dtype=float)
     kernel = 1.0
-    for y_out, y_in in zip(momenta[:-1], momenta[1:]):
-        t = model.t_matrix(y_out, y_in)
+    for t in model.t_matrix_batch(legs[:-1], legs[1:, None])[:, 0].tolist():
         kernel *= 4 * math.pi ** 2 * abs(t) ** 2
     shell = speed ** ((model.dim - 2) * (len(momenta) - 1))
     return DensityValue(damping * kernel * shell, kernel, damping, shell)

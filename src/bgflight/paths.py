@@ -16,14 +16,14 @@ engine behind the generating matrix function computed in ``gmatrix``.
 
 A polynomial in the vertex times is stored in one layout: a dense array of
 coefficients over the exponent vectors ``_monomials(k, degree)``.
-``_layers`` is the one implementation of the layers [D(u) W]^n D(u) and
-``_borel_weights`` the one implementation of L, both in that layout and
-both batched over graphs: the layers are right-multiplied, layer n + 1 =
-layer n W D(u), for a batch of weight matrices and a choice of start rows,
-and L reads a power table of the vertex times that grows by one column per
-degree (``_power_tables``).  ``gmatrix.g_series_batch`` sums the layers
-with those weights, and the path identity compares path sums with the same
-layers under the same L.
+``_first_layer`` and ``_next_layer`` are the one implementation of the
+layers [D(u) W]^n D(u) and ``_borel_weights`` the one implementation of L,
+both in that layout and both batched over graphs: the layers are
+right-multiplied, layer n + 1 = layer n W D(u), for a batch of weight
+matrices and a choice of start rows, and L reads a power table of the
+vertex times (``_power_table``).  ``gmatrix.g_series_batch`` sums the
+layers with those weights, and the path identity compares path sums with
+the same layers under the same L.
 """
 
 from __future__ import annotations
@@ -205,63 +205,46 @@ def _shift_sources(k: int, degree: int) -> np.ndarray:
     return src
 
 
-def _layers(weights, rows=None):
-    """Yield [D(u) W]^n D(u) for n = 0, 1, 2, ... for a batch of B graphs
-    with edge weights ``weights`` (B, k, k): a (B, r, k, M) array of
-    coefficients over the M monomials ``_monomials(k, n + 1)`` of the rows
-    ``rows`` (all k rows by default).  Right-multiplied: column j of layer
-    n + 1 is u_j sum_l (column l of layer n) w_lj, one matmul over the batch
-    and the rows, then one gather through ``_shift_sources`` from the
-    product with a zero column appended to each of its k rows.
-
-    Sending a boolean mask over the current batch, instead of calling
-    next(), keeps only those graphs in the layers that follow."""
-    w = np.asarray(weights, dtype=complex)
-    k = w.shape[-1]
-    rows = np.arange(k) if rows is None else np.asarray(rows)
-    # wt[b, 0, j, l] = w[b, l, j]: the batch matmul contracts over l
-    wt = np.ascontiguousarray(np.swapaxes(w, 1, 2))[:, None]
-    # layer 0 is D(u): entry (i, i) is the monomial u_i
+def _first_layer(k, rows, batch):
+    """Layer 0, D(u), of ``batch`` graphs on k vertices: entry (i, i) is the
+    monomial u_i, as a (batch, r, k, k) array of coefficients over
+    ``_monomials(k, 1)`` for the start rows ``rows``."""
     diag = np.eye(k)[:, :, None] * _monomials(k, 1).T[:, None, :]
-    layer = np.broadcast_to(diag[rows], (len(w), len(rows), k, k)) + 0j
-    degree = 1
-    while True:
-        keep = yield layer
-        if keep is not None:
-            layer, wt = layer[keep], wt[keep]
-        degree += 1
-        prod = wt @ layer
-        zero = np.zeros(prod.shape[:-1] + (1,), dtype=complex)
-        padded = np.concatenate([prod, zero], axis=-1)
-        layer = np.take(padded.reshape(prod.shape[:2] + (-1,)),
-                        _shift_sources(k, degree), axis=-1)
+    return np.broadcast_to(diag[rows], (batch, len(rows), k, k)) + 0j
 
 
-def _power_tables(times):
-    """Yield the power tables of the factorial transform at a batch of
-    vertex times ``times`` (B, k), for degree 1, 2, ...: (B, k, degree + 1)
-    arrays whose column e >= 1 holds u^(e - 1) / (e - 1)! and whose column 0
-    is zero.  Each degree appends one column, the last one times u / (e - 1).
+def _next_layer(layer, weights, degree):
+    """Layer n + 1 = layer n W D(u), of total degree ``degree``, from layer
+    n (B, r, k, M) and each graph's W transposed, ``weights`` (B, 1, k, k)
+    with [b, 0, j, l] = w_lj: column j is u_j sum_l (column l of layer n)
+    w_lj, one matmul over the batch and the rows, then one gather through
+    ``_shift_sources`` from the product with a zero column appended to each
+    of its k rows."""
+    prod = weights @ layer
+    zero = np.zeros(prod.shape[:-1] + (1,), dtype=complex)
+    padded = np.concatenate([prod, zero], axis=-1)
+    return np.take(padded.reshape(prod.shape[:2] + (-1,)),
+                   _shift_sources(layer.shape[-2], degree), axis=-1)
 
-    Sending a boolean mask over the current batch, instead of calling
-    next(), keeps only those graphs in the tables that follow."""
+
+def _power_table(times, degree):
+    """The power table of the factorial transform at a batch of vertex times
+    ``times`` (B, k) up to ``degree``: a (B, k, degree + 1) array whose
+    column e >= 1 holds u^(e - 1) / (e - 1)!, each column the one before it
+    times u / (e - 1), and whose column 0 is zero.  Its first d + 1 columns
+    are the table of degree d."""
     u = np.asarray(times, dtype=float)
-    table = np.zeros(u.shape + (2,))
+    table = np.zeros(u.shape + (degree + 1,))
     table[..., 1] = 1.0
-    degree = 1
-    while True:
-        keep = yield table
-        if keep is not None:
-            table, u = table[keep], u[keep]
-        degree += 1
-        column = table[..., -1] * u / (degree - 1)
-        table = np.concatenate([table, column[..., None]], axis=-1)
+    for e in range(2, degree + 1):
+        table[..., e] = table[..., e - 1] * u / (e - 1)
+    return table
 
 
 def _borel_weights(table: np.ndarray) -> np.ndarray:
     """The factorial transform L on the monomials ``_monomials(k, degree)``,
     evaluated at the vertex times of a power table (..., k, degree + 1) of
-    ``_power_tables``: prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial,
+    ``_power_table``: prod_i u_i^(nu_i - 1) / (nu_i - 1)! per monomial,
     zero if any nu_i = 0.  A coefficient array over those monomials, dotted
     with these weights, is L of its polynomial at u."""
     k, degree = table.shape[-2], table.shape[-1] - 1
@@ -275,8 +258,8 @@ def _borel_weights(table: np.ndarray) -> np.ndarray:
 def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
                    surjective=True, cap=DEFAULT_PATH_CAP) -> np.ndarray:
     """Sum of total weights over paths as a polynomial in the vertex times:
-    its coefficients over ``_monomials(k, n + 1)``, the layout of layer n of
-    ``_layers``.  Terms are added in path order."""
+    its coefficients over ``_monomials(k, n + 1)``, the layout of layer n.
+    Terms are added in path order."""
     k = graph.k
     out = np.zeros(len(_monomials(k, n + 1)), dtype=complex)
     paths = enumerate_paths(k, n, start, end, surjective=surjective, cap=cap)
@@ -291,19 +274,24 @@ def path_sum_table(graph: WeightedCollisionGraph, n, start, end,
     return out
 
 
-def _unit_layers(graph: WeightedCollisionGraph):
-    """Yield (layer n of ``_layers``, the ``_borel_weights`` on its
-    monomials at u = 1) for the one graph, n = 0, 1, 2, ..."""
-    pairs = zip(_layers(graph.weights[None]),
-                _power_tables(np.ones((1, graph.k))))
-    for layer, table in pairs:
-        yield layer[0], _borel_weights(table[0])
+def _unit_layers(graph: WeightedCollisionGraph, n_max):
+    """[(layer n, the ``_borel_weights`` on its monomials at u = 1)] of the
+    one graph for n = 0..n_max, the layers built as ``g_series_batch``
+    builds them."""
+    k = graph.k
+    weights = np.ascontiguousarray(graph.weights.T)[None, None]
+    table = _power_table(np.ones((1, k)), n_max + 1)[0]
+    layers = [_first_layer(k, np.arange(k), 1)]
+    for degree in range(2, n_max + 2):
+        layers.append(_next_layer(layers[-1], weights, degree))
+    return [(layer[0], _borel_weights(table[:, :n + 2]))
+            for n, layer in enumerate(layers)]
 
 
 def _identity_residual(graph, layer, bw, n, start, end, cap):
     """Max coefficient modulus of L(surjective path sum) - L(entry
-    (start, end) of ``layer``), layer n of ``_layers``, with L applied as
-    the Borel weights ``bw`` at u = 1."""
+    (start, end) of ``layer``), layer n of ``_unit_layers``, with L applied
+    as the Borel weights ``bw`` at u = 1."""
     lhs = path_sum_table(graph, n, start, end, surjective=True, cap=cap)
     diff = lhs * bw - layer[start, end] * bw
     # the modulus as complex scalar abs takes it; a vector loop for the
@@ -315,21 +303,21 @@ def path_sum_identity_check(graph: WeightedCollisionGraph, n, start, end,
                             cap=DEFAULT_PATH_CAP) -> float:
     """Residual of the path/matrix-power identity after the factorial
     transform: max coefficient difference between L(sum over surjective
-    paths) and L([D(u)W]^n D(u))_{start,end}, layer n of ``_layers``, with
-    L applied as the ``_borel_weights`` at u = 1 that ``g_series`` uses.
-    Exact up to rounding."""
+    paths) and L([D(u)W]^n D(u))_{start,end}, layer n of ``_unit_layers``,
+    with L applied as the ``_borel_weights`` at u = 1 that ``g_series``
+    uses.  Exact up to rounding."""
     if n < 1:
         raise InvalidInputError("identity needs n >= 1")
-    layer, bw = next(itertools.islice(_unit_layers(graph), n, None))
+    layer, bw = _unit_layers(graph, n)[n]
     return _identity_residual(graph, layer, bw, n, start, end, cap)
 
 
 def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
                                 cap=DEFAULT_PATH_CAP):
     """(n, start, end, residual) of path_sum_identity_check for every
-    n = 1..n_max and every pair of vertices, in that order, from one pass
-    of ``_layers``.  The run enumerates every path of length 1..n_max, k
-    (k - 1)^n of length n; a CapacityError fires before the first one is
+    n = 1..n_max and every pair of vertices, in that order, from one list
+    of ``_unit_layers``.  The run enumerates every path of length 1..n_max,
+    k (k - 1)^n of length n; a CapacityError fires before the first one is
     built when they number more than ``cap``."""
     k = graph.k
     total = 0
@@ -337,10 +325,9 @@ def path_sum_identity_residuals(graph: WeightedCollisionGraph, n_max,
         total += k * (k - 1) ** n
         if total > cap:
             raise CapacityError(f"paths of length 1..{n_max} exceed cap {cap}")
-    layers = itertools.islice(_unit_layers(graph), 1, n_max + 1)
-    return [(n, i, j, _identity_residual(graph, layer, bw, n, i, j, cap))
-            for n, (layer, bw) in enumerate(layers, start=1)
-            for i in range(k) for j in range(k)]
+    layers = _unit_layers(graph, n_max)
+    return [(n, i, j, _identity_residual(graph, *layers[n], n, i, j, cap))
+            for n in range(1, n_max + 1) for i in range(k) for j in range(k)]
 
 
 def nonsurjective_terms_constant_in_missed_vertex(graph, n, start, end,

@@ -356,53 +356,37 @@ class ScatteringModel:
     def dim(self) -> int:
         return self.potential.dim
 
-    def born_term(self, n, y, yp):
-        """T_n(y, y') without coupling powers; ``yp`` is one momentum
-        (complex result) or partners (n, d) (array result, real for n = 1,
-        where T_1 is the real transform)."""
-        if n == 1:
-            t = self.potential.w_hat(np.asarray(y) - np.asarray(yp))
-            return complex(t) if np.ndim(t) == 0 else t
-        if n == 2:
-            return born_term_2(self.potential, y, yp, self.gamma)
-        if n == 3:
-            return born_term_3(self.potential, y, yp, self.gamma)
-        raise InvalidInputError(
-            f"Born order {n} beyond supported {MAX_BORN_ORDER}")
-
     def t_matrix_batch(self, y, partners) -> np.ndarray:
         """sum_{n <= born_order} lambda^n T_n(y, p_j) for the rows p_j of
         ``partners`` (n, d), or, for incoming momenta ``y`` (m, d), row i of
-        the result over ``partners[i]`` (m, n, d).  Every Born term builds
-        its theta contour once per incoming momentum; at Born order 1 the m
-        rows are one broadcast transform.  Real at Born order 1, complex
-        above it."""
+        the result over ``partners[i]`` (m, n, d).  lambda T_1 is one
+        broadcast transform, returned as it is (real) at Born order 1; above
+        it each incoming momentum adds its higher terms, each of which
+        builds its theta contour once."""
         y = np.asarray(y, dtype=float)
         partners = np.asarray(partners, dtype=float)
         if y.ndim not in (1, 2) or partners.ndim != y.ndim + 1 \
                 or partners.shape[:-2] != y.shape[:-1]:
             raise InvalidInputError("partners must be an (n, d) array, or "
                                     "(m, n, d) for momenta y (m, d)")
-        if y.ndim == 1:
-            return self._t_sum(y, partners)
+        lam = self.coupling
+        out = lam * self.potential.w_hat(y[..., None, :] - partners)
         if self.born_order == 1:
-            return self._t_sum(y[:, None], partners)
-        out = np.zeros(partners.shape[:-1], dtype=complex)
-        for i, (y_i, p_i) in enumerate(zip(y, partners)):
-            out[i] = self._t_sum(y_i, p_i)
+            return out
+        out = out.astype(complex)
+        terms = (born_term_2, born_term_3)[:self.born_order - 1]
+        rows = (y, partners, out) if y.ndim == 2 else \
+            (y[None], partners[None], out[None])
+        for y_i, p_i, out_i in zip(*rows):
+            for n, term in enumerate(terms, start=2):
+                out_i += lam ** n * term(self.potential, y_i, p_i, self.gamma)
         return out
 
     def t_matrix(self, y, yp) -> complex:
         """sum_{n <= born_order} lambda^n T_n(y, y'): the one-partner case
         of t_matrix_batch."""
-        return complex(self._t_sum(y, np.asarray(yp, dtype=float)))
-
-    def _t_sum(self, y, yp):
-        lam = self.coupling
-        total = lam * self.born_term(1, y, yp)
-        for n in range(2, self.born_order + 1):
-            total = total + lam ** n * self.born_term(n, y, yp)
-        return total
+        return complex(self.t_matrix_batch(
+            y, np.asarray(yp, dtype=float)[None])[0])
 
     # -- on-shell kernel ----------------------------------------------------
 
@@ -423,13 +407,16 @@ class ScatteringModel:
     def polar_abs2(self, speed, cosines) -> np.ndarray:
         """|T(y, speed w)|^2 with y = speed e_1 and unit w at the given polar
         cosines (the sine on the second axis): the on-shell kernel depends
-        on the scattering angle only."""
+        on the scattering angle only.  ``speed`` is one speed, or speeds
+        (m,) for one row each, all from one t_matrix_batch call."""
+        speed = np.asarray(speed, dtype=float)
         cosines = np.asarray(cosines, dtype=float)
-        y_axis = np.zeros(self.dim)
-        y_axis[0] = speed
-        partners = np.zeros((len(cosines), self.dim))
-        partners[:, 0] = speed * cosines
-        partners[:, 1] = speed * np.sqrt(np.maximum(0.0, 1 - cosines ** 2))
+        y_axis = np.zeros(speed.shape + (self.dim,))
+        y_axis[..., 0] = speed
+        partners = np.zeros(speed.shape + (len(cosines), self.dim))
+        partners[..., 0] = speed[..., None] * cosines
+        partners[..., 1] = speed[..., None] * np.sqrt(
+            np.maximum(0.0, 1 - cosines ** 2))
         return np.abs(self.t_matrix_batch(y_axis, partners)) ** 2
 
     def sigma_tot(self, y) -> float:
@@ -446,8 +433,8 @@ class ScatteringModel:
         """The on-shell kernel at a 1-d array of positive speeds: ``rates``,
         the total cross sections, the law of the scattering angle,
         ``cosines(rows, u)``, and its ``error``.  The closed form at Born
-        order 1 in d = 3 (VonMisesShell), else one polar_abs2 call per
-        speed at the SPHERE_NODES nodes of the polar rule (ShellTable)."""
+        order 1 in d = 3 (VonMisesShell), else one polar_abs2 call over all
+        speeds at the SPHERE_NODES nodes of the polar rule (ShellTable)."""
         speeds = np.asarray(speeds, dtype=float)
         if np.any(speeds <= 0):
             raise InvalidInputError("total cross section undefined at y = 0")
@@ -457,8 +444,7 @@ class ScatteringModel:
                 self.potential.shell_concentration(speeds))
         d = self.dim
         cnodes, cweights = _polar_rule(d, SPHERE_NODES)
-        values = np.array([self.polar_abs2(v, cnodes) for v in speeds]
-                          ).reshape(len(speeds), SPHERE_NODES)
+        values = self.polar_abs2(speeds, cnodes)
         sphere = _lower_sphere_area(d) * np.sum(cweights * values, axis=1)
         return ShellTable.from_values(
             d, 4 * math.pi ** 2 * speeds ** (d - 2) * sphere, values)
@@ -480,9 +466,10 @@ class ScatteringModel:
             raise InvalidInputError("optical residual is an on-shell check")
         y = np.asarray(y, dtype=float)
         lam = self.coupling
-        im_t = lam ** 2 * self.born_term(2, y, y).imag
+        im_t = lam ** 2 * born_term_2(self.potential, y, y, self.gamma).imag
         if include_third_order:
-            im_t += lam ** 3 * self.born_term(3, y, y).imag
+            im_t += lam ** 3 * born_term_3(self.potential, y, y,
+                                           self.gamma).imag
         first = ScatteringModel(self.potential, lam, born_order=1)
         return float(im_t + first.sigma_tot(y) / (4 * math.pi))
 

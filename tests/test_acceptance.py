@@ -79,13 +79,12 @@ def test_criterion_03_path_operator_identity():
 
 
 def test_criterion_03_checks_the_layers_g_is_summed_from(monkeypatch):
-    exact = gp._layers
-
-    def scaled(graph):
-        for layer in exact(graph):
-            yield layer * (1 + 1e-9)
-
-    monkeypatch.setattr(gp, "_layers", scaled)
+    # a 1e-9 relative error in the layer recursion G is summed with must
+    # fail criterion 3
+    assert gm._next_layer is gp._next_layer
+    exact = gp._next_layer
+    monkeypatch.setattr(gp, "_next_layer",
+                        lambda *args: exact(*args) * (1 + 1e-9))
     assert not acc.check_03_path_operator_identity().passed
 
 

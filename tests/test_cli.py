@@ -384,6 +384,10 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
     assert message in capsys.readouterr().err
 
 
+# 1 followed by 400 zeros: a JSON integer, but no float
+HUGE_INT = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("command, config, message", [
     ("partitions", None, "missing required config key: 'n'"),
     ("scatter", {"op": "tmat", "coupling": 0.3, "y": [1, 0, 0]},
@@ -406,12 +410,20 @@ def test_malformed_array_exits_2(tmp_path, capsys, command, config, message):
      "must be finite, not Infinity"),
     ("gmatrix", json.dumps(dict(G3_WIDE, u=[2.0, float("nan"), 3.0])),
      "must be finite, not NaN"),
+    # integer literals beyond the largest float
+    ("lattice", '{"r_max": %s, "width": 2000.0}' % HUGE_INT,
+     "'r_max' is an integer too large for a float"),
+    ("scatter", '{"op": "sigma", "coupling": %s, "y": [1, 0, 0]}' % HUGE_INT,
+     "'coupling' is an integer too large for a float"),
+    ("gmatrix", '{"k": 2, "u": [1.0, %s], "w_re": [[0, 1], [1, 0]]}'
+     % HUGE_INT, "'u' holds an integer too large for a float"),
 ], ids=["no_config", "scatter_tmat_without_yp", "scatter_unknown_op",
         "gmatrix_contour_3_nodes", "gmatrix_contour_odd_nodes",
         "gmatrix_bessel_k2_at_k3", "gmatrix_unknown_method",
         "scatter_nan_coupling",
         "scatter_overflowing_coupling", "lattice_infinite_r_max",
-        "gmatrix_nan_time"])
+        "gmatrix_nan_time", "lattice_huge_int_r_max",
+        "scatter_huge_int_coupling", "gmatrix_huge_int_time"])
 def test_config_error_exits_2(tmp_path, capsys, command, config, message):
     argv = [command, "--out", str(tmp_path / "out")]
     if isinstance(config, str):
@@ -422,6 +434,21 @@ def test_config_error_exits_2(tmp_path, capsys, command, config, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+def test_non_finite_json_artifact_exits_3(tmp_path, capsys):
+    # at these times the contour overflows to NaN entries, which JSON has no
+    # token for: the run fails before gmatrix.json is written
+    cfg = write(tmp_path / "c.json",
+                dict(G3_WIDE, u=[200, 250, 300], method="contour"))
+    out = tmp_path / "out"
+    assert main(["gmatrix", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: gmatrix.json" in err
+    assert not (out / "manifest.json").exists()
+    assert not any(b"NaN" in p.read_bytes() for p in out.iterdir())
 
 
 def test_scatter_ops(tmp_path):
@@ -636,6 +663,20 @@ def test_seed_outside_range_exits_2(tmp_path, capsys, command, config, argv):
     assert main([command, "--config", cfg,
                  "--out", str(tmp_path / "out")] + argv) == 2
     assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("paths", {"k": 3, "seed": 11}),
+    ("simulate", dict(SIMULATE_LB, seed=11)),
+], ids=["paths", "simulate"])
+@pytest.mark.parametrize("argv, seed", [([], 11), (["--seed", "4"], 4)],
+                         ids=["config", "flag"])
+def test_manifest_records_the_seed_used(tmp_path, command, config, argv,
+                                        seed):
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path / "c.json", config),
+                 "--out", str(out)] + argv) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_simulate_largest_seed(tmp_path):

@@ -256,10 +256,11 @@ def test_k2_term_takes_t_once_per_ring(series, order, monkeypatch):
                            lambda shift, y_a: B_SYM.value(shift, y_a), rule,
                            time_rule)
 
+    # partners per incoming momentum of each batch
     batches = []
     exact = model.t_matrix_batch
     monkeypatch.setattr(sc.ScatteringModel, "t_matrix_batch",
-                        lambda self, y, p: batches.append(len(p))
+                        lambda self, y, p: batches.append(np.shape(p)[-2])
                         or exact(y, p))
     rings = term((dirs, weights))
     every = term((dirs.reshape(-1, 1, 3), weights.reshape(-1, 1)))

@@ -1,4 +1,3 @@
-import itertools
 
 import numpy as np
 import pytest
@@ -115,7 +114,7 @@ def test_zero_edge_kills_weight():
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 2), (3, 4), (4, 3)])
 def test_path_sums_match_matrix_power_entries(k, n):
     g = make_graph(k, seed=k * 10 + n)
-    layer = next(itertools.islice(gp._layers(g.weights[None]), n, None))[0]
+    layer = gp._unit_layers(g, n)[n][0]
     powers = np.prod(g.times ** gp._monomials(k, n + 1), axis=1)
     for i in range(k):
         for j in range(k):
@@ -131,9 +130,7 @@ def test_path_sums_match_matrix_power_entries(k, n):
 
 def _borel_weights_at(u, degree):
     # the power table of that degree at one set of times, then L
-    tables = gp._power_tables(np.asarray(u)[None])
-    return gp._borel_weights(
-        next(itertools.islice(tables, degree - 1, None))[0])
+    return gp._borel_weights(gp._power_table(np.asarray(u)[None], degree)[0])
 
 
 def test_borel_drops_constant_directions():
@@ -159,7 +156,7 @@ def test_borel_explicit_factorials():
 def test_borel_kills_degree_one_diagonal():
     # the n = 0 matrix D(u) has single-variable entries: transform is zero
     g = make_graph(3, seed=1)
-    layer = next(gp._layers(g.weights[None]))[0]
+    layer = gp._first_layer(3, np.arange(3), 1)[0]
     bw = _borel_weights_at(np.ones(3), 1)
     for i in range(3):
         for j in range(3):
@@ -195,13 +192,9 @@ def test_identity_sweep(k):
 def test_identity_checks_the_shared_layers(monkeypatch):
     # the matrix-power side is the layer recursion g_series sums, so a
     # 1e-9 relative error in those layers must break the identity
-    exact = gp._layers
-
-    def scaled(graph):
-        for layer in exact(graph):
-            yield layer * (1 + 1e-9)
-
-    monkeypatch.setattr(gp, "_layers", scaled)
+    exact = gp._next_layer
+    monkeypatch.setattr(gp, "_next_layer",
+                        lambda *args: exact(*args) * (1 + 1e-9))
     g = make_graph(3, seed=8)
     assert gp.path_sum_identity_check(g, 3, 0, 1) > 1e-12
 

@@ -350,7 +350,7 @@ def test_born_terms_scalar_partner_returns_complex():
     yp = np.array([0.0, 0.6, 0.8])
     m = sc.ScatteringModel(POT, coupling=0.3, born_order=3)
     for value in (sc.born_term_2(POT, EY, yp), sc.born_term_3(POT, EY, yp),
-                  m.born_term(1, EY, yp), m.t_matrix(EY, yp)):
+                  m.t_matrix(EY, yp)):
         assert type(value) is complex
     batch = sc.born_term_2(POT, EY, np.stack([yp, EY]))
     assert batch.shape == (2,)
@@ -366,9 +366,6 @@ def test_model_is_frozen():
 
 
 def test_born_order_cap():
-    m = sc.ScatteringModel(POT, coupling=0.1, born_order=2)
-    with pytest.raises(InvalidInputError):
-        m.born_term(4, EY, EY)
     with pytest.raises(InvalidInputError):
         sc.ScatteringModel(POT, coupling=0.1, born_order=5)
 
